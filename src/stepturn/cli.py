@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import multiprocessing
 import os
 import sys
 import time
@@ -35,9 +34,10 @@ from .inference import (
     PriorSpec,
     ReferenceTable,
     SimConfig,
+    chunk_bounds,
     fit,
     hpd_interval,
-    reference_rows,
+    reference_chunks,
     weighted_quantile,
 )
 from .movement import MovementParams, observe, simulate_until
@@ -351,10 +351,10 @@ def _sharded_reftable(out, prior, sim, resolved, workers, config):
                 "remove them or change --out"
             )
         state = previous
-    edges = list(range(0, n_sims, shard_size)) + [n_sims]
+    bounds = chunk_bounds(n_sims, shard_size)
+    names = [f"shard_{index:05d}.npz" for index in range(len(bounds))]
     pending = []
-    for index, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
-        name = f"shard_{index:05d}.npz"
+    for name, span in zip(names, bounds):
         path = shard_dir / name
         record = state["shards"].get(name)
         if record is not None and path.exists():
@@ -365,49 +365,24 @@ def _sharded_reftable(out, prior, sim, resolved, workers, config):
                     f"manifest says {record['sha256'][:12]}; refusing to reuse it"
                 )
             continue
-        pending.append((prior, sim, seed, name, lo, hi))
+        pending.append((name, span))
 
     done = len(state["shards"])
-    total = len(edges) - 1
-
-    def save(name, rows, resamples):
-        nonlocal done
+    chunks = reference_chunks(prior, sim, seed, [span for _, span in pending], workers)
+    # chunks arrive in shard order, so each finished shard checkpoints at once
+    for (rows, resamples), (name, _) in zip(chunks, pending):
         path = shard_dir / name
         np.savez(path, rows=rows, resamples=resamples)
         state["shards"][name] = {"sha256": io.sha256_file(path), "rows": len(rows)}
         state_path.write_text(json.dumps(state, indent=2, sort_keys=True) + "\n")
         done += 1
-        print(f"shard {name}: {len(rows)} rows ({done}/{total})", flush=True)
-
-    if workers > 1 and len(pending) > 1:
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(processes=workers) as pool:
-            # imap keeps shard order so each finished shard checkpoints at once
-            for name, rows, resamples in pool.imap(_shard_task, pending):
-                save(name, rows, resamples)
-    else:
-        for task in pending:
-            save(*_shard_task(task))
+        print(f"shard {name}: {len(rows)} rows ({done}/{len(bounds)})", flush=True)
     all_rows, total_resamples = [], 0
-    for index in range(len(edges) - 1):
-        with np.load(shard_dir / f"shard_{index:05d}.npz") as data:
+    for name in names:
+        with np.load(shard_dir / name) as data:
             all_rows.append(data["rows"])
             total_resamples += int(data["resamples"])
-    rows = np.vstack(all_rows)
-    return ReferenceTable(
-        params=rows[:, :2].copy(),
-        summaries=rows[:, 2:].copy(),
-        prior=prior,
-        config=sim,
-        seed=seed,
-        n_resampled=total_resamples,
-    )
-
-
-def _shard_task(task):
-    prior, sim, seed, name, lo, hi = task
-    rows, resamples = reference_rows(prior, sim, seed, lo, hi)
-    return name, rows, resamples
+    return ReferenceTable.from_rows(np.vstack(all_rows), prior, sim, seed, total_resamples)
 
 
 def cmd_fit(args):

@@ -5,7 +5,6 @@ steps and turns.
 
 from __future__ import annotations
 
-import multiprocessing
 import warnings
 from dataclasses import dataclass, field
 
@@ -15,6 +14,7 @@ from scipy.stats import gamma, kstest
 
 from .inference import PARAM_NAMES, abc_reject, adjust, hpd_interval, weighted_quantile
 from .movement import MovementParams, observe, simulate_until
+from .parallel import ordered_map
 from .streams import stream
 from .summaries import MEANCOS_CLAMP, bessel_ratio_inverse, summarize
 
@@ -75,6 +75,11 @@ def coverage_test(posteriors, true_values, parameter):
     p_values = np.array(
         [coverage_pvalue(post, parameter, t) for post, t in zip(posteriors, true_values)]
     )
+    return _uniformity_test(p_values)
+
+
+def _uniformity_test(p_values):
+    """KS test of ``p_values`` against U(0, 1) and their 20-bin histogram."""
     ks = kstest(p_values, "uniform")
     histogram, _ = np.histogram(p_values, bins=20, range=(0.0, 1.0))
     return CoverageTestResult(
@@ -129,12 +134,9 @@ class CrossValReport:
         return md_index([r.truth for r in recs], [r.median for r in recs])
 
 
-_CV_CTX = None  # (table, methods, epsilons, alpha, net_config); set before forking
-
-
-def _crossval_replicate(task):
+def _crossval_replicate(context, task):
     rep, row = task
-    table, methods, epsilons, alpha, net_config = _CV_CTX
+    table, methods, epsilons, alpha, net_config = context
     truth = table.params[row]
     s_obs = table.summaries[row]
     sub = table.without_row(row)
@@ -203,7 +205,7 @@ def cross_validate(
     chosen = rng.choice(eligible, size=n_rep, replace=False)
     tasks = [(rep, int(row)) for rep, row in enumerate(chosen)]
     context = (table, tuple(methods), tuple(epsilons), alpha, net_config)
-    results = _map_with_context("_CV_CTX", context, _crossval_replicate, tasks, workers)
+    results = ordered_map(_crossval_replicate, context, tasks, workers)
     records = [record for sub in results for record in sub]
     return CrossValReport(
         records=records,
@@ -212,21 +214,6 @@ def cross_validate(
         epsilons=tuple(float(e) for e in epsilons),
         alpha=alpha,
     )
-
-
-def _map_with_context(ctx_name, context, worker, tasks, workers):
-    """Map tasks in order; context travels to fork children via a module
-    global, so only the small task tuples are pickled."""
-    previous = globals()[ctx_name]
-    globals()[ctx_name] = context
-    try:
-        if workers > 1 and len(tasks) > 1:
-            ctx = multiprocessing.get_context("fork")
-            with ctx.Pool(processes=workers) as pool:
-                return pool.map(worker, tasks)
-        return [worker(t) for t in tasks]
-    finally:
-        globals()[ctx_name] = previous
 
 
 def empirical_coverage(records):
@@ -266,12 +253,11 @@ def coverage_report(crossval, alpha=0.95):
     p_values, ks_stat, ks_p, histogram = {}, {}, {}, {}
     for key in coverage:
         recs = [r for r in records if (r.method, r.epsilon, r.param) == key]
-        p = np.array([r.p for r in recs])
-        ks = kstest(p, "uniform")
-        p_values[key] = p
-        ks_stat[key] = float(ks.statistic)
-        ks_p[key] = float(ks.pvalue)
-        histogram[key], _ = np.histogram(p, bins=20, range=(0.0, 1.0))
+        test = _uniformity_test(np.array([r.p for r in recs]))
+        p_values[key] = test.p_values
+        ks_stat[key] = test.ks_statistic
+        ks_p[key] = test.ks_pvalue
+        histogram[key] = test.histogram
     return CoverageReport(
         coverage=coverage,
         p_values=p_values,
@@ -326,12 +312,9 @@ class RScanReport:
         return prediction_error([r.truth for r in recs], [r.median for r in recs])
 
 
-_RS_CTX = None
-
-
-def _rscan_cell(task):
+def _rscan_cell(context, task):
     cell_index, r_value, kappa_true = task
-    table, methods, epsilon, dt, n_per_cell, n_obs, net_config, seed = _RS_CTX
+    table, methods, epsilon, dt, n_per_cell, n_obs, net_config, seed = context
     lam_true = r_value / dt
     records = []
     for rep in range(n_per_cell):
@@ -394,7 +377,7 @@ def r_scan(
                 cells.append((cell_index, float(r_value), float(kappa_true)))
             cell_index += 1
     context = (table, tuple(methods), float(epsilon), dt, n_per_cell, n_obs, net_config, seed)
-    results = _map_with_context("_RS_CTX", context, _rscan_cell, cells, workers)
+    results = ordered_map(_rscan_cell, context, cells, workers)
     records = [record for sub in results for record in sub]
     return RScanReport(
         records=records,

@@ -8,13 +8,12 @@ neural-network regression correction of the accepted draws.
 
 from __future__ import annotations
 
-import multiprocessing
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg
 
-from . import nnet
+from . import nnet, parallel
 from .errors import DegenerateTrackError, SingularRegressionError
 from .movement import MovementParams, observe, simulate_until
 from .streams import stream
@@ -82,6 +81,11 @@ class ReferenceTable:
             raise ValueError("params and summaries must have equal row counts")
         if not np.all(np.isfinite(self.summaries)):
             raise ValueError("every summary row must be finite")
+
+    @classmethod
+    def from_rows(cls, rows, prior, config, seed, n_resampled):
+        """Table from an (n, 6) array with columns kappa, lambda, s1..s4."""
+        return cls(rows[:, :2].copy(), rows[:, 2:].copy(), prior, config, seed, n_resampled)
 
     @property
     def n_rows(self):
@@ -167,6 +171,11 @@ def _reference_row(prior, config, base_seed, index):
     raise RuntimeError(f"row {index}: exhausted resampling attempts")
 
 
+# Bump whenever the rows a seed yields move (random streams, simulator or
+# summaries), so tables cached under an older version are rebuilt.
+SIMULATOR_VERSION = 1
+
+
 def reference_rows(prior, config, base_seed, lo, hi):
     """Rows lo..hi-1 of the table as ((n, 6) array, total resamples)."""
     rows = np.empty((hi - lo, 6))
@@ -178,9 +187,26 @@ def reference_rows(prior, config, base_seed, lo, hi):
     return rows, resamples
 
 
-def _rows_task(args):
-    prior, config, base_seed, lo, hi = args
-    return reference_rows(prior, config, base_seed, lo, hi)
+def chunk_bounds(n_rows, size):
+    """(lo, hi) of the consecutive ``size``-row chunks of rows 0..n_rows-1."""
+    edges = list(range(0, n_rows, size)) + [n_rows]
+    return list(zip(edges[:-1], edges[1:]))
+
+
+def reference_chunks(prior, config, seed, bounds, workers):
+    """Yield ``reference_rows`` of each (lo, hi) in ``bounds``, in order.
+
+    Chunks run on ``workers`` processes; row i draws from the stream
+    ``seed XOR i`` alone, so the rows do not depend on the worker count.
+    """
+    return parallel.ordered_map(_chunk_rows, (prior, config, seed), bounds, workers)
+
+
+def _chunk_rows(context, bounds):
+    prior, config, seed = context
+    lo, hi = bounds
+    # looked up at call time, so a wrapper installed on the module sees every chunk
+    return reference_rows(prior, config, seed, lo, hi)
 
 
 def generate_reference_table(
@@ -195,24 +221,10 @@ def generate_reference_table(
         raise ValueError(f"n_sims must be >= 1, got {n_sims}")
     prior = prior or PriorSpec()
     config = config or SimConfig()
-    edges = list(range(0, n_sims, chunk_size)) + [n_sims]
-    tasks = [(prior, config, seed, lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
-    if workers > 1 and len(tasks) > 1:
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(processes=workers) as pool:
-            results = pool.map(_rows_task, tasks)
-    else:
-        results = [_rows_task(t) for t in tasks]
-    rows = np.vstack([r for r, _ in results])
-    n_resampled = int(sum(c for _, c in results))
-    return ReferenceTable(
-        params=rows[:, :2].copy(),
-        summaries=rows[:, 2:].copy(),
-        prior=prior,
-        config=config,
-        seed=seed,
-        n_resampled=n_resampled,
-    )
+    bounds = chunk_bounds(n_sims, chunk_size)
+    chunks = list(reference_chunks(prior, config, seed, bounds, workers))
+    rows = np.vstack([r for r, _ in chunks])
+    return ReferenceTable.from_rows(rows, prior, config, seed, int(sum(c for _, c in chunks)))
 
 
 # ---------------------------------------------------------------------------

@@ -192,16 +192,15 @@ def read_reference_table(path):
         rows = np.array([[float(v) for v in row] for row in reader])
     sidecar = read_sidecar(path)
     config = sidecar["config"]
-    return ReferenceTable(
-        params=rows[:, :2],
-        summaries=rows[:, 2:],
-        prior=PriorSpec(
+    return ReferenceTable.from_rows(
+        rows,
+        PriorSpec(
             kappa_range=tuple(config["prior"]["kappa_range"]),
             lambda_range=tuple(config["prior"]["lambda_range"]),
         ),
-        config=SimConfig(dt=config["sim"]["dt"], min_obs=config["sim"]["min_obs"]),
-        seed=config["seed"],
-        n_resampled=sidecar.get("n_resampled", 0),
+        SimConfig(dt=config["sim"]["dt"], min_obs=config["sim"]["min_obs"]),
+        config["seed"],
+        sidecar.get("n_resampled", 0),
     )
 
 

@@ -45,17 +45,16 @@ class MovementParams:
         Rate of direction changes (1/time), > 0.
     nu : float, optional
         Mean turning angle. Fixed at 0 unless ``allow_extensions``.
-    speed : float, optional
-        Travel speed. Fixed at 1 unless ``allow_extensions``.
     allow_extensions : bool, optional
-        Permit non-default ``nu``/``speed`` (off the beaten track of the
-        reference configuration).
+        Permit a non-zero ``nu`` (off the beaten track of the reference
+        configuration).
+
+    The walker always travels at unit speed, as in the paper.
     """
 
     kappa: float
     lam: float
     nu: float = 0.0
-    speed: float = 1.0
     allow_extensions: bool = False
 
     def __post_init__(self):
@@ -63,11 +62,8 @@ class MovementParams:
             raise ValueError(f"kappa must be finite and >= 0, got {self.kappa}")
         if not np.isfinite(self.lam) or self.lam <= 0:
             raise ValueError(f"lam must be finite and > 0, got {self.lam}")
-        if not self.allow_extensions and (self.nu != 0.0 or self.speed != 1.0):
-            raise ValueError(
-                "nu != 0 or speed != 1 require allow_extensions=True; "
-                f"got nu={self.nu}, speed={self.speed}"
-            )
+        if not self.allow_extensions and self.nu != 0.0:
+            raise ValueError(f"nu != 0 requires allow_extensions=True; got nu={self.nu}")
 
 
 @dataclass(frozen=True)
@@ -179,8 +175,6 @@ def sample_von_mises(kappa, nu, rng, size=None):
         raise ValueError(f"concentration must be >= 0, got {kappa}")
     rng = as_generator(rng)
     draws = rng.vonmises(nu, kappa, size=size)
-    if size is None:
-        return wrap_angle(draws)
     return wrap_angle(draws)
 
 

@@ -1,8 +1,9 @@
 """Disk cache for the desk-scale reference table the acceptance suite uses.
 
 Building the 1e5-row table takes a few minutes, so it is built once and
-cached under .cache/ keyed by its configuration digest; the cache file is
-safe to delete at any time.
+cached under .cache/ keyed by a digest of its configuration and of
+``SIMULATOR_VERSION``, so a change that moves the rows rebuilds it; the
+cache file is safe to delete at any time.
 """
 
 import hashlib
@@ -11,7 +12,13 @@ from pathlib import Path
 
 import numpy as np
 
-from stepturn.inference import PriorSpec, ReferenceTable, SimConfig, generate_reference_table
+from stepturn.inference import (
+    SIMULATOR_VERSION,
+    PriorSpec,
+    ReferenceTable,
+    SimConfig,
+    generate_reference_table,
+)
 
 CACHE_DIR = Path(__file__).resolve().parent.parent / ".cache"
 
@@ -30,6 +37,7 @@ def _key(prior, sim, n_sims, seed):
             "min_obs": sim.min_obs,
             "n_sims": n_sims,
             "seed": seed,
+            "simulator_version": SIMULATOR_VERSION,
         },
         sort_keys=True,
     )

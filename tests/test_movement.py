@@ -23,7 +23,7 @@ EXAMPLE_TURNS = [0.32, 5.65, 5.81, 0.02, 0.11]  # interior turn points only
 class TestMovementParams:
     def test_defaults_fixed(self):
         params = MovementParams(kappa=3.0, lam=2.0)
-        assert params.nu == 0.0 and params.speed == 1.0
+        assert params.nu == 0.0
 
     @pytest.mark.parametrize("kappa,lam", [(-1.0, 1.0), (1.0, 0.0), (1.0, -2.0), (np.nan, 1.0)])
     def test_invalid(self, kappa, lam):
@@ -33,9 +33,7 @@ class TestMovementParams:
     def test_extensions_need_flag(self):
         with pytest.raises(ValueError):
             MovementParams(kappa=1.0, lam=1.0, nu=0.3)
-        with pytest.raises(ValueError):
-            MovementParams(kappa=1.0, lam=1.0, speed=2.0)
-        params = MovementParams(kappa=1.0, lam=1.0, nu=0.3, speed=2.0, allow_extensions=True)
+        params = MovementParams(kappa=1.0, lam=1.0, nu=0.3, allow_extensions=True)
         assert params.nu == 0.3
 
 

@@ -9,6 +9,7 @@ neural-network regression correction of the accepted draws.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -67,7 +68,15 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class ReferenceTable:
-    """Paired (parameter, summary) rows from prior-predictive simulation."""
+    """Paired (parameter, summary) rows from prior-predictive simulation.
+
+    A table's arrays are treated as immutable once it is fitted against:
+    the distance scales (:attr:`scales`) and the column-major copy of the
+    summaries (:attr:`columns`) are computed on first use and cached on the
+    instance, so writing into ``params`` or ``summaries`` afterwards leaves
+    them stale. ``dataclasses.replace`` and :meth:`without_row` return a
+    new instance, which starts with a fresh cache.
+    """
 
     params: np.ndarray  # (K, 2) columns kappa, lambda
     summaries: np.ndarray  # (K, 4) columns s1..s4
@@ -90,6 +99,20 @@ class ReferenceTable:
     @property
     def n_rows(self):
         return len(self.params)
+
+    @cached_property
+    def columns(self):
+        """Read-only (4, K) contiguous copy of the summaries, one row per column."""
+        columns = np.ascontiguousarray(self.summaries.T)
+        columns.flags.writeable = False
+        return columns
+
+    @cached_property
+    def scales(self):
+        """Read-only :func:`summary_scales` of this table, computed once."""
+        scales = summary_scales(self)
+        scales.flags.writeable = False
+        return scales
 
     def without_row(self, index):
         """Copy of the table with one row removed (for leave-one-out fits)."""
@@ -238,12 +261,12 @@ def summary_scales(table):
     sample standard deviation when the MAD is zero, and to 1 when both
     vanish.
     """
-    columns = np.ascontiguousarray(table.summaries.T)  # contiguous: faster medians
+    columns = table.columns  # contiguous: faster medians
     center = np.median(columns, axis=1)
     scales = np.median(np.abs(columns - center[:, None]), axis=1)
     for k in range(len(scales)):
         if scales[k] == 0.0:
-            scales[k] = float(np.std(table.summaries[:, k], ddof=1))
+            scales[k] = float(np.std(columns[k], ddof=1))
         if scales[k] == 0.0 or not np.isfinite(scales[k]):
             scales[k] = 1.0
     return scales
@@ -252,15 +275,17 @@ def summary_scales(table):
 def standardized_distances(table, s_obs, scales=None):
     """Standardized Euclidean distance of every table row to ``s_obs``.
 
-    ``scales`` defaults to :func:`summary_scales` of the table.
+    ``scales`` defaults to the table's cached :attr:`ReferenceTable.scales`.
+    The squares are summed column by column, in the order of a row-wise sum.
     """
     if table.n_rows == 0:
         raise ValueError("reference table is empty")
     s_obs = _as_summary_array(s_obs)
     if scales is None:
-        scales = summary_scales(table)
-    z = (table.summaries - s_obs) / scales
-    return np.sqrt(np.sum(z * z, axis=1))
+        scales = table.scales
+    scales = np.asarray(scales, dtype=float)
+    z = (table.columns - s_obs[:, None]) / scales[:, None]
+    return np.sqrt(np.sum(z * z, axis=0))
 
 
 def _as_summary_array(s_obs):
@@ -283,7 +308,7 @@ def abc_reject(table, s_obs, epsilon):
         raise ValueError(f"epsilon must be in (0, 1], got {epsilon}")
     if table.n_rows == 0:
         raise ValueError("reference table is empty")
-    scales = summary_scales(table)
+    scales = table.scales
     distances = standardized_distances(table, s_obs, scales)
     n_accept = int(np.ceil(epsilon * table.n_rows))
     accepted = _closest(distances, n_accept)

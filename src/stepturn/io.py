@@ -17,7 +17,13 @@ from pathlib import Path
 import numpy as np
 
 from .experiments import ReplicateRecord, RScanRecord
-from .inference import PriorSpec, ReferenceTable, SimConfig, WeightedPosterior
+from .inference import (
+    SIMULATOR_VERSION,
+    PriorSpec,
+    ReferenceTable,
+    SimConfig,
+    WeightedPosterior,
+)
 from .movement import LatentPath, ObservedTrack
 from .summaries import SummaryVector
 
@@ -167,7 +173,8 @@ def reference_table_config(table):
 
 def write_reference_table(path, table, command="reftable"):
     """Table as ``kappa,lambda,s1,s2,s3,s4`` plus a JSON sidecar holding the
-    simulation config and base seed."""
+    simulation config and base seed, the resample count and the
+    ``SIMULATOR_VERSION`` of the writing package."""
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["kappa", "lambda", "s1", "s2", "s3", "s4"])
@@ -179,7 +186,7 @@ def write_reference_table(path, table, command="reftable"):
         path,
         command,
         reference_table_config(table),
-        extra={"n_resampled": table.n_resampled},
+        extra={"n_resampled": table.n_resampled, "simulator_version": SIMULATOR_VERSION},
     )
 
 

@@ -217,6 +217,29 @@ class TestCrossValidate:
                            n_rep=4, constraint=None, seed=13, workers=3)
         assert a.records == b.records
 
+    def test_shared_scales_match_fresh_tables(self, monkeypatch):
+        # each leave-one-out table computes its scales once for all of its
+        # epsilons; records must equal rejections on fresh, uncached copies
+        from stepturn import experiments
+        from stepturn.inference import abc_reject
+
+        table = synthetic_table(300, seed=20)
+        kwargs = dict(methods=("rejection", "loclinear"), epsilons=(0.2, 0.1, 0.05),
+                      n_rep=6, constraint=None, seed=21)
+        shared = cross_validate(table, **kwargs)
+        copies = []
+
+        def reject_on_fresh_copy(sub, s_obs, epsilon):
+            fresh = ReferenceTable(params=sub.params.copy(), summaries=sub.summaries.copy(),
+                                   prior=sub.prior, config=sub.config, seed=sub.seed)
+            copies.append(fresh)
+            return abc_reject(fresh, s_obs, epsilon)
+
+        monkeypatch.setattr(experiments, "abc_reject", reject_on_fresh_copy)
+        fresh = cross_validate(table, **kwargs)
+        assert len(copies) == 6 * 3
+        assert fresh.records == shared.records
+
     def test_constraint_filters_rows(self):
         table = synthetic_table(200, seed=14)
         report = cross_validate(table, methods=("rejection",), epsilons=(0.5,),

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.stats import median_abs_deviation
@@ -20,6 +22,7 @@ from stepturn import (
     summarize,
     weighted_quantile,
 )
+from stepturn import inference
 from stepturn.inference import WeightedPosterior, adjust, fit, summary_scales
 from stepturn.streams import stream
 
@@ -153,6 +156,80 @@ class TestStandardizedDistances:
         table = ReferenceTable(params=table.params, summaries=summaries,
                                prior=table.prior, config=table.config, seed=0)
         assert summary_scales(table)[3] == 1.0
+
+
+def row_wise_distances(summaries, s_obs, scales):
+    """The distance formula on the row-major (K, 4) summaries."""
+    z = (summaries - s_obs) / scales
+    return np.sqrt(np.sum(z * z, axis=1))
+
+
+class TestScaledTable:
+    def test_distances_equal_row_wise_formula(self):
+        rng = np.random.default_rng(40)
+        for n_rows in (7, 501, 20_000):
+            table = synthetic_table(n_rows, seed=n_rows)
+            summaries = table.summaries * rng.uniform(0.01, 100.0, size=4)
+            blocks = np.tile(summaries[:5], (n_rows // 10, 1))
+            summaries[: len(blocks)] = blocks  # tie blocks of equal distances
+            summaries[: n_rows // 2 + 1, 1] = summaries[0, 1]  # zero MAD, positive sd
+            summaries[:, 3] = -0.75  # constant column: scale 1
+            table = ReferenceTable(params=table.params, summaries=summaries,
+                                   prior=table.prior, config=table.config, seed=0)
+            scales = summary_scales(table)
+            assert scales[3] == 1.0
+            assert scales[1] == pytest.approx(np.std(summaries[:, 1], ddof=1))
+            for s_obs in (rng.normal(size=4), summaries[3], np.array([0.1, np.nan, 2.0, 3.0])):
+                np.testing.assert_array_equal(
+                    standardized_distances(table, s_obs),
+                    row_wise_distances(summaries, s_obs, scales),
+                )
+
+    def test_one_scales_call_per_table(self, monkeypatch):
+        calls = []
+
+        def counting(table):
+            calls.append(table)
+            return summary_scales(table)
+
+        monkeypatch.setattr(inference, "summary_scales", counting)
+        table = synthetic_table(400, seed=41)
+        rng = np.random.default_rng(42)
+        for method in ("rejection", "loclinear"):
+            for eps in (0.05, 0.1, 0.5):
+                fit(table, rng.normal(size=4), method, eps)
+        standardized_distances(table, rng.normal(size=4))
+        assert len(calls) == 1 and calls[0] is table
+
+    def test_without_row_computes_own_scales(self):
+        table = synthetic_table(101, seed=43)
+        full = table.scales
+        sub = table.without_row(17)
+        copied = ReferenceTable(
+            params=np.delete(table.params, 17, axis=0).copy(),
+            summaries=np.delete(table.summaries, 17, axis=0).copy(),
+            prior=table.prior, config=table.config, seed=table.seed,
+        )
+        np.testing.assert_array_equal(sub.scales, summary_scales(copied))
+        assert sub.scales is not full
+        np.testing.assert_array_equal(table.scales, full)
+
+    def test_replace_starts_fresh_cache(self):
+        table = synthetic_table(50, seed=44)
+        _ = table.scales, table.columns
+        doubled = replace(table, summaries=4.0 * table.summaries)
+        np.testing.assert_array_equal(doubled.scales, 4.0 * table.scales)
+        np.testing.assert_array_equal(doubled.columns, 4.0 * table.columns)
+
+    def test_cached_arrays_read_only(self):
+        table = synthetic_table(30, seed=45)
+        for cached in (table.scales, table.columns):
+            assert not cached.flags.writeable
+            with pytest.raises(ValueError):
+                cached[0] = 0.0
+        assert table.scales is table.scales and table.columns is table.columns
+        assert table.summaries.flags.writeable  # the table's own arrays stay as given
+        np.testing.assert_array_equal(table.columns, table.summaries.T)
 
 
 class TestAbcReject:

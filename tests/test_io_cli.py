@@ -77,6 +77,17 @@ class TestRoundTrips:
         assert loaded.config == table.config
         assert loaded.seed == table.seed
 
+    def test_reference_table_sidecar(self, small_table):
+        from stepturn.inference import SIMULATOR_VERSION
+
+        table, path = small_table
+        sidecar = st_io.read_sidecar(path)
+        assert sidecar["simulator_version"] == SIMULATOR_VERSION
+        assert sidecar["n_resampled"] == table.n_resampled
+        # the version sits next to the config, so the config digest is unmoved
+        assert sidecar["config"] == st_io.reference_table_config(table)
+        assert st_io.read_reference_table(path).n_resampled == table.n_resampled
+
     def test_posterior(self, small_table, tmp_path):
         table, _ = small_table
         post = abc_reject(table, table.summaries[3], 0.25)

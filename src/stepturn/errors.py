@@ -44,11 +44,11 @@ class SingularRegressionError(StepturnError, ValueError):
 
 
 class TrainingDivergedError(StepturnError, RuntimeError):
-    """Network training produced a non-finite loss at ``iteration``."""
+    """Network training produced a non-finite loss or gradient in ``iteration``."""
 
     def __init__(self, iteration):
         self.iteration = int(iteration)
-        super().__init__(f"training diverged: non-finite loss at iteration {self.iteration}")
+        super().__init__(f"training diverged: non-finite value at iteration {self.iteration}")
 
 
 class QuadratureError(StepturnError, RuntimeError):

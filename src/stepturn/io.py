@@ -252,7 +252,9 @@ def read_posterior(path):
 # ---------------------------------------------------------------------------
 # experiment reports (long format)
 
-CROSSVAL_HEADER = ["method", "epsilon", "rep", "param", "truth", "median", "hpd_lo", "hpd_hi"]
+CROSSVAL_HEADER = [
+    "method", "epsilon", "rep", "param", "truth", "median", "hpd_lo", "hpd_hi", "p",
+]
 COVERAGE_HEADER = ["method", "epsilon", "param", "rep", "p"]
 RSCAN_HEADER = ["method", "R", "kappa_true", "rep", "param", "truth", "median"]
 
@@ -264,7 +266,7 @@ def write_crossval_csv(path, records):
         for r in records:
             writer.writerow(
                 [r.method, fmt(r.epsilon), r.rep, r.param, fmt(r.truth), fmt(r.median),
-                 fmt(r.hpd_lo), fmt(r.hpd_hi)]
+                 fmt(r.hpd_lo), fmt(r.hpd_hi), fmt(r.p)]
             )
 
 
@@ -281,7 +283,7 @@ def read_crossval_csv(path):
             median=float(r["median"]),
             hpd_lo=float(r["hpd_lo"]),
             hpd_hi=float(r["hpd_hi"]),
-            p=float("nan"),
+            p=float(r["p"]),
         )
         for r in rows
     ]

@@ -1,8 +1,13 @@
 """Single-hidden-layer network for weighted regression correction.
 
-Logistic hidden units, linear outputs, L2 penalty on all parameters.
-Training is deterministic: fixed-seed initialisation scaled by
-1/sqrt(fan-in) and full-batch gradient descent with Armijo backtracking.
+Logistic hidden units, linear outputs and a weight decay on all
+parameters, fitted the way R's ``nnet`` fits the network of ``abc``'s
+neural-network correction (Blum & François 2010): BFGS on the weighted
+sum of squares plus the decay. Both terms are divided by the weight sum,
+which scales the gradient ``grad_tol`` reads but not the minimiser;
+dividing the data term alone would let the decay pin the output weights
+at zero. Training is deterministic: fixed-seed initialisation scaled by
+1/sqrt(fan-in), then BFGS, which draws nothing.
 """
 
 from __future__ import annotations
@@ -11,6 +16,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import minimize
 from scipy.special import expit
 
 from .errors import TrainingDivergedError
@@ -19,10 +25,10 @@ from .errors import TrainingDivergedError
 @dataclass(frozen=True)
 class NetConfig:
     n_hidden: int = 5
-    l2: float = 1e-2
-    n_iter: int = 10_000
-    seed: int = 0
-    grad_tol: float = 1e-8  # early stop on gradient inf-norm; deterministic
+    l2: float = 1e-2  # weight decay; divided by the weight sum, like the data term
+    n_iter: int = 10_000  # BFGS ``maxiter``
+    seed: int = 0  # initial weights
+    grad_tol: float = 1e-8  # BFGS ``gtol``: stop once the gradient inf-norm is below it
 
 
 def init_params(n_in, n_hidden, n_out, seed):
@@ -59,92 +65,64 @@ def predict(flat, shapes, x):
 
 
 def loss_and_grad(flat, shapes, x, y, sample_weight, l2):
-    """Weighted half-MSE plus L2 penalty, with its analytic gradient.
+    """Weighted half sum of squares plus decay, over the weight sum, with
+    its analytic gradient.
 
-    loss = sum_i w_i ||y_i - f(x_i)||^2 / (2 sum w) + l2/2 * ||params||^2
+    loss = [sum_i w_i ||y_i - f(x_i)||^2 / 2 + l2/2 * ||params||^2] / sum w
+
+    All-zero weights count as unit weights.
     """
-    objective = _Objective(shapes, x, y, sample_weight, l2)
-    loss, state = objective.loss(flat)
-    return loss, objective.grad(flat, state)
-
-
-class _Objective:
-    """:func:`loss_and_grad` split into a forward and a backward pass.
-
-    A step that backtracking rejects needs the loss only, so training pays
-    for the gradient of accepted steps alone. The arithmetic is that of
-    one :func:`loss_and_grad` call, operation for operation.
-    """
-
-    def __init__(self, shapes, x, y, sample_weight, l2):
-        wsum = float(np.sum(sample_weight))
-        if wsum <= 0:
-            sample_weight = np.ones(len(x))
-            wsum = float(len(x))
-        self.shapes, self.x, self.y, self.l2 = shapes, x, y, l2
-        self.weight = sample_weight[:, None]
-        self.wsum = wsum
-
-    def loss(self, flat):
-        """Loss at ``flat`` and the state :meth:`grad` needs."""
-        w1, b1, w2, b2 = unpack(flat, self.shapes)
-        hidden = expit(self.x @ w1.T + b1)
-        err = hidden @ w2.T + b2 - self.y
-        loss = 0.5 * float((self.weight * err**2).sum()) / self.wsum
-        loss += 0.5 * self.l2 * float((flat**2).sum())
-        return loss, (w2, hidden, err)
-
-    def grad(self, flat, state):
-        w2, hidden, err = state
-        d_out = self.weight * err / self.wsum
-        d_hidden = (d_out @ w2) * hidden * (1.0 - hidden)
-        data = pack(d_hidden.T @ self.x, d_hidden.sum(axis=0), d_out.T @ hidden,
-                    d_out.sum(axis=0))
-        return data + self.l2 * flat
+    wsum = float(np.sum(sample_weight))
+    if wsum <= 0:
+        sample_weight = np.ones(len(x))
+        wsum = float(len(x))
+    weight = sample_weight[:, None]
+    w1, b1, w2, b2 = unpack(flat, shapes)
+    hidden = expit(x @ w1.T + b1)
+    err = hidden @ w2.T + b2 - y
+    loss = 0.5 * (float((weight * err**2).sum()) + l2 * float((flat**2).sum())) / wsum
+    d_out = weight * err / wsum
+    d_hidden = (d_out @ w2) * hidden * (1.0 - hidden)
+    grad = pack(d_hidden.T @ x, d_hidden.sum(axis=0), d_out.T @ hidden, d_out.sum(axis=0))
+    return loss, grad + (l2 / wsum) * flat
 
 
 def train(x, y, sample_weight, config=None):
-    """Fit the network by full-batch gradient descent.
+    """Fit the network by BFGS on :func:`loss_and_grad`.
 
-    Backtracking keeps each step a descent step, so the procedure is
-    deterministic given the data and config. Stops on the iteration
-    budget or when the gradient inf-norm falls below ``grad_tol``.
+    ``scipy.optimize.minimize(method="BFGS")`` runs from the fixed-seed
+    start with ``maxiter = n_iter`` and ``gtol = grad_tol`` (on the
+    gradient inf-norm); it also stops when its line search finds no
+    further decrease. Deterministic given the data and config.
 
     Returns (flat_params, shapes).
 
     Raises
     ------
     TrainingDivergedError
-        If the loss becomes non-finite.
+        If a loss, a gradient or the result is non-finite. Its
+        ``iteration`` counts from 1; the start is evaluated in iteration 1.
     """
     config = config or NetConfig()
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if y.ndim == 1:
         y = y[:, None]
-    flat, shapes = init_params(x.shape[1], config.n_hidden, y.shape[1], config.seed)
-    objective = _Objective(shapes, x, y, sample_weight, config.l2)
-    loss, state = objective.loss(flat)
-    if not np.isfinite(loss):
-        raise TrainingDivergedError(0)
-    grad = objective.grad(flat, state)
-    step = 1.0
-    for iteration in range(1, config.n_iter + 1):
-        gnorm2 = float(grad @ grad)
-        if math.sqrt(gnorm2) < config.grad_tol or np.abs(grad).max() < config.grad_tol:
-            break
-        step = min(step * 2.0, 16.0)
-        accepted = False
-        for _ in range(60):
-            cand = flat - step * grad
-            cand_loss, cand_state = objective.loss(cand)
-            if not math.isfinite(cand_loss):
-                raise TrainingDivergedError(iteration)
-            if cand_loss <= loss - 1e-4 * step * gnorm2:
-                accepted = True
-                break
-            step *= 0.5
-        if not accepted:
-            break  # no descent step representable; gradient effectively zero
-        flat, loss, grad = cand, cand_loss, objective.grad(cand, cand_state)
-    return flat, shapes
+    start, shapes = init_params(x.shape[1], config.n_hidden, y.shape[1], config.seed)
+    iteration = 1  # the BFGS iteration whose evaluations run next
+
+    def objective(flat):
+        loss, grad = loss_and_grad(flat, shapes, x, y, sample_weight, config.l2)
+        if not (math.isfinite(loss) and np.isfinite(grad).all()):
+            raise TrainingDivergedError(iteration)
+        return loss, grad
+
+    def advance(_):
+        nonlocal iteration
+        iteration += 1
+
+    result = minimize(objective, start, jac=True, method="BFGS", callback=advance,
+                      options={"maxiter": config.n_iter, "gtol": config.grad_tol})
+    if not np.isfinite(result.x).all():
+        raise TrainingDivergedError(result.nit)
+    return result.x, shapes

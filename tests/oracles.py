@@ -125,8 +125,9 @@ def weighted_quantile_scan(values, weights, q):
 
 
 def network_loss_and_grad(flat, shapes, x, y, weights, l2):
-    """Loss of ``nnet`` (weighted half-MSE plus L2) and its gradient in one
-    pass, spelled out layer by layer."""
+    """Loss of ``nnet`` (weighted half sum of squares plus decay, both over
+    the weight sum) and its gradient in one pass, spelled out layer by
+    layer."""
     from scipy.special import expit
 
     n_in, n_hidden, n_out = shapes
@@ -138,36 +139,15 @@ def network_loss_and_grad(flat, shapes, x, y, weights, l2):
     wsum = float(np.sum(weights))
     hidden = expit(x @ w1.T + b1)
     err = hidden @ w2.T + b2 - y
-    loss = 0.5 * float(np.sum(weights[:, None] * err**2)) / wsum
-    loss += 0.5 * l2 * float(np.sum(flat**2))
+    data = float(np.sum(weights[:, None] * err**2))
+    loss = 0.5 * (data + l2 * float(np.sum(flat**2))) / wsum
+    decay = l2 / wsum
     d_out = weights[:, None] * err / wsum
     d_hidden = (d_out @ w2) * hidden * (1.0 - hidden)
     grad = np.concatenate([
-        (d_hidden.T @ x + l2 * w1).ravel(),
-        d_hidden.sum(axis=0) + l2 * b1,
-        (d_out.T @ hidden + l2 * w2).ravel(),
-        d_out.sum(axis=0) + l2 * b2,
+        (d_hidden.T @ x + decay * w1).ravel(),
+        d_hidden.sum(axis=0) + decay * b1,
+        (d_out.T @ hidden + decay * w2).ravel(),
+        d_out.sum(axis=0) + decay * b2,
     ])
     return loss, grad
-
-
-def network_descent(flat, shapes, x, y, weights, l2, n_iter, grad_tol):
-    """Armijo gradient descent of ``nnet.train``, evaluating the loss and
-    the gradient together at every candidate step."""
-    loss, grad = network_loss_and_grad(flat, shapes, x, y, weights, l2)
-    step = 1.0
-    for _ in range(n_iter):
-        gnorm2 = float(grad @ grad)
-        if math.sqrt(gnorm2) < grad_tol or np.max(np.abs(grad)) < grad_tol:
-            break
-        step = min(step * 2.0, 16.0)
-        for _ in range(60):
-            cand = flat - step * grad
-            cand_loss, cand_grad = network_loss_and_grad(cand, shapes, x, y, weights, l2)
-            if cand_loss <= loss - 1e-4 * step * gnorm2:
-                break
-            step *= 0.5
-        else:
-            break
-        flat, loss, grad = cand, cand_loss, cand_grad
-    return flat

@@ -217,6 +217,19 @@ class TestCrossValidate:
                            n_rep=4, constraint=None, seed=13, workers=3)
         assert a.records == b.records
 
+    def test_neuralnet_worker_invariance_and_rerun(self):
+        def summary_fn(kappa, lam):
+            return np.array([np.log1p(kappa), np.sqrt(lam), kappa / (1.0 + lam), lam])
+
+        table = synthetic_table(300, seed=22, summary_fn=summary_fn)
+        kwargs = dict(methods=("neuralnet",), epsilons=(0.5, 0.25), n_rep=4,
+                      constraint=None, seed=23)
+        one = cross_validate(table, workers=1, **kwargs)
+        two = cross_validate(table, workers=2, **kwargs)
+        rerun = cross_validate(table, workers=2, **kwargs)
+        assert len(one.records) == 4 * 2 * 2
+        assert one.records == two.records == rerun.records
+
     def test_shared_scales_match_fresh_tables(self, monkeypatch):
         # each leave-one-out table computes its scales once for all of its
         # epsilons; records must equal rejections on fresh, uncached copies

@@ -430,6 +430,17 @@ class TestNeuralnetAdjust:
         assert np.array_equal(a.draws, b.draws)
         assert np.array_equal(a.weights, b.weights)
 
+    def test_desk_table_fit_moves_draws(self, desk_table):
+        # row 44001 held out at eps 0.001 (100 accepted rows): a network
+        # whose output weights sit at zero predicts a constant, which leaves
+        # every draw where rejection put it (spread ratio ~1e-14)
+        row = 44001
+        s_obs = desk_table.summaries[row]
+        accepted = abc_reject(desk_table.without_row(row), s_obs, 0.001)
+        net = neuralnet_adjust(accepted, s_obs)
+        moved = np.std(net.draws - accepted.draws, axis=0) / np.std(accepted.draws, axis=0)
+        assert np.all(moved > 0.05), moved
+
 
 class TestAdjust:
     def test_shared_rejection_matches_fit(self):

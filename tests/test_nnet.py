@@ -12,7 +12,7 @@ from stepturn.nnet import (
     unpack,
 )
 
-from oracles import network_descent, network_loss_and_grad
+from oracles import network_loss_and_grad
 
 
 def finite_difference_gradient(flat, shapes, x, y, w, l2, step=1e-6):
@@ -46,6 +46,21 @@ class TestGradient:
             rel = float(np.max(np.abs(analytic - numeric)) / scale)
             worst = max(worst, rel)
         assert worst < 1e-4, worst
+
+    def test_loss_and_grad_equals_oracle_bit_for_bit(self):
+        for trial in range(6):
+            rng = np.random.default_rng(40 + trial)
+            n, d, o = int(rng.integers(40, 160)), int(rng.integers(1, 5)), int(rng.integers(1, 3))
+            x = rng.normal(size=(n, d))
+            y = np.tanh(x @ rng.normal(size=(d, o))) + 0.3 * rng.normal(size=(n, o))
+            w = np.clip(rng.uniform(-0.2, 1.0, size=n), 0.0, None)
+            config = NetConfig(n_iter=200, l2=float(rng.choice([1e-2, 1e-4])), seed=trial)
+            start, shapes = init_params(d, config.n_hidden, o, config.seed)
+            trained, _ = train(x, y, w, config)
+            for flat in (start, trained):
+                loss, grad = loss_and_grad(flat, shapes, x, y, w, config.l2)
+                ref_loss, ref_grad = network_loss_and_grad(flat, shapes, x, y, w, config.l2)
+                assert loss == ref_loss and np.array_equal(grad, ref_grad)
 
     def test_pack_unpack_round_trip(self):
         flat, shapes = init_params(4, 5, 2, seed=0)
@@ -86,23 +101,26 @@ class TestTrain:
         b, _ = train(x, y, w, NetConfig(n_iter=400))
         assert np.array_equal(a, b)
 
-    def test_matches_one_pass_reference(self):
-        # rejected steps skip the gradient; no bit of the result may move
-        for trial in range(6):
-            rng = np.random.default_rng(40 + trial)
-            n, d, o = int(rng.integers(40, 160)), int(rng.integers(1, 5)), int(rng.integers(1, 3))
-            x = rng.normal(size=(n, d))
-            y = np.tanh(x @ rng.normal(size=(d, o))) + 0.3 * rng.normal(size=(n, o))
-            w = np.clip(rng.uniform(-0.2, 1.0, size=n), 0.0, None)
-            config = NetConfig(n_iter=800, l2=float(rng.choice([1e-2, 1e-4])), seed=trial)
-            flat, shapes = train(x, y, w, config)
-            start, _ = init_params(d, config.n_hidden, o, config.seed)
-            expected = network_descent(start, shapes, x, y, w, config.l2,
-                                       config.n_iter, config.grad_tol)
-            assert np.array_equal(flat, expected)
-            loss, grad = loss_and_grad(expected, shapes, x, y, w, config.l2)
-            ref_loss, ref_grad = network_loss_and_grad(expected, shapes, x, y, w, config.l2)
-            assert loss == ref_loss and np.array_equal(grad, ref_grad)
+    def test_nonlinear_signal_regresses(self):
+        # a kernel-weighted nonlinear signal under unit noise, standardized
+        # as neuralnet_adjust standardizes its targets: the fit must leave
+        # the all-zero output weights and leave about the residual the true
+        # regression function leaves (the weighted mean leaves 1.0)
+        rng = np.random.default_rng(6)
+        x = rng.normal(size=(300, 4))
+        signal = 0.6 * (np.sin(2.0 * x[:, :1]) + x[:, 1:2] ** 2)
+        y = signal + rng.normal(size=signal.shape)
+        w = np.clip(1.0 - np.sum(x**2, axis=1) / 25.0, 0.0, None)
+        w_norm = w / w.sum()
+        center = w_norm @ y
+        spread = np.sqrt(w_norm @ (y - center) ** 2)
+        y, signal = (y - center) / spread, (signal - center) / spread
+        flat, shapes = train(x, y, w, NetConfig())
+        _, _, w2, _ = unpack(flat, shapes)
+        assert np.max(np.abs(w2)) > 0.1
+        fit_residual = float((w_norm @ (predict(flat, shapes, x) - y) ** 2)[0])
+        true_residual = float((w_norm @ (signal - y) ** 2)[0])
+        assert fit_residual < true_residual + 0.05, (fit_residual, true_residual)
 
     def test_divergence_reports_iteration(self):
         # inf inputs saturate the hidden layer (finite loss) but poison the

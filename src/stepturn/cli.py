@@ -4,10 +4,13 @@ Subcommands: simulate, observe, summarize, reftable, fit, crossval,
 coverage, rscan, directfit, oracle-check. Exit codes: 0 success,
 1 validation error, 2 runtime error, 3 acceptance-check failure.
 
-Every flag may also come from a JSON file via ``--config`` (explicit
-flags win); the default worker count honours the STEPTURN_WORKERS
-environment variable. Each artifact is written with a JSON sidecar that
-fully reproduces it, and an append-only manifest records digests.
+Each flag is declared once, with the default ``--help`` shows. ``--seed``
+exists where a command draws random numbers and ``--workers`` where it
+spreads work over processes (default: $STEPTURN_WORKERS or 1).
+``--config`` names a JSON object whose keys the subcommand defines become
+its defaults (explicit flags win). Each artifact is written with a JSON
+sidecar that fully reproduces it, and an append-only manifest records
+digests.
 """
 
 from __future__ import annotations
@@ -65,123 +68,119 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
-def _add_common(parser, out_required=True):
-    parser.add_argument("--seed", type=int, default=None, help="base seed (default 0)")
-    parser.add_argument(
-        "--workers", type=int, default=None,
-        help=f"worker processes (default ${WORKERS_ENV} or 1)",
-    )
-    parser.add_argument("--out", type=str, default=None, required=False,
-                        help="output directory")
-    parser.add_argument("--config", type=str, default=None,
-                        help="JSON file with defaults for this subcommand")
-    parser._out_required = out_required
+def _add_holdout(p, epsilons):
+    """Flags shared by crossval and coverage, which run the same held-out fits."""
+    p.add_argument("--table", help="reference table CSV")
+    p.add_argument("--methods", nargs="+", default=list(METHODS), choices=METHODS,
+                   help="ABC methods")
+    p.add_argument("--epsilons", type=float, nargs="+", default=epsilons,
+                   help="accepted table fractions")
+    p.add_argument("--n-rep", type=int, default=100, help="held-out rows")
+    p.add_argument("--kappa-max", type=float, default=70.0, help="bound on held-out kappa")
+    p.add_argument("--lambda-max", type=float, default=25.0, help="bound on held-out lambda")
+    p.add_argument("--no-constraint", action="store_true",
+                   help="draw held-out truths from the whole table (the prior); "
+                        "coverage and its --check presume it")
+    p.add_argument("--gnuplot", action="store_true", help="write a companion plot script")
 
 
 def build_parser():
     parser = _Parser(prog="stepturn", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.subcommands = sub.choices
+    common = _Parser(add_help=False)
+    common.add_argument("--out", help="output directory")
+    common.add_argument("--config", help="JSON object of defaults for this subcommand")
+    seeded = _Parser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=0, help="base seed")
+    pooled = _Parser(add_help=False)
+    pooled.add_argument("--workers", type=int,
+                        help=f"worker processes; unset means ${WORKERS_ENV} or 1")
 
-    p = sub.add_parser("simulate", help="simulate one latent path and its observation")
-    p.add_argument("--kappa", type=float, default=None)
-    p.add_argument("--lambda", dest="lam", type=float, default=None)
-    p.add_argument("--dt", type=float, default=None)
-    p.add_argument("--n-obs", type=int, default=None)
-    _add_common(p)
+    def command(name, *parents, **kwargs):
+        return sub.add_parser(name, parents=[*parents, common], **kwargs,
+                              formatter_class=argparse.ArgumentDefaultsHelpFormatter)
 
-    p = sub.add_parser("observe", help="observe a stored latent path at regular times")
-    p.add_argument("--latent", type=str, default=None, help="latent path CSV")
-    p.add_argument("--dt", type=float, default=None)
-    p.add_argument("--n-obs", type=int, default=None)
-    _add_common(p)
+    p = command("simulate", seeded, help="simulate one latent path and its observation")
+    p.add_argument("--kappa", type=float, help="turning concentration (required)")
+    p.add_argument("--lambda", dest="lam", type=float, help="turn rate (required)")
+    p.add_argument("--dt", type=float, default=0.5, help="observation interval")
+    p.add_argument("--n-obs", type=int, default=1500, help="number of observations")
 
-    p = sub.add_parser("summarize", help="summary statistics of a stored track")
-    p.add_argument("--track", type=str, default=None, help="observed track CSV")
-    p.add_argument("--dt", type=float, default=None)
-    _add_common(p, out_required=False)
+    p = command("observe", help="observe a stored latent path at regular times")
+    p.add_argument("--latent", help="latent path CSV")
+    p.add_argument("--dt", type=float, default=0.5, help="observation interval")
+    p.add_argument("--n-obs", type=int, default=1500, help="number of observations")
 
-    p = sub.add_parser("reftable", help="generate a prior-predictive reference table")
-    p.add_argument("--n-sims", type=int, default=None)
-    p.add_argument("--kappa-range", type=float, nargs=2, default=None)
-    p.add_argument("--lambda-range", type=float, nargs=2, default=None)
-    p.add_argument("--dt", type=float, default=None)
-    p.add_argument("--min-obs", type=int, default=None)
-    p.add_argument("--shard-size", type=int, default=None)
-    _add_common(p)
+    p = command("summarize", help="summary statistics of a stored track")
+    p.add_argument("--track", help="observed track CSV")
+    p.add_argument("--dt", type=float, default=0.5, help="observation interval")
 
-    p = sub.add_parser("fit", help="ABC fit of a track or summary against a table")
-    p.add_argument("--table", type=str, default=None)
-    p.add_argument("--track", type=str, default=None)
-    p.add_argument("--summary", type=str, default=None)
-    p.add_argument("--method", type=str, default=None, choices=METHODS)
-    p.add_argument("--epsilon", type=float, default=None)
-    p.add_argument("--transform", type=str, default=None, choices=("none", "log"))
-    _add_common(p)
+    p = command("reftable", seeded, pooled, help="generate a prior-predictive reference table")
+    p.add_argument("--n-sims", type=int, default=100_000, help="table rows")
+    p.add_argument("--kappa-range", type=float, nargs=2, default=(0.0, 100.0), help="prior bounds")
+    p.add_argument("--lambda-range", type=float, nargs=2, default=(0.0, 50.0), help="prior bounds")
+    p.add_argument("--dt", type=float, default=0.5, help="observation interval")
+    p.add_argument("--min-obs", type=int, default=1500, help="observations per row")
+    p.add_argument("--shard-size", type=int, default=1000, help="rows per resumable shard")
 
-    p = sub.add_parser("crossval", help="leave-one-out cross validation")
-    p.add_argument("--table", type=str, default=None)
-    p.add_argument("--methods", type=str, nargs="+", default=None, choices=METHODS)
-    p.add_argument("--epsilons", type=float, nargs="+", default=None)
-    p.add_argument("--n-rep", type=int, default=None)
-    p.add_argument("--kappa-max", type=float, default=None)
-    p.add_argument("--lambda-max", type=float, default=None)
-    p.add_argument("--no-constraint", action="store_true")
+    p = command("fit", help="ABC fit of a track or summary against a table")
+    p.add_argument("--table", help="reference table CSV")
+    p.add_argument("--track", help="observed track CSV (or --summary)")
+    p.add_argument("--summary", help="summary CSV (or --track)")
+    p.add_argument("--method", default="loclinear", choices=METHODS, help="ABC method")
+    p.add_argument("--epsilon", type=float, default=0.001, help="accepted table fraction")
+    p.add_argument("--transform", default="none", choices=("none", "log"),
+                   help="parameter transform for the regression")
+
+    p = command("crossval", seeded, pooled, help="leave-one-out cross validation")
+    _add_holdout(p, [0.1, 0.01, 0.005, 0.001])
     p.add_argument("--check", action="store_true",
                    help="exit 3 unless rejection errors shrink with epsilon")
-    p.add_argument("--gnuplot", action="store_true")
-    _add_common(p)
 
-    p = sub.add_parser(
-        "coverage", help="empirical coverage and uniformity test",
+    p = command(
+        "coverage", seeded, pooled, help="empirical coverage and uniformity test",
         description="Empirical HPD coverage and the uniformity test of the coverage "
                     "p-values (posterior mass below the truth). Both presume truths "
                     "drawn from the prior: pass --no-constraint. The kappa/lambda "
                     "constraint is meant for prediction-error cross-validation.")
-    p.add_argument("--table", type=str, default=None)
-    p.add_argument("--methods", type=str, nargs="+", default=None, choices=METHODS)
-    p.add_argument("--epsilons", type=float, nargs="+", default=None)
-    p.add_argument("--n-rep", type=int, default=None)
-    p.add_argument("--kappa-max", type=float, default=None)
-    p.add_argument("--lambda-max", type=float, default=None)
-    p.add_argument("--no-constraint", action="store_true",
-                   help="draw held-out truths from the whole table (the prior); "
-                        "coverage and --check presume it")
+    _add_holdout(p, [0.1, 0.001])
     p.add_argument("--check", action="store_true",
                    help="exit 3 unless all empirical coverages reach 0.90; "
                         "meaningful with --no-constraint")
-    p.add_argument("--gnuplot", action="store_true")
-    _add_common(p)
 
-    p = sub.add_parser("rscan", help="error scan over the observation-scale ratio R")
-    p.add_argument("--table", type=str, default=None)
-    p.add_argument("--r-values", type=float, nargs="+", default=None)
-    p.add_argument("--kappa-values", type=float, nargs="+", default=None)
-    p.add_argument("--n-per-cell", type=int, default=None)
-    p.add_argument("--dt", type=float, default=None)
-    p.add_argument("--n-obs", type=int, default=None)
-    p.add_argument("--methods", type=str, nargs="+", default=None, choices=METHODS)
-    p.add_argument("--epsilon", type=float, default=None)
+    p = command("rscan", seeded, pooled, help="error scan over the observation-scale ratio R")
+    p.add_argument("--table", help="reference table CSV")
+    p.add_argument("--r-values", type=float, nargs="+", default=[0.25, 1.0, 4.5],
+                   help="ratios R = lambda * dt")
+    p.add_argument("--kappa-values", type=float, nargs="+", default=[10.0, 40.0, 70.0],
+                   help="true kappa of each cell")
+    p.add_argument("--n-per-cell", type=int, default=50, help="tracks per (R, kappa) cell")
+    p.add_argument("--dt", type=float, default=0.5, help="observation interval")
+    p.add_argument("--n-obs", type=int, default=1500, help="observations per track")
+    p.add_argument("--methods", nargs="+", default=list(METHODS), choices=METHODS,
+                   help="ABC methods")
+    p.add_argument("--epsilon", type=float, default=0.001, help="accepted table fraction")
     p.add_argument("--check", action="store_true",
                    help="exit 3 unless errors grow from the smallest to the largest R")
-    p.add_argument("--gnuplot", action="store_true")
-    _add_common(p)
+    p.add_argument("--gnuplot", action="store_true", help="write a companion plot script")
 
-    p = sub.add_parser("directfit", help="conjugate/grid fit on a stored latent path")
-    p.add_argument("--latent", type=str, default=None)
-    p.add_argument("--a0", type=float, default=None)
-    p.add_argument("--b0", type=float, default=None)
-    p.add_argument("--kappa-grid-max", type=float, default=None)
-    _add_common(p, out_required=False)
+    p = command("directfit", help="conjugate/grid fit on a stored latent path")
+    p.add_argument("--latent", help="latent path CSV")
+    p.add_argument("--a0", type=float, default=1.0, help="Gamma prior shape on lambda")
+    p.add_argument("--b0", type=float, default=0.0, help="Gamma prior rate on lambda")
+    p.add_argument("--kappa-grid-max", type=float, default=200.0,
+                   help="upper end of the kappa grid")
 
-    p = sub.add_parser("oracle-check", help="density normalization and MC suite")
-    p.add_argument("--n-draws", type=int, default=None)
-    _add_common(p)
+    p = command("oracle-check", seeded, help="density normalization and MC suite")
+    p.add_argument("--n-draws", type=int, default=100_000, help="Monte Carlo draws per density")
     return parser
 
 
-def _resolve(args, defaults):
-    """Merge CLI flags, --config JSON and hard defaults (flags win)."""
-    config = {}
+def _parse(argv):
+    """Parse ``argv``; a --config object's keys become the subcommand's defaults."""
+    parser = build_parser()
+    args = parser.parse_args(argv)
     if args.config:
         path = Path(args.config)
         if not path.exists():
@@ -192,17 +191,12 @@ def _resolve(args, defaults):
             raise ValidationError(f"config file {path} is not valid JSON: {exc}")
         if not isinstance(config, dict):
             raise ValidationError(f"config file {path} must hold a JSON object")
-    resolved = {}
-    for key, hard_default in defaults.items():
-        flag = getattr(args, key, None)
-        # store_true flags at their False default fall through to the config
-        if flag is not None and flag is not False:
-            resolved[key] = flag
-        elif key in config:
-            resolved[key] = config[key]
-        else:
-            resolved[key] = hard_default
-    return resolved
+        known = vars(args).keys() - {"command", "config"}
+        # edits flag objects that subcommands share, hence a fresh parser per call
+        parser.subcommands[args.command].set_defaults(
+            **{key: value for key, value in config.items() if key in known})
+        args = parser.parse_args(argv)
+    return args
 
 
 def _workers(resolved):
@@ -221,13 +215,18 @@ def _out_dir(resolved):
     return path
 
 
-def _load_table(resolved):
-    path = resolved.get("table")
+def _input(resolved, key):
+    """The path of the required input file named by ``--<key>``."""
+    path = resolved.get(key)
     if not path:
-        raise ValidationError("--table is required")
+        raise ValidationError(f"--{key} is required")
     if not Path(path).exists():
-        raise ValidationError(f"table not found: {path}")
-    return io.read_reference_table(path)
+        raise ValidationError(f"{key} not found: {path}")
+    return path
+
+
+def _load_table(resolved):
+    return io.read_reference_table(_input(resolved, "table"))
 
 
 def _emit(out_dir, name, writer, command, config, started):
@@ -242,10 +241,7 @@ def _emit(out_dir, name, writer, command, config, started):
 
 
 def cmd_simulate(args):
-    resolved = _resolve(args, {
-        "kappa": None, "lam": None, "dt": 0.5, "n_obs": 1500, "seed": 0,
-        "out": None, "workers": None,
-    })
+    resolved = vars(args)
     if resolved["kappa"] is None or resolved["lam"] is None:
         raise ValidationError("simulate requires --kappa and --lambda")
     out = _out_dir(resolved)
@@ -267,17 +263,11 @@ def cmd_simulate(args):
 
 
 def cmd_observe(args):
-    resolved = _resolve(args, {
-        "latent": None, "dt": 0.5, "n_obs": 1500, "out": None, "seed": 0,
-        "workers": None,
-    })
-    if not resolved["latent"]:
-        raise ValidationError("observe requires --latent")
-    if not Path(resolved["latent"]).exists():
-        raise ValidationError(f"latent path not found: {resolved['latent']}")
+    resolved = vars(args)
+    latent_path = _input(resolved, "latent")
     out = _out_dir(resolved)
     started = time.monotonic()
-    latent = io.read_latent_csv(resolved["latent"])
+    latent = io.read_latent_csv(latent_path)
     track = observe(latent, resolved["dt"], resolved["n_obs"])
     config = {k: resolved[k] for k in ("latent", "dt", "n_obs")}
     _emit(out, "track.csv", lambda p: io.write_track_csv(p, track), "observe",
@@ -288,13 +278,8 @@ def cmd_observe(args):
 
 
 def cmd_summarize(args):
-    resolved = _resolve(args, {"track": None, "dt": 0.5, "out": None, "seed": 0,
-                               "workers": None})
-    if not resolved["track"]:
-        raise ValidationError("summarize requires --track")
-    if not Path(resolved["track"]).exists():
-        raise ValidationError(f"track not found: {resolved['track']}")
-    track = io.read_track_csv(resolved["track"], resolved["dt"])
+    resolved = vars(args)
+    track = io.read_track_csv(_input(resolved, "track"), resolved["dt"])
     summary = summarize(track)
     print("s1,s2,s3,s4")
     print(",".join(io.fmt(v) for v in summary.as_array()))
@@ -309,11 +294,7 @@ def cmd_summarize(args):
 
 
 def cmd_reftable(args):
-    resolved = _resolve(args, {
-        "n_sims": 100_000, "kappa_range": (0.0, 100.0), "lambda_range": (0.0, 50.0),
-        "dt": 0.5, "min_obs": 1500, "seed": 0, "shard_size": 1000,
-        "out": None, "workers": None,
-    })
+    resolved = vars(args)
     if resolved["n_sims"] < 1:
         raise ValidationError(f"--n-sims must be >= 1, got {resolved['n_sims']}")
     out = _out_dir(resolved)
@@ -386,23 +367,15 @@ def _sharded_reftable(out, prior, sim, resolved, workers, config):
 
 
 def cmd_fit(args):
-    resolved = _resolve(args, {
-        "table": None, "track": None, "summary": None, "method": "loclinear",
-        "epsilon": 0.001, "transform": "none", "out": None, "seed": 0,
-        "workers": None,
-    })
+    resolved = vars(args)
     table = _load_table(resolved)
     if bool(resolved["track"]) == bool(resolved["summary"]):
         raise ValidationError("fit requires exactly one of --track or --summary")
     if resolved["track"]:
-        if not Path(resolved["track"]).exists():
-            raise ValidationError(f"track not found: {resolved['track']}")
-        track = io.read_track_csv(resolved["track"], table.config.dt)
+        track = io.read_track_csv(_input(resolved, "track"), table.config.dt)
         s_obs = summarize(track).as_array()
     else:
-        if not Path(resolved["summary"]).exists():
-            raise ValidationError(f"summary not found: {resolved['summary']}")
-        s_obs = io.read_summary_csv(resolved["summary"]).as_array()
+        s_obs = io.read_summary_csv(_input(resolved, "summary")).as_array()
     out = _out_dir(resolved)
     started = time.monotonic()
     posterior = fit(table, s_obs, resolved["method"], resolved["epsilon"],
@@ -419,34 +392,25 @@ def cmd_fit(args):
     return EXIT_OK
 
 
-def _constraint(resolved):
-    if resolved.get("no_constraint"):
-        return None
-    return (resolved["kappa_max"], resolved["lambda_max"])
-
-
-def cmd_crossval(args):
-    resolved = _resolve(args, {
-        "table": None, "methods": list(METHODS), "epsilons": [0.1, 0.01, 0.005, 0.001],
-        "n_rep": 100, "kappa_max": 70.0, "lambda_max": 25.0, "no_constraint": False,
-        "seed": 0, "out": None, "workers": None, "check": False, "gnuplot": False,
-    })
+def _holdout_run(resolved):
+    """The held-out fits of crossval and coverage: (out, start, config, report)."""
     table = _load_table(resolved)
     out = _out_dir(resolved)
     workers = _workers(resolved)
     started = time.monotonic()
-    report = cross_validate(
-        table,
-        methods=resolved["methods"],
-        epsilons=resolved["epsilons"],
-        n_rep=resolved["n_rep"],
-        constraint=_constraint(resolved),
-        seed=resolved["seed"],
-        workers=workers,
-    )
-    config = {k: resolved[k] for k in
-              ("table", "methods", "epsilons", "n_rep", "kappa_max", "lambda_max",
-               "no_constraint", "seed")}
+    constraint = (None if resolved["no_constraint"]
+                  else (resolved["kappa_max"], resolved["lambda_max"]))
+    report = cross_validate(table, methods=resolved["methods"], epsilons=resolved["epsilons"],
+                            n_rep=resolved["n_rep"], constraint=constraint,
+                            seed=resolved["seed"], workers=workers)
+    config = {k: resolved[k] for k in ("table", "methods", "epsilons", "n_rep", "kappa_max",
+                                       "lambda_max", "no_constraint", "seed")}
+    return out, started, config, report
+
+
+def cmd_crossval(args):
+    resolved = vars(args)
+    out, started, config, report = _holdout_run(resolved)
     _emit(out, "crossval.csv", lambda p: io.write_crossval_csv(p, report.records),
           "crossval", config, started)
     io.write_sidecar(out / "crossval.csv", "crossval", config)
@@ -479,29 +443,10 @@ def cmd_crossval(args):
 
 
 def cmd_coverage(args):
-    resolved = _resolve(args, {
-        "table": None, "methods": list(METHODS), "epsilons": [0.1, 0.001],
-        "n_rep": 100, "kappa_max": 70.0, "lambda_max": 25.0, "no_constraint": False,
-        "seed": 0, "out": None, "workers": None, "check": False, "gnuplot": False,
-    })
-    table = _load_table(resolved)
-    out = _out_dir(resolved)
-    workers = _workers(resolved)
-    started = time.monotonic()
-    crossval = cross_validate(
-        table,
-        methods=resolved["methods"],
-        epsilons=resolved["epsilons"],
-        n_rep=resolved["n_rep"],
-        constraint=_constraint(resolved),
-        seed=resolved["seed"],
-        workers=workers,
-    )
+    resolved = vars(args)
+    out, started, config, crossval = _holdout_run(resolved)
     report = coverage_report(crossval)
-    config = {k: resolved[k] for k in
-              ("table", "methods", "epsilons", "n_rep", "kappa_max", "lambda_max",
-               "no_constraint", "seed")}
-    _emit(out, "coverage.csv", lambda p: io.write_coverage_csv(p, crossval.records),
+    _emit(out, "coverage.csv", lambda p: io.write_crossval_csv(p, crossval.records),
           "coverage", config, started)
     io.write_sidecar(out / "coverage.csv", "coverage", config)
     summary = {}
@@ -530,12 +475,7 @@ def cmd_coverage(args):
 
 
 def cmd_rscan(args):
-    resolved = _resolve(args, {
-        "table": None, "r_values": [0.25, 1.0, 4.5], "kappa_values": [10.0, 40.0, 70.0],
-        "n_per_cell": 50, "dt": 0.5, "n_obs": 1500, "methods": list(METHODS),
-        "epsilon": 0.001, "seed": 0, "out": None, "workers": None,
-        "check": False, "gnuplot": False,
-    })
+    resolved = vars(args)
     table = _load_table(resolved)
     out = _out_dir(resolved)
     workers = _workers(resolved)
@@ -578,15 +518,8 @@ def cmd_rscan(args):
 
 
 def cmd_directfit(args):
-    resolved = _resolve(args, {
-        "latent": None, "a0": 1.0, "b0": 0.0, "kappa_grid_max": 200.0,
-        "out": None, "seed": 0, "workers": None,
-    })
-    if not resolved["latent"]:
-        raise ValidationError("directfit requires --latent")
-    if not Path(resolved["latent"]).exists():
-        raise ValidationError(f"latent path not found: {resolved['latent']}")
-    latent = io.read_latent_csv(resolved["latent"])
+    resolved = vars(args)
+    latent = io.read_latent_csv(_input(resolved, "latent"))
     result = direct_fit(
         latent.durations, latent.turns,
         a0=resolved["a0"], b0=resolved["b0"],
@@ -617,10 +550,19 @@ ORACLE_SETTINGS = {
             {"kappa": 10.0, "lam": 3.0, "n": 5, "c": 3.0}],
 }
 
+# grid, sampler and normalization (called with a setting), normalization tolerance
+ORACLE_DENSITIES = {
+    "f_V": (densities.f_v_grid, densities.cos_vm_sampler,
+            densities.f_v_normalization, 1e-6),
+    "f_Z": (densities.f_z_grid, densities.cos_vm_exp_sampler,
+            densities.f_z_normalization, 1e-5),
+    "f_S": (densities.f_s_grid, densities.cos_vm_shifted_gamma_sampler,
+            densities.f_s_normalization, 1e-5),
+}
+
 
 def cmd_oracle_check(args):
-    resolved = _resolve(args, {"n_draws": 100_000, "seed": 0, "out": None,
-                               "workers": None})
+    resolved = vars(args)
     out = _out_dir(resolved)
     n_draws = resolved["n_draws"]
     started = time.monotonic()
@@ -628,27 +570,12 @@ def cmd_oracle_check(args):
     failures = []
     results = {}
     for name, settings in ORACLE_SETTINGS.items():
+        grid_of, sampler_of, normalization_of, norm_tol = ORACLE_DENSITIES[name]
         for index, setting in enumerate(settings):
-            if name == "f_V":
-                grid = densities.f_v_grid(setting["kappa"])
-                sampler = densities.cos_vm_sampler(setting["kappa"])
-                norm = densities.f_v_normalization(setting["kappa"])
-                norm_tol = 1e-6
-            elif name == "f_Z":
-                grid = densities.f_z_grid(setting["kappa"], setting["lam"])
-                sampler = densities.cos_vm_exp_sampler(setting["kappa"], setting["lam"])
-                norm = densities.f_z_normalization(setting["kappa"], setting["lam"])
-                norm_tol = 1e-5
-            else:
-                grid = densities.f_s_grid(setting["kappa"], setting["lam"],
-                                          setting["n"], setting["c"])
-                sampler = densities.cos_vm_shifted_gamma_sampler(
-                    setting["kappa"], setting["lam"], setting["n"], setting["c"])
-                norm = densities.f_s_normalization(setting["kappa"], setting["lam"],
-                                                   setting["n"], setting["c"])
-                norm_tol = 1e-5
+            grid = grid_of(**setting)
+            norm = normalization_of(**setting)
             check = densities.density_mc_check(
-                grid, sampler, n_draws, rng=stream(resolved["seed"], index))
+                grid, sampler_of(**setting), n_draws, rng=stream(resolved["seed"], index))
             label = f"{name}[{index}]"
             ok = check.passed and abs(norm - 1.0) <= norm_tol
             results[label] = {
@@ -687,9 +614,8 @@ COMMANDS = {
 
 
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(argv)
         return COMMANDS[args.command](args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -30,11 +30,6 @@ from .streams import as_generator
 KS_COEFF_1PCT = 1.63
 
 
-def _vm_pdf(phi, kappa):
-    # exp(kappa cos phi) / (2 pi I0(kappa)), scaled form is overflow-safe
-    return np.exp(kappa * (np.cos(phi) - 1.0)) / (2.0 * np.pi * i0e(kappa))
-
-
 def _quad_checked(func, a, b, epsabs, points=None, limit=300):
     """quad with quadpack chatter converted into the achieved-error
     contract: returns (value, abserr) and leaves judging the error to the
@@ -150,14 +145,6 @@ def f_s_density(s, kappa, lam, n, c, epsabs=1e-11):
     if arr.ndim == 0:
         return _f_s_scalar(float(arr), kappa, lam, int(n), c, epsabs)
     return np.array([_f_s_scalar(float(x), kappa, lam, int(n), c, epsabs) for x in arr])
-
-
-def _log_gamma_pdf_shifted(y, lam, n, c):
-    """log f_{c-W}(y) for W ~ Gamma(n, lam), defined for y <= c."""
-    w = c - y
-    if w <= 0.0:
-        return -np.inf
-    return n * np.log(lam) + (n - 1) * np.log(w) - lam * w - gammaln(n)
 
 
 def _log_f_w(w, lam, n):

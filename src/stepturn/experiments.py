@@ -12,7 +12,14 @@ import numpy as np
 from scipy.special import i0e
 from scipy.stats import gamma, kstest
 
-from .inference import PARAM_NAMES, abc_reject, adjust, hpd_interval, weighted_quantile
+from .inference import (
+    PARAM_NAMES,
+    _param_index,
+    abc_reject,
+    adjust,
+    hpd_interval,
+    weighted_quantile,
+)
 from .movement import MovementParams, observe, simulate_until
 from .parallel import ordered_map
 from .streams import stream
@@ -43,8 +50,7 @@ def md_index(true_values, medians):
 
 def coverage_pvalue(posterior, parameter, truth):
     """Posterior mass strictly below ``truth`` plus half the mass at it."""
-    index = 0 if parameter == "kappa" else 1 if parameter == "lambda" else int(parameter)
-    values = posterior.draws[:, index]
+    values = posterior.draws[:, _param_index(parameter)]
     weights = posterior.weights / float(np.sum(posterior.weights))
     below = float(np.sum(weights[values < truth]))
     at = float(np.sum(weights[values == truth]))

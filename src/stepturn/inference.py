@@ -176,18 +176,20 @@ def _param_index(parameter):
 
 
 def _reference_row(prior, config, base_seed, index):
-    """Simulate one table row; degenerate draws are resampled with a bumped
-    sub-stream. Returns (kappa, lambda, s1..s4, n_resamples)."""
+    """Simulate one table row; a draw of lambda exactly 0, a degenerate track
+    or non-finite summaries are resampled with a bumped sub-stream.
+    Returns (kappa, lambda, s1..s4, n_resamples)."""
     for attempt in range(1000):
         rng = stream(base_seed, index, bump=attempt)
         kappa = rng.uniform(*prior.kappa_range)
         lam = rng.uniform(*prior.lambda_range)
+        if lam == 0.0:  # the walk needs a positive rate
+            continue
+        path = simulate_until(MovementParams(kappa=kappa, lam=lam),
+                              config.min_obs * config.dt, rng)
         try:
-            params = MovementParams(kappa=kappa, lam=lam)
-            path = simulate_until(params, config.min_obs * config.dt, rng)
-            track = observe(path, config.dt, config.min_obs)
-            s = summarize(track).as_array()
-        except (ValueError, DegenerateTrackError):
+            s = summarize(observe(path, config.dt, config.min_obs)).as_array()
+        except DegenerateTrackError:
             continue
         if np.all(np.isfinite(s)):
             return kappa, lam, s[0], s[1], s[2], s[3], attempt

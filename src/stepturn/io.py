@@ -255,7 +255,6 @@ def read_posterior(path):
 CROSSVAL_HEADER = [
     "method", "epsilon", "rep", "param", "truth", "median", "hpd_lo", "hpd_hi", "p",
 ]
-COVERAGE_HEADER = ["method", "epsilon", "param", "rep", "p"]
 RSCAN_HEADER = ["method", "R", "kappa_true", "rep", "param", "truth", "median"]
 
 
@@ -287,28 +286,6 @@ def read_crossval_csv(path):
         )
         for r in rows
     ]
-
-
-def write_coverage_csv(path, records):
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(COVERAGE_HEADER)
-        for r in records:
-            writer.writerow([r.method, fmt(r.epsilon), r.param, r.rep, fmt(r.p)])
-
-
-def read_coverage_csv(path):
-    with open(path, newline="") as handle:
-        return [
-            {
-                "method": r["method"],
-                "epsilon": float(r["epsilon"]),
-                "param": r["param"],
-                "rep": int(r["rep"]),
-                "p": float(r["p"]),
-            }
-            for r in csv.DictReader(handle)
-        ]
 
 
 def write_rscan_csv(path, records):
@@ -385,9 +362,9 @@ set boxwidth binw
 set style fill solid 0.4
 set xlabel "coverage p-value"
 set ylabel "count"
-plot "< awk -F, 'NR==1 || $3==\\"kappa\\"' {csv_name}" using (bin($5)):(1.0) \\
+plot "< awk -F, 'NR==1 || $4==\\"kappa\\"' {csv_name}" using (bin($9)):(1.0) \\
      smooth freq with boxes title "kappa", \\
-     "< awk -F, 'NR==1 || $3==\\"lambda\\"' {csv_name}" using (bin($5)):(1.0) \\
+     "< awk -F, 'NR==1 || $4==\\"lambda\\"' {csv_name}" using (bin($9)):(1.0) \\
      smooth freq with boxes title "lambda"
 """
 

@@ -97,6 +97,11 @@ class TestCoveragePvalues:
         post = uniform_posterior([1.0, 2.0, 2.0, 3.0])
         assert coverage_pvalue(post, "kappa", 2.0) == pytest.approx(0.25 + 0.25)
 
+    @pytest.mark.parametrize("parameter", [2, -1, "kapa"])
+    def test_unknown_parameter(self, parameter):
+        with pytest.raises(ValueError, match="parameter"):
+            coverage_pvalue(uniform_posterior([1.0, 2.0, 3.0]), parameter, 2.0)
+
     def test_monotone_transform_invariance(self):
         rng = np.random.default_rng(3)
         draws = rng.normal(size=50)

@@ -90,6 +90,33 @@ class TestGenerateReferenceTable:
             assert table.params[i, 0] == kappa and table.params[i, 1] == lam
             np.testing.assert_array_equal(table.summaries[i], s)
 
+    def test_zero_lambda_draw_resampled(self, monkeypatch):
+        class ZeroLambdaStream:  # first attempt: kappa 12.5, then lambda exactly 0
+            draws = iter([12.5, 0.0])
+
+            def uniform(self, lo, hi):
+                return next(self.draws)
+
+        def fake_stream(seed, index, bump=0):
+            return ZeroLambdaStream() if bump == 0 else stream(seed, index, bump)
+
+        monkeypatch.setattr(inference, "stream", fake_stream)
+        row = inference._reference_row(PriorSpec(), SMALL_SIM, 7, 3)
+        rng = stream(7, 3, bump=1)
+        kappa, lam = rng.uniform(0.0, 100.0), rng.uniform(0.0, 50.0)
+        path = simulate_until(MovementParams(kappa=kappa, lam=lam),
+                              SMALL_SIM.min_obs * SMALL_SIM.dt, rng)
+        s = summarize(observe(path, SMALL_SIM.dt, SMALL_SIM.min_obs)).as_array()
+        assert row == (kappa, lam, *s, 1)
+
+    def test_value_error_in_row_propagates(self, monkeypatch):
+        def broken_observe(*args):
+            raise ValueError("observation failed")
+
+        monkeypatch.setattr(inference, "observe", broken_observe)
+        with pytest.raises(ValueError, match="observation failed"):
+            inference._reference_row(PriorSpec(), SMALL_SIM, 7, 3)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             generate_reference_table(PriorSpec(), 0, SMALL_SIM)

@@ -116,13 +116,6 @@ class TestRoundTrips:
         st_io.write_rscan_csv(file, records)
         assert st_io.read_rscan_csv(file) == records
 
-    def test_coverage_records(self, tmp_path):
-        records = [ReplicateRecord("rejection", 0.1, 0, "kappa", 1.0, 1.0, 0.0, 2.0, 0.375)]
-        file = tmp_path / "coverage.csv"
-        st_io.write_coverage_csv(file, records)
-        loaded = st_io.read_coverage_csv(file)
-        assert loaded[0]["p"] == 0.375
-
     def test_density_grid(self, tmp_path):
         grid = f_v_grid(2.0, n_nodes=100)
         file = tmp_path / "grid.csv"
@@ -308,6 +301,27 @@ class TestCliExperiments:
                          "--out", str(tmp_path / "cov")])
         assert code == cli.EXIT_CHECK_FAILED
 
+    def test_coverage_csv_is_crossval_schema(self, tmp_path):
+        from stepturn.experiments import empirical_coverage
+
+        table = generate_reference_table(PriorSpec(), 120, SMALL_SIM, seed=14)
+        table_path = tmp_path / "table.csv"
+        st_io.write_reference_table(table_path, table)
+        out = tmp_path / "cov"
+        assert cli.main(["coverage", "--table", str(table_path), "--methods", "rejection",
+                         "loclinear", "--epsilons", "0.3", "--n-rep", "6",
+                         "--no-constraint", "--seed", "3", "--out", str(out)]) == 0
+        rows = st_io.read_crossval_csv(out / "coverage.csv")
+        assert len(rows) == 2 * 6 * 2  # methods x reps x params
+        summary = json.loads((out / "coverage_summary.json").read_text())
+        coverage = empirical_coverage(rows)
+        assert len(coverage) == len(summary) == 4
+        for (method, epsilon, param), value in coverage.items():
+            entry = summary[f"{method}:eps={epsilon:g}:{param}"]
+            assert entry["empirical_coverage"] == value
+            p = [r.p for r in rows if (r.method, r.epsilon, r.param) == (method, epsilon, param)]
+            assert entry["mean_p"] == float(np.mean(p))
+
     def test_config_file_defaults_and_flag_override(self, tmp_path):
         config = {"kappa": 15.0, "lam": 2.0, "n_obs": 50, "seed": 3}
         config_path = tmp_path / "config.json"
@@ -320,6 +334,23 @@ class TestCliExperiments:
         assert cli.main(["simulate", "--config", str(config_path), "--kappa", "30",
                          "--out", str(out2)]) == 0
         assert json.loads((out2 / "track.json").read_text())["config"]["kappa"] == 30.0
+
+        # store_true, list and unknown keys; a flag overrides a list from the config
+        table = generate_reference_table(PriorSpec(), 100, SMALL_SIM, seed=16)
+        table_path = tmp_path / "table.csv"
+        st_io.write_reference_table(table_path, table)
+        config = {"r_values": [0.5, 2.0], "kappa_values": [25.0], "n_per_cell": 2,
+                  "n_obs": 60, "methods": ["rejection"], "epsilon": 0.2, "seed": 17,
+                  "gnuplot": True, "no_such_flag": 1}
+        config_path.write_text(json.dumps(config))
+        base = ["rscan", "--config", str(config_path), "--table", str(table_path)]
+        assert cli.main(base + ["--out", str(tmp_path / "r1")]) == 0
+        recorded = json.loads((tmp_path / "r1" / "rscan.json").read_text())["config"]
+        assert recorded["r_values"] == [0.5, 2.0] and recorded["seed"] == 17
+        assert (tmp_path / "r1" / "rscan.gp").exists()
+        assert cli.main(base + ["--r-values", "1.5", "--out", str(tmp_path / "r2")]) == 0
+        recorded = json.loads((tmp_path / "r2" / "rscan.json").read_text())["config"]
+        assert recorded["r_values"] == [1.5] and recorded["kappa_values"] == [25.0]
 
     def test_directfit_cli(self, tmp_path, capsys):
         path, _ = simulate_track(seed=19, n_obs=100)
@@ -344,3 +375,62 @@ class TestWorkersEnvVar:
         assert cli._workers({"workers": 2}) == 2
         monkeypatch.delenv(cli.WORKERS_ENV)
         assert cli._workers({"workers": None}) == 1
+
+
+ALL_METHODS = ["rejection", "loclinear", "neuralnet"]
+HOLDOUT_DEFAULTS = {
+    "table": None, "methods": ALL_METHODS, "n_rep": 100, "kappa_max": 70.0,
+    "lambda_max": 25.0, "no_constraint": False, "seed": 0, "out": None, "workers": None,
+    "check": False, "gnuplot": False,
+}
+PARSED_DEFAULTS = {
+    "simulate": {"kappa": None, "lam": None, "dt": 0.5, "n_obs": 1500, "seed": 0,
+                 "out": None},
+    "observe": {"latent": None, "dt": 0.5, "n_obs": 1500, "out": None},
+    "summarize": {"track": None, "dt": 0.5, "out": None},
+    "reftable": {"n_sims": 100_000, "kappa_range": (0.0, 100.0),
+                 "lambda_range": (0.0, 50.0), "dt": 0.5, "min_obs": 1500, "seed": 0,
+                 "shard_size": 1000, "out": None, "workers": None},
+    "fit": {"table": None, "track": None, "summary": None, "method": "loclinear",
+            "epsilon": 0.001, "transform": "none", "out": None},
+    "crossval": {**HOLDOUT_DEFAULTS, "epsilons": [0.1, 0.01, 0.005, 0.001]},
+    "coverage": {**HOLDOUT_DEFAULTS, "epsilons": [0.1, 0.001]},
+    "rscan": {"table": None, "r_values": [0.25, 1.0, 4.5], "kappa_values": [10.0, 40.0, 70.0],
+              "n_per_cell": 50, "dt": 0.5, "n_obs": 1500, "methods": ALL_METHODS,
+              "epsilon": 0.001, "seed": 0, "out": None, "workers": None, "check": False,
+              "gnuplot": False},
+    "directfit": {"latent": None, "a0": 1.0, "b0": 0.0, "kappa_grid_max": 200.0,
+                  "out": None},
+    "oracle-check": {"n_draws": 100_000, "seed": 0, "out": None},
+}
+
+
+class TestCliFlags:
+    @pytest.mark.parametrize("command", sorted(PARSED_DEFAULTS))
+    def test_parsed_defaults(self, command):
+        parsed = vars(cli.build_parser().parse_args([command]))
+        assert parsed.pop("command") == command and parsed.pop("config") is None
+        expected = PARSED_DEFAULTS[command]
+        assert parsed == expected
+        # same JSON, so a config digest cannot tell the two apart
+        assert json.dumps(parsed, sort_keys=True) == json.dumps(expected, sort_keys=True)
+
+    @pytest.mark.parametrize("command,flag", [
+        ("simulate", "--workers"), ("observe", "--seed"), ("observe", "--workers"),
+        ("summarize", "--seed"), ("summarize", "--workers"), ("fit", "--seed"),
+        ("fit", "--workers"), ("directfit", "--seed"), ("directfit", "--workers"),
+        ("oracle-check", "--workers"),
+    ])
+    def test_removed_flags_exit_1(self, command, flag, capsys):
+        assert cli.main([command, flag, "2"]) == cli.EXIT_VALIDATION
+        assert f"unrecognized arguments: {flag} 2" in capsys.readouterr().err
+
+    def test_config_errors(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text("{not json")
+        listed = tmp_path / "list.json"
+        listed.write_text("[1, 2]")
+        for path, message in ((tmp_path / "missing.json", "not found"),
+                              (bad, "not valid JSON"), (listed, "must hold a JSON object")):
+            assert cli.main(["summarize", "--config", str(path)]) == cli.EXIT_VALIDATION
+            assert message in capsys.readouterr().err

@@ -2,15 +2,17 @@
 
 Subcommands: simulate, observe, summarize, reftable, fit, crossval,
 coverage, rscan, directfit, oracle-check. Exit codes: 0 success,
-1 validation error, 2 runtime error, 3 acceptance-check failure.
+1 validation error (a bad flag or config value, or a malformed input
+file: CSV headers must match their schema exactly), 2 runtime error,
+3 acceptance-check failure.
 
 Each flag is declared once, with the default ``--help`` shows. ``--seed``
 exists where a command draws random numbers and ``--workers`` where it
 spreads work over processes (default: $STEPTURN_WORKERS or 1).
 ``--config`` names a JSON object whose keys the subcommand defines become
-its defaults (explicit flags win). Each artifact is written with a JSON
-sidecar that fully reproduces it, and an append-only manifest records
-digests.
+its defaults, checked as the flags are (explicit flags win). Each artifact
+is written with a JSON sidecar that fully reproduces it, and an
+append-only manifest records digests.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import densities, io
-from .errors import StepturnError
+from .errors import SchemaError, StepturnError
 from .experiments import (
     coverage_report,
     cross_validate,
@@ -56,7 +58,7 @@ WORKERS_ENV = "STEPTURN_WORKERS"
 
 
 class ValidationError(ValueError):
-    """Bad command line, config, or input schema."""
+    """Bad command line or config."""
 
 
 class CheckFailure(Exception):
@@ -191,12 +193,36 @@ def _parse(argv):
             raise ValidationError(f"config file {path} is not valid JSON: {exc}")
         if not isinstance(config, dict):
             raise ValidationError(f"config file {path} must hold a JSON object")
-        known = vars(args).keys() - {"command", "config"}
+        subparser = parser.subcommands[args.command]
+        try:
+            checked = vars(subparser.parse_args(_config_tokens(subparser, config)))
+        except ValidationError as exc:
+            raise ValidationError(f"config file {path}: {exc}") from None
         # edits flag objects that subcommands share, hence a fresh parser per call
-        parser.subcommands[args.command].set_defaults(
-            **{key: value for key, value in config.items() if key in known})
+        subparser.set_defaults(**{key: checked[key] for key in config.keys() & checked})
         args = parser.parse_args(argv)
     return args
+
+
+def _config_tokens(subparser, config):
+    """The config values of ``subparser``'s flags as command-line tokens, so
+    each value passes its flag's type, choices and nargs checks."""
+    tokens = []
+    for action in subparser._actions:
+        value = config.get(action.dest)
+        if value is None or action.dest == "help":
+            continue
+        flag = action.option_strings[0]
+        if action.nargs == 0:  # a switch
+            if not isinstance(value, bool):
+                raise ValidationError(f"key {action.dest!r} must be true or false")
+            tokens += [flag] * value
+        elif isinstance(value, list) != (action.nargs is not None):
+            kind = "a single value" if action.nargs is None else "a list"
+            raise ValidationError(f"key {action.dest!r} must be {kind}")
+        else:
+            tokens += [flag, *map(str, value)] if action.nargs else [f"{flag}={value}"]
+    return tokens
 
 
 def _workers(resolved):
@@ -223,10 +249,6 @@ def _input(resolved, key):
     if not Path(path).exists():
         raise ValidationError(f"{key} not found: {path}")
     return path
-
-
-def _load_table(resolved):
-    return io.read_reference_table(_input(resolved, "table"))
 
 
 def _emit(out_dir, name, writer, command, config, started):
@@ -368,7 +390,7 @@ def _sharded_reftable(out, prior, sim, resolved, workers, config):
 
 def cmd_fit(args):
     resolved = vars(args)
-    table = _load_table(resolved)
+    table = io.read_reference_table(_input(resolved, "table"))
     if bool(resolved["track"]) == bool(resolved["summary"]):
         raise ValidationError("fit requires exactly one of --track or --summary")
     if resolved["track"]:
@@ -394,7 +416,7 @@ def cmd_fit(args):
 
 def _holdout_run(resolved):
     """The held-out fits of crossval and coverage: (out, start, config, report)."""
-    table = _load_table(resolved)
+    table = io.read_reference_table(_input(resolved, "table"))
     out = _out_dir(resolved)
     workers = _workers(resolved)
     started = time.monotonic()
@@ -476,7 +498,7 @@ def cmd_coverage(args):
 
 def cmd_rscan(args):
     resolved = vars(args)
-    table = _load_table(resolved)
+    table = io.read_reference_table(_input(resolved, "table"))
     out = _out_dir(resolved)
     workers = _workers(resolved)
     started = time.monotonic()
@@ -617,7 +639,7 @@ def main(argv=None):
     try:
         args = _parse(argv)
         return COMMANDS[args.command](args)
-    except ValidationError as exc:
+    except (ValidationError, SchemaError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except CheckFailure as exc:

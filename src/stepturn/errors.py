@@ -61,3 +61,7 @@ class QuadratureError(StepturnError, RuntimeError):
             f"quadrature did not converge: achieved error {self.achieved:g} "
             f"exceeds requested {self.requested:g}"
         )
+
+
+class SchemaError(StepturnError, ValueError):
+    """An input file breaks its schema; the message names the file and the fault."""

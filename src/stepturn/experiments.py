@@ -6,6 +6,7 @@ steps and turns.
 from __future__ import annotations
 
 import warnings
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,21 +29,24 @@ from .summaries import MEANCOS_CLAMP, bessel_ratio_inverse, summarize
 DEFAULT_CONSTRAINT = (70.0, 25.0)  # kappa_max, lambda_max for pseudo-observations
 
 
-def prediction_error(true_values, medians):
-    """Root mean squared deviation of posterior medians from the truth."""
+def _paired(true_values, medians):
+    """Both as float arrays, checked to be equal-length, non-empty and 1-d."""
     true_values = np.asarray(true_values, dtype=float)
     medians = np.asarray(medians, dtype=float)
     if true_values.shape != medians.shape or true_values.ndim != 1 or len(true_values) == 0:
         raise ValueError("true_values and medians must be equal-length non-empty 1-d")
+    return true_values, medians
+
+
+def prediction_error(true_values, medians):
+    """Root mean squared deviation of posterior medians from the truth."""
+    true_values, medians = _paired(true_values, medians)
     return float(np.sqrt(np.sum((medians - true_values) ** 2) / len(true_values)))
 
 
 def md_index(true_values, medians):
     """Mean absolute deviation of the medians relative to the truth."""
-    true_values = np.asarray(true_values, dtype=float)
-    medians = np.asarray(medians, dtype=float)
-    if true_values.shape != medians.shape or true_values.ndim != 1 or len(true_values) == 0:
-        raise ValueError("true_values and medians must be equal-length non-empty 1-d")
+    true_values, medians = _paired(true_values, medians)
     if np.any(true_values == 0):
         raise ValueError("md_index requires all true values nonzero")
     return float(np.mean(np.abs(medians - true_values) / np.abs(true_values)))
@@ -222,20 +226,26 @@ def cross_validate(
     )
 
 
+def _by_cell(records):
+    """The records grouped by (method, epsilon, param), in sorted key order."""
+    if not records:
+        raise ValueError("no replicate records")
+    groups = defaultdict(list)
+    for r in records:
+        groups[(r.method, r.epsilon, r.param)].append(r)
+    return {key: groups[key] for key in sorted(groups)}
+
+
+def _hpd_hit_rate(records):
+    return sum(1 for r in records if r.hpd_lo <= r.truth <= r.hpd_hi) / len(records)
+
+
 def empirical_coverage(records):
     """Fraction of replicates whose truth lies inside the recorded HPD.
 
     Returns a dict keyed by (method, epsilon, param).
     """
-    if not records:
-        raise ValueError("no replicate records")
-    keys = sorted({(r.method, r.epsilon, r.param) for r in records})
-    out = {}
-    for key in keys:
-        recs = [r for r in records if (r.method, r.epsilon, r.param) == key]
-        hits = sum(1 for r in recs if r.hpd_lo <= r.truth <= r.hpd_hi)
-        out[key] = hits / len(recs)
-    return out
+    return {key: _hpd_hit_rate(recs) for key, recs in _by_cell(records).items()}
 
 
 @dataclass(frozen=True)
@@ -255,10 +265,9 @@ class CoverageReport:
 def coverage_report(crossval, alpha=0.95):
     """Assemble the coverage diagnostics from cross-validation records."""
     records = crossval.records
-    coverage = empirical_coverage(records)
-    p_values, ks_stat, ks_p, histogram = {}, {}, {}, {}
-    for key in coverage:
-        recs = [r for r in records if (r.method, r.epsilon, r.param) == key]
+    coverage, p_values, ks_stat, ks_p, histogram = {}, {}, {}, {}, {}
+    for key, recs in _by_cell(records).items():
+        coverage[key] = _hpd_hit_rate(recs)
         test = _uniformity_test(np.array([r.p for r in recs]))
         p_values[key] = test.p_values
         ks_stat[key] = test.ks_statistic
@@ -297,17 +306,6 @@ class RScanReport:
     n_per_cell: int
     dt: float
     epsilon: float
-
-    def cell_error(self, method, r_value, kappa_true, param):
-        recs = [
-            r
-            for r in self.records
-            if r.method == method
-            and r.r_value == r_value
-            and r.kappa_true == kappa_true
-            and r.param == param
-        ]
-        return prediction_error([r.truth for r in recs], [r.median for r in recs])
 
     def mean_error_at(self, method, r_value, param):
         recs = [

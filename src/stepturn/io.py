@@ -1,7 +1,10 @@
 """File formats: CSV wire schemas, JSON sidecars, digests and the manifest.
 
 Floats are written with 17 significant digits so every file round-trips
-bit-exactly. Each artifact gets a JSON sidecar (same stem, ``.json``)
+bit-exactly. Every CSV is written by ``_write_csv`` and read by
+``_read_csv``: a reader accepts only the exact header of its schema and
+one field per column in each row, and raises SchemaError, naming the
+file, on any fault. Each artifact gets a JSON sidecar (same stem, ``.json``)
 carrying the full producing configuration, and an append-only
 ``manifest.jsonl`` in the output directory records path, content digest,
 command, config digest and wall-clock duration.
@@ -10,12 +13,17 @@ command, config digest and wall-clock duration.
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import json
+import warnings
+from dataclasses import astuple, fields
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
+from .errors import SchemaError
 from .experiments import ReplicateRecord, RScanRecord
 from .inference import (
     SIMULATOR_VERSION,
@@ -41,12 +49,8 @@ def sha256_file(path):
     return digest.hexdigest()
 
 
-def sha256_text(text):
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
 def config_digest(config):
-    return sha256_text(json.dumps(config, sort_keys=True))
+    return hashlib.sha256(json.dumps(config, sort_keys=True).encode("utf-8")).hexdigest()
 
 
 def write_sidecar(path, command, config, extra=None):
@@ -78,6 +82,69 @@ def append_manifest(out_dir, path, command, config, duration_s):
 
 
 # ---------------------------------------------------------------------------
+# CSV: one writer and one reader behind every schema
+
+TRACK_HEADER = ["j", "x", "y", "nj"]
+LATENT_HEADER = ["i", "x", "y", "phi", "t_dur", "omega"]
+SUMMARY_HEADER = ["s1", "s2", "s3", "s4"]
+TABLE_HEADER = ["kappa", "lambda", "s1", "s2", "s3", "s4"]
+POSTERIOR_HEADER = ["kappa", "lambda", "weight"]
+CROSSVAL_HEADER = [f.name for f in fields(ReplicateRecord)]
+RSCAN_HEADER = ["method", "R", "kappa_true", "rep", "param", "truth", "median"]
+
+
+def _write_csv(path, header, rows):
+    """``header`` then ``rows``; every cell that is not text or an integer
+    is a float and is written by :func:`fmt`."""
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        writer.writerows(
+            [cell if isinstance(cell, (str, int)) else fmt(cell) for cell in row]
+            for row in rows
+        )
+
+
+def _read_csv(path, header, dtype=float, min_rows=1):
+    """The data rows of the CSV at ``path`` as one 2-d ``dtype`` array; raises
+    ValueError unless the first line is exactly ``header``, every row has one
+    field per column, every cell parses as ``dtype`` and there are at least
+    ``min_rows`` rows."""
+    with open(path, newline="") as handle:
+        found = handle.readline().rstrip("\r\n")
+        if found != ",".join(header):
+            raise ValueError(f"expected header {','.join(header)!r}, found {found!r}")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # no data rows: counted below
+            rows = np.loadtxt(handle, dtype=dtype, delimiter=",", comments=None,
+                              quotechar='"', ndmin=2)
+    if len(rows) < min_rows:
+        raise ValueError(f"{len(rows)} data rows, expected at least {min_rows}")
+    if len(rows) and rows.shape[1] != len(header):
+        raise ValueError(f"rows have {rows.shape[1]} fields, the header {len(header)}")
+    return rows
+
+
+def _reader(read):
+    """Re-raise a ValueError of ``read(path, ...)`` as a SchemaError naming ``path``."""
+    @functools.wraps(read)
+    def checked(path, *args, **kwargs):
+        try:
+            return read(path, *args, **kwargs)
+        except ValueError as exc:
+            raise SchemaError(f"{path}: {exc}") from exc
+
+    return checked
+
+
+def _read_records(path, header, record):
+    """The rows of a report CSV as ``record`` instances (none if header-only)."""
+    kinds = [get_type_hints(record)[f.name] for f in fields(record)]
+    rows = _read_csv(path, header, dtype=str, min_rows=0).tolist()
+    return [record(*(kind(cell) for kind, cell in zip(kinds, row))) for row in rows]
+
+
+# ---------------------------------------------------------------------------
 # tracks and latent paths
 
 
@@ -85,59 +152,35 @@ def write_track_csv(path, track):
     """Observed track as ``j,x,y,nj`` (nj = -1 on the j = 0 row)."""
     if track.change_counts is None:
         raise ValueError("track has no change counts; produce it with observe()")
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["j", "x", "y", "nj"])
-        writer.writerow([0, fmt(track.positions[0, 0]), fmt(track.positions[0, 1]), -1])
-        for j in range(1, len(track.positions)):
-            writer.writerow(
-                [
-                    j,
-                    fmt(track.positions[j, 0]),
-                    fmt(track.positions[j, 1]),
-                    int(track.change_counts[j - 1]),
-                ]
-            )
+    x, y = track.positions.T.tolist()
+    _write_csv(path, TRACK_HEADER, zip(range(len(x)), x, y, [-1, *track.change_counts.tolist()]))
 
 
+@_reader
 def read_track_csv(path, dt):
-    with open(path, newline="") as handle:
-        rows = list(csv.DictReader(handle))
-    positions = np.array([[float(r["x"]), float(r["y"])] for r in rows])
-    counts = np.array([int(r["nj"]) for r in rows[1:]], dtype=int)
-    return ObservedTrack(dt=dt, positions=positions, change_counts=counts)
+    rows = _read_csv(path, TRACK_HEADER)
+    counts = rows[1:, 3]
+    if not np.all(np.isfinite(counts) & (counts == np.trunc(counts))):
+        raise ValueError("nj must hold integers")
+    return ObservedTrack(dt=dt, positions=rows[:, 1:3].copy(), change_counts=counts.astype(int))
 
 
 def write_latent_csv(path, latent):
     """Latent path as ``i,x,y,phi,t_dur,omega`` (cells empty where a row
     has no heading/duration/turn)."""
-    n = latent.n_steps
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["i", "x", "y", "phi", "t_dur", "omega"])
-        for i in range(n + 1):
-            writer.writerow(
-                [
-                    i,
-                    fmt(latent.positions[i, 0]),
-                    fmt(latent.positions[i, 1]),
-                    fmt(latent.headings[i]) if i < n else "",
-                    fmt(latent.durations[i]) if i < n else "",
-                    fmt(latent.turns[i - 1]) if 1 <= i < n else "",
-                ]
-            )
+    x, y = latent.positions.T.tolist()
+    phi = [*latent.headings.tolist(), ""]
+    t_dur = [*latent.durations.tolist(), ""]
+    omega = ["", *latent.turns.tolist(), ""]
+    _write_csv(path, LATENT_HEADER, zip(range(len(x)), x, y, phi, t_dur, omega))
 
 
+@_reader
 def read_latent_csv(path):
-    with open(path, newline="") as handle:
-        rows = list(csv.DictReader(handle))
-    positions = np.array([[float(r["x"]), float(r["y"])] for r in rows])
-    headings = np.array([float(r["phi"]) for r in rows if r["phi"] != ""])
-    durations = np.array([float(r["t_dur"]) for r in rows if r["t_dur"] != ""])
-    turns = np.array([float(r["omega"]) for r in rows if r["omega"] != ""])
-    return LatentPath(
-        positions=positions, headings=headings, durations=durations, turns=turns
-    )
+    rows = _read_csv(path, LATENT_HEADER, dtype=str)
+    headings, durations, turns = (column[column != ""].astype(float) for column in rows[:, 3:].T)
+    return LatentPath(positions=rows[:, 1:3].astype(float), headings=headings,
+                      durations=durations, turns=turns)
 
 
 # ---------------------------------------------------------------------------
@@ -145,18 +188,15 @@ def read_latent_csv(path):
 
 
 def write_summary_csv(path, summary):
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["s1", "s2", "s3", "s4"])
-        writer.writerow([fmt(v) for v in summary.as_array()])
+    _write_csv(path, SUMMARY_HEADER, [summary.as_array().tolist()])
 
 
+@_reader
 def read_summary_csv(path):
-    with open(path, newline="") as handle:
-        rows = list(csv.DictReader(handle))
+    rows = _read_csv(path, SUMMARY_HEADER)
     if len(rows) != 1:
-        raise ValueError(f"expected one summary row in {path}, got {len(rows)}")
-    return SummaryVector.from_array([float(rows[0][k]) for k in ("s1", "s2", "s3", "s4")])
+        raise ValueError(f"expected one summary row, got {len(rows)}")
+    return SummaryVector.from_array(rows[0])
 
 
 def reference_table_config(table):
@@ -175,13 +215,8 @@ def write_reference_table(path, table, command="reftable"):
     """Table as ``kappa,lambda,s1,s2,s3,s4`` plus a JSON sidecar holding the
     simulation config and base seed, the resample count and the
     ``SIMULATOR_VERSION`` of the writing package."""
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["kappa", "lambda", "s1", "s2", "s3", "s4"])
-        for i in range(table.n_rows):
-            writer.writerow(
-                [fmt(v) for v in table.params[i]] + [fmt(v) for v in table.summaries[i]]
-            )
+    rows = np.column_stack([table.params, table.summaries])
+    _write_csv(path, TABLE_HEADER, (row.tolist() for row in rows))
     write_sidecar(
         path,
         command,
@@ -190,21 +225,14 @@ def write_reference_table(path, table, command="reftable"):
     )
 
 
+@_reader
 def read_reference_table(path):
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader)
-        if header != ["kappa", "lambda", "s1", "s2", "s3", "s4"]:
-            raise ValueError(f"unexpected reference table header in {path}: {header}")
-        rows = np.array([[float(v) for v in row] for row in reader])
+    rows = _read_csv(path, TABLE_HEADER)
     sidecar = read_sidecar(path)
-    config = sidecar["config"]
+    config, prior = sidecar["config"], sidecar["config"]["prior"]
     return ReferenceTable.from_rows(
         rows,
-        PriorSpec(
-            kappa_range=tuple(config["prior"]["kappa_range"]),
-            lambda_range=tuple(config["prior"]["lambda_range"]),
-        ),
+        PriorSpec(tuple(prior["kappa_range"]), tuple(prior["lambda_range"])),
         SimConfig(dt=config["sim"]["dt"], min_obs=config["sim"]["min_obs"]),
         config["seed"],
         sidecar.get("n_resampled", 0),
@@ -213,13 +241,8 @@ def read_reference_table(path):
 
 def write_posterior(path, posterior, command="fit", config=None):
     """Posterior as ``kappa,lambda,weight`` plus JSON metadata."""
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["kappa", "lambda", "weight"])
-        for i in range(posterior.n_draws):
-            writer.writerow(
-                [fmt(posterior.draws[i, 0]), fmt(posterior.draws[i, 1]), fmt(posterior.weights[i])]
-            )
+    rows = np.column_stack([posterior.draws, posterior.weights])
+    _write_csv(path, POSTERIOR_HEADER, (row.tolist() for row in rows))
     write_sidecar(
         path,
         command,
@@ -233,11 +256,9 @@ def write_posterior(path, posterior, command="fit", config=None):
     )
 
 
+@_reader
 def read_posterior(path):
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        next(reader)
-        rows = np.array([[float(v) for v in row] for row in reader])
+    rows = _read_csv(path, POSTERIOR_HEADER)
     meta = read_sidecar(path)
     return WeightedPosterior(
         draws=rows[:, :2],
@@ -250,80 +271,32 @@ def read_posterior(path):
 
 
 # ---------------------------------------------------------------------------
-# experiment reports (long format)
-
-CROSSVAL_HEADER = [
-    "method", "epsilon", "rep", "param", "truth", "median", "hpd_lo", "hpd_hi", "p",
-]
-RSCAN_HEADER = ["method", "R", "kappa_true", "rep", "param", "truth", "median"]
+# experiment reports (long format, one column per record field)
 
 
 def write_crossval_csv(path, records):
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(CROSSVAL_HEADER)
-        for r in records:
-            writer.writerow(
-                [r.method, fmt(r.epsilon), r.rep, r.param, fmt(r.truth), fmt(r.median),
-                 fmt(r.hpd_lo), fmt(r.hpd_hi), fmt(r.p)]
-            )
+    _write_csv(path, CROSSVAL_HEADER, map(astuple, records))
 
 
+@_reader
 def read_crossval_csv(path):
-    with open(path, newline="") as handle:
-        rows = list(csv.DictReader(handle))
-    return [
-        ReplicateRecord(
-            method=r["method"],
-            epsilon=float(r["epsilon"]),
-            rep=int(r["rep"]),
-            param=r["param"],
-            truth=float(r["truth"]),
-            median=float(r["median"]),
-            hpd_lo=float(r["hpd_lo"]),
-            hpd_hi=float(r["hpd_hi"]),
-            p=float(r["p"]),
-        )
-        for r in rows
-    ]
+    return _read_records(path, CROSSVAL_HEADER, ReplicateRecord)
 
 
 def write_rscan_csv(path, records):
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(RSCAN_HEADER)
-        for r in records:
-            writer.writerow(
-                [r.method, fmt(r.r_value), fmt(r.kappa_true), r.rep, r.param,
-                 fmt(r.truth), fmt(r.median)]
-            )
+    """Scale-scan records; the ``r_value`` field is written as column ``R``."""
+    _write_csv(path, RSCAN_HEADER, map(astuple, records))
 
 
+@_reader
 def read_rscan_csv(path):
-    with open(path, newline="") as handle:
-        rows = list(csv.DictReader(handle))
-    return [
-        RScanRecord(
-            method=r["method"],
-            r_value=float(r["R"]),
-            kappa_true=float(r["kappa_true"]),
-            rep=int(r["rep"]),
-            param=r["param"],
-            truth=float(r["truth"]),
-            median=float(r["median"]),
-        )
-        for r in rows
-    ]
+    return _read_records(path, RSCAN_HEADER, RScanRecord)
 
 
 def write_density_grid_csv(path, grid):
     """Grid as ``x,f`` with a JSON header sidecar (params, tolerance,
     achieved normalization)."""
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["x", "f"])
-        for x, f in zip(grid.nodes, grid.values):
-            writer.writerow([fmt(x), fmt(f)])
+    _write_csv(path, ["x", "f"], zip(grid.nodes.tolist(), grid.values.tolist()))
     write_sidecar(
         path,
         "oracle-check",

@@ -166,6 +166,34 @@ class TestEmpiricalCoverage:
         assert abs(cov - 0.95) < max(3 * se, hi - lo - 0.95 + 3 * se)
 
 
+    def test_grouping_matches_per_key_scan(self):
+        # reference: the per-key rescan of every record the grouping replaced
+        from stepturn.experiments import CrossValReport, ReplicateRecord, coverage_report
+        rng = np.random.default_rng(8)
+        records = [
+            ReplicateRecord(method, eps, i, param, float(rng.uniform()), 0.5,
+                            float(rng.uniform(0, 0.5)), float(rng.uniform(0.5, 1)),
+                            float(rng.uniform()))
+            for i in range(6)
+            for method in ("neuralnet", "rejection")
+            for eps in (0.1, 0.001)
+            for param in ("lambda", "kappa")
+        ]
+        rng.shuffle(records)
+        keys = sorted({(r.method, r.epsilon, r.param) for r in records})
+        cov = empirical_coverage(records)
+        report = coverage_report(CrossValReport(records, 6, ("neuralnet", "rejection"),
+                                                (0.1, 0.001), 0.95))
+        assert list(cov) == list(report.coverage) == list(report.p_values) == keys
+        for key in keys:
+            recs = [r for r in records if (r.method, r.epsilon, r.param) == key]
+            hits = sum(1 for r in recs if r.hpd_lo <= r.truth <= r.hpd_hi)
+            assert cov[key] == report.coverage[key] == hits / len(recs)
+            assert np.array_equal(report.p_values[key], [r.p for r in recs])
+        with pytest.raises(ValueError, match="no replicate records"):
+            empirical_coverage([])
+
+
 class TestCrossValidate:
     def test_nearest_neighbour_oracle(self):
         # summaries uniquely identify rows; minimal epsilon accepts exactly

@@ -434,3 +434,19 @@ class TestCliFlags:
                               (bad, "not valid JSON"), (listed, "must hold a JSON object")):
             assert cli.main(["summarize", "--config", str(path)]) == cli.EXIT_VALIDATION
             assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,config,message", [
+        ("fit", {"method": "wild"}, "argument --method: invalid choice: 'wild'"),
+        ("crossval", {"methods": "rejection"}, "key 'methods' must be a list"),
+        ("rscan", {"r_values": 1.0}, "key 'r_values' must be a list"),
+        ("crossval", {"epsilons": ["a"]}, "argument --epsilons: invalid float value: 'a'"),
+        ("rscan", {"gnuplot": "yes"}, "key 'gnuplot' must be true or false"),
+        ("simulate", {"kappa": [1.0]}, "key 'kappa' must be a single value"),
+    ])
+    def test_config_values_checked_like_flags(self, command, config, message, tmp_path,
+                                              capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        argv = [command, "--config", str(path), "--out", str(tmp_path / "out")]
+        assert cli.main(argv) == cli.EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith(f"error: config file {path}: {message}")

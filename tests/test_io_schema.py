@@ -1,0 +1,193 @@
+"""The CSV wire schemas: pinned writer bytes and the readers' schema checks."""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+import stepturn.cli as cli
+import stepturn.io as st_io
+from stepturn import PriorSpec, SchemaError, SimConfig, generate_reference_table
+from stepturn.densities import DensityGrid
+from stepturn.experiments import ReplicateRecord, RScanRecord
+from stepturn.inference import ReferenceTable, WeightedPosterior
+from stepturn.movement import LatentPath, ObservedTrack
+from stepturn.summaries import SummaryVector
+
+# sha256 of each file the writers produce from the inputs below. CRLF line
+# ends, 17-significant-digit floats, "-0", exponents and the latent path's
+# empty cells are all part of the pinned bytes.
+GOLDEN_SHA256 = {
+    "crossval.csv": "7e1e349a8a9fced76be488166777c4886942c8c748ee950db1f43c096df30211",
+    "grid.csv": "2b1ea9e74cb95947d0bab98a94aac1b41f8ed0e7b4d935205b19721384577d7b",
+    "grid.json": "d078fd96fc1bbbb9582fee8f9fe162e5b6166fd8ddc5cbe331b11d0167350814",
+    "latent.csv": "607a9061349c34d9a57d01daf68cf0a25499400d53aaed97d119e69f1046c8b9",
+    "posterior.csv": "d064cab4117acb7ca53068201c056cd3d46972948af3ec5bead28216b542df21",
+    "posterior.json": "830435fcd71f9eb48507cd81d8b7b0308da7132c2ce218793077c6f280c88a62",
+    "rscan.csv": "faf570653b9c446d366642f67e48e525a80f8d643d8170a8e6deec36baa8451d",
+    "summary.csv": "2d12037a7e8b40962d91e8f871f9b2d1e8608df1cde5963430ed07a57af9218f",
+    "table.csv": "f1ee9bc044a719737374c1a2104b573278535fbfb578879be97f1cebccc8cfbb",
+    "table.json": "37e500dbe4b677792afb7362d92f58525bcfb76cf3f08fd6e855aaf3a51a4a2f",
+    "track.csv": "5f4c4506547b23c8ddde8f762b7b3826cc1757c125697194c049afdf0ec6eab2",
+}
+
+
+def write_fixed_inputs(tmp):
+    positions = np.array([[0.0, 0.0], [1 / 3, -2.5e-7], [0.1 + 0.2, 1e300], [-0.0, 2.0 ** -60]])
+    latent = LatentPath(positions=positions, headings=np.array([0.5, -np.pi, 1 / 7]),
+                        durations=np.array([0.25, 1e-9, 3.0]), turns=np.array([np.pi, -1 / 3]))
+    track = ObservedTrack(dt=0.5, positions=positions, change_counts=np.array([-1, 0, 2]))
+    table = ReferenceTable(
+        params=np.array([[1 / 3, 2.0], [99.5, 1e-3], [0.0, 49.999]]),
+        summaries=np.array([[0.1, 0.2, 0.3, 1 / 7], [1e-10, 5.0, 2 / 3, 9.0],
+                            [-0.0, 1e5, 0.7, 0.01]]),
+        prior=PriorSpec(), config=SimConfig(dt=0.5, min_obs=60), seed=11, n_resampled=2)
+    posterior = WeightedPosterior(draws=np.array([[1 / 3, 2.0], [10.0, 0.1 + 0.2]]),
+                                  weights=np.array([0.25, 0.75]), method="loclinear",
+                                  epsilon=0.001, delta=1 / 9, n_projected=1)
+    grid = DensityGrid(support=(0.0, np.pi), nodes=np.array([0.5, 1.0, 2.5]),
+                       values=np.array([0.2, 1 / 3, 0.1]), quadrature_tol=1e-6,
+                       meta={"kappa": 2.0})
+    st_io.write_latent_csv(tmp / "latent.csv", latent)
+    st_io.write_track_csv(tmp / "track.csv", track)
+    st_io.write_summary_csv(tmp / "summary.csv", SummaryVector(1 / 3, 12.5, 0.1 + 0.2, 7e-5))
+    st_io.write_reference_table(tmp / "table.csv", table)
+    st_io.write_posterior(tmp / "posterior.csv", posterior, config={"epsilon": 0.001})
+    st_io.write_crossval_csv(tmp / "crossval.csv", [
+        ReplicateRecord("rejection", 0.1, 0, "kappa", 1.5, 2.5, 0.5, 3.5, 0.4),
+        ReplicateRecord("neuralnet", 0.005, 2, "lambda", 0.1, 1 / 3, 0.0, 2.0, 1 / 7),
+    ])
+    st_io.write_rscan_csv(tmp / "rscan.csv", [
+        RScanRecord("loclinear", 0.25, 10.0, 3, "kappa", 10.0, 11.25),
+        RScanRecord("rejection", 4.5, 70.0, 0, "lambda", 9.0, 1 / 3),
+    ])
+    st_io.write_density_grid_csv(tmp / "grid.csv", grid)
+
+
+def test_writer_bytes_are_pinned(tmp_path):
+    write_fixed_inputs(tmp_path)
+    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in sorted(tmp_path.iterdir())}
+    assert written == GOLDEN_SHA256
+    assert (tmp_path / "track.csv").read_bytes().startswith(b"j,x,y,nj\r\n0,0,0,-1\r\n")
+
+
+# one valid file per schema: header, then data rows; column 1 is numeric in all
+VALID = {
+    "track": ["j,x,y,nj", "0,0,0,-1", "1,0.5,0.25,0"],
+    "latent": ["i,x,y,phi,t_dur,omega", "0,0,0,0.5,0.25,", "1,0.25,0.1,0.1,0.5,0.3",
+               "2,0.5,0.2,,,"],
+    "summary": ["s1,s2,s3,s4", "1,2,3,4"],
+    "table": ["kappa,lambda,s1,s2,s3,s4", "1,2,3,4,5,6"],
+    "posterior": ["kappa,lambda,weight", "1,2,1"],
+    "crossval": ["method,epsilon,rep,param,truth,median,hpd_lo,hpd_hi,p",
+                 "rejection,0.1,0,kappa,1,2,0.5,3,0.4"],
+    "rscan": ["method,R,kappa_true,rep,param,truth,median",
+              "rejection,0.5,10,0,kappa,10,11"],
+}
+READERS = {
+    "track": lambda path: st_io.read_track_csv(path, 0.5),
+    "latent": st_io.read_latent_csv,
+    "summary": st_io.read_summary_csv,
+    "table": st_io.read_reference_table,
+    "posterior": st_io.read_posterior,
+    "crossval": st_io.read_crossval_csv,
+    "rscan": st_io.read_rscan_csv,
+}
+
+
+def _swap_first_columns(line):
+    first, second, *rest = line.split(",")
+    return ",".join([second, first, *rest])
+
+
+def bad_variants(schema):
+    """(fault, file lines) of the malformed files of one schema."""
+    header, *rows = VALID[schema]
+    variants = [
+        ("wrong header", [_swap_first_columns(header), *rows]),
+        ("extra column", [header + ",extra", *(row + ",1" for row in rows)]),
+        ("too few fields", [header, *rows[:-1], rows[-1].rsplit(",", 1)[0]]),
+        ("non-numeric cell", [header, _replace_second(rows[0], "abc"), *rows[1:]]),
+    ]
+    if schema not in ("crossval", "rscan"):  # a report may hold no records
+        variants.append(("header only", [header]))
+    return variants
+
+
+def _replace_second(line, value):
+    cells = line.split(",")
+    cells[1] = value
+    return ",".join(cells)
+
+
+def write_lines(path, lines):
+    path.write_bytes(("\r\n".join(lines) + "\r\n").encode())
+    return path
+
+
+CASES = [(schema, fault, lines) for schema in VALID for fault, lines in bad_variants(schema)]
+
+
+@pytest.mark.parametrize("schema,fault,lines", CASES,
+                         ids=[f"{schema}-{fault}" for schema, fault, _ in CASES])
+def test_reader_raises_schema_error(schema, fault, lines, tmp_path):
+    path = write_lines(tmp_path / f"{schema}.csv", lines)
+    with pytest.raises(SchemaError, match=str(path)):
+        READERS[schema](path)
+
+
+def test_header_only_reports_hold_no_records(tmp_path):
+    for schema in ("crossval", "rscan"):
+        path = write_lines(tmp_path / f"{schema}.csv", VALID[schema][:1])
+        assert READERS[schema](path) == []
+
+
+def test_valid_files_read(tmp_path):
+    for schema in ("track", "latent", "summary", "crossval", "rscan"):
+        READERS[schema](write_lines(tmp_path / f"{schema}.csv", VALID[schema]))
+
+
+def test_fractional_change_count_rejected(tmp_path):
+    path = write_lines(tmp_path / "track.csv", ["j,x,y,nj", "0,0,0,-1", "1,0.5,0.25,0.5"])
+    with pytest.raises(SchemaError, match="nj must hold integers"):
+        st_io.read_track_csv(path, 0.5)
+
+
+@pytest.fixture(scope="module")
+def good_inputs(tmp_path_factory):
+    """A valid table (with sidecar), summary, track and latent path."""
+    root = tmp_path_factory.mktemp("good")
+    table = generate_reference_table(PriorSpec(), 80, SimConfig(dt=0.5, min_obs=60), seed=2)
+    st_io.write_reference_table(root / "table.csv", table)
+    st_io.write_summary_csv(root / "summary.csv", SummaryVector.from_array(table.summaries[3]))
+    write_lines(root / "track.csv", VALID["track"])
+    write_lines(root / "latent.csv", VALID["latent"])
+    return root
+
+
+# the command line that reads a file of each schema; BAD marks the bad file
+CLI_READS = {
+    "table": ["fit", "--table", "BAD", "--summary", "GOOD/summary.csv", "--method",
+              "rejection", "--epsilon", "0.1"],
+    "summary": ["fit", "--table", "GOOD/table.csv", "--summary", "BAD"],
+    "track": ["fit", "--table", "GOOD/table.csv", "--track", "BAD"],
+    "latent": ["observe", "--latent", "BAD", "--n-obs", "2"],
+}
+CLI_CASES = [(schema, fault, lines, argv) for schema, argv in CLI_READS.items()
+             for fault, lines in bad_variants(schema)]
+CLI_CASES += [("latent", fault, lines, ["directfit", "--latent", "BAD"])
+              for fault, lines in bad_variants("latent")]
+CLI_CASES += [("track", fault, lines, ["summarize", "--track", "BAD"])
+              for fault, lines in bad_variants("track")]
+
+
+@pytest.mark.parametrize("schema,fault,lines,argv", CLI_CASES,
+                         ids=[f"{argv[0]}-{schema}-{fault}" for schema, fault, _, argv in CLI_CASES])
+def test_cli_exits_1_on_bad_input(schema, fault, lines, argv, good_inputs, tmp_path, capsys):
+    bad = write_lines(tmp_path / f"{schema}.csv", lines)
+    argv = [str(bad) if arg == "BAD" else arg.replace("GOOD", str(good_inputs)) for arg in argv]
+    assert cli.main(argv + ["--out", str(tmp_path / "out")]) == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: ") and "Traceback" not in err
+

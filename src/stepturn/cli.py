@@ -520,14 +520,22 @@ def cmd_rscan(args):
     _emit(out, "rscan.csv", lambda p: io.write_rscan_csv(p, report.records),
           "rscan", config, started)
     io.write_sidecar(out / "rscan.csv", "rscan", config)
+    scanned = {record.r_value for record in report.records}
     for method in resolved["methods"]:
         for r_value in resolved["r_values"]:
+            if r_value not in scanned:
+                print(f"{method}: R={r_value:g} skipped, every cell lies outside the prior")
+                continue
             err = report.mean_error_at(method, r_value, "lambda")
             print(f"{method}: R={r_value:g} lambda error {err:.4g}")
     if resolved["gnuplot"]:
         (out / "rscan.gp").write_text(io.gnuplot_rscan("rscan.csv"))
     if resolved["check"]:
         r_lo, r_hi = min(resolved["r_values"]), max(resolved["r_values"])
+        for r_value in (r_lo, r_hi):
+            if r_value not in scanned:
+                raise CheckFailure(
+                    f"no records at R={r_value:g}: every cell lies outside the prior")
         for method in resolved["methods"]:
             low = report.mean_error_at(method, r_lo, "lambda")
             high = report.mean_error_at(method, r_hi, "lambda")

@@ -364,6 +364,8 @@ def r_scan(
     whose implied parameters fall outside the table's prior support are
     skipped with a warning record.
     """
+    if n_per_cell < 1:
+        raise ValueError(f"n_per_cell must be >= 1, got {n_per_cell}")
     skipped = []
     cells = []
     cell_index = 0

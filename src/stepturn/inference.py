@@ -278,7 +278,8 @@ def standardized_distances(table, s_obs, scales=None):
     """Standardized Euclidean distance of every table row to ``s_obs``.
 
     ``scales`` defaults to the table's cached :attr:`ReferenceTable.scales`.
-    The squares are summed column by column, in the order of a row-wise sum.
+    The squares are summed column by column, in the order of a row-wise sum,
+    into one (K,) buffer; the only other temporary is the (4, K) difference.
     """
     if table.n_rows == 0:
         raise ValueError("reference table is empty")
@@ -286,8 +287,13 @@ def standardized_distances(table, s_obs, scales=None):
     if scales is None:
         scales = table.scales
     scales = np.asarray(scales, dtype=float)
-    z = (table.columns - s_obs[:, None]) / scales[:, None]
-    return np.sqrt(np.sum(z * z, axis=0))
+    z = np.subtract(table.columns, s_obs[:, None])
+    z /= scales[:, None]
+    np.square(z, out=z)
+    total = np.add(z[0], z[1])
+    for row in z[2:]:
+        total += row
+    return np.sqrt(total, out=total)
 
 
 def _as_summary_array(s_obs):
@@ -337,8 +343,22 @@ def _closest(distances, n):
     kth = np.partition(distances, n - 1)[n - 1]
     near = np.flatnonzero(distances <= kth)
     if len(near) < n:  # NaN distances: let the full sort place them
-        return np.argsort(distances, kind="stable")[:n]
-    return near[np.argsort(distances[near], kind="stable")][:n]
+        return _stable_order(distances)[:n]
+    return near[_stable_order(distances[near])][:n]
+
+
+def _stable_order(values):
+    """``np.argsort(values, kind="stable")``, by the default sort when it can.
+
+    When the values it ranks are strictly increasing there are no ties and no
+    NaN, so the sorting order is unique and the default sort's is the stable
+    one; otherwise the stable sort runs.
+    """
+    order = np.argsort(values)
+    ranked = values[order]
+    if np.all(ranked[1:] > ranked[:-1]):
+        return order
+    return np.argsort(values, kind="stable")
 
 
 # ---------------------------------------------------------------------------
@@ -494,7 +514,7 @@ def weighted_quantile(posterior, parameter, q):
         raise ValueError("posterior is empty")
     index = _param_index(parameter)
     values = posterior.draws[:, index]
-    order = np.argsort(values, kind="stable")
+    order = _stable_order(values)
     cumulative = np.cumsum(posterior.weights[order])
     cumulative /= cumulative[-1]
     position = int(np.searchsorted(cumulative, q, side="left"))
@@ -506,32 +526,42 @@ def hpd_interval(posterior, parameter, alpha=0.95):
 
     Ties in width resolve to the smallest lower endpoint. Mass comparisons
     carry a 1e-12 slack so float-accumulated weights behave like their
-    exact values.
+    exact values: the window from sorted draw ``lo`` to ``hi`` holds
+    ``alpha`` when ``cumulative[hi + 1] - cumulative[lo] >= alpha - 1e-12``,
+    with ``cumulative`` the running weight sum from 0.
+
+    The search is exact and vectorized over ``lo``. A float difference
+    grows with its first operand, so for each ``lo`` the windows holding
+    ``alpha`` are those whose running sum reaches the smallest float
+    ``u`` with ``u - cumulative[lo] >= alpha - 1e-12``. That threshold is
+    found by stepping from ``cumulative[lo] + alpha - 1e-12`` one float at
+    a time (it lies within a few floats), and one ``searchsorted`` gives
+    every ``lo``'s shortest ``hi``. Once no ``hi`` reaches ``alpha``, no
+    later ``lo`` does either. If no window holds ``alpha`` (total mass
+    below it, a numerical edge), the interval spans every draw.
     """
     if not (0.0 < alpha < 1.0):
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     if posterior.n_draws == 0:
         raise ValueError("posterior is empty")
     index = _param_index(parameter)
-    order = np.argsort(posterior.draws[:, index], kind="stable")
+    order = _stable_order(posterior.draws[:, index])
     values = posterior.draws[order, index]
     weights = posterior.weights[order] / float(np.sum(posterior.weights))
     cumulative = np.concatenate(([0.0], np.cumsum(weights)))
     target = alpha - 1e-12
-    n = len(values)
-    best = (np.inf, values[0], values[-1])
-    hi = 0
-    for lo in range(n):
-        if hi < lo:
-            hi = lo
-        # advance hi until the window holds alpha mass
-        while hi < n and cumulative[hi + 1] - cumulative[lo] < target:
-            hi += 1
-        if hi == n:
-            break
-        width = values[hi] - values[lo]
-        if width < best[0]:
-            best = (width, values[lo], values[hi])
-    if not np.isfinite(best[0]):  # total mass below alpha (numerical edge)
+    start = cumulative[:-1]
+    reach = start + target
+    # NaN weights make both steps' tests false, as they do the mass test
+    while np.any(step := reach - start < target):
+        reach[step] = np.nextafter(reach[step], np.inf)
+    while np.any(step := np.nextafter(reach, -np.inf) - start >= target):
+        reach[step] = np.nextafter(reach[step], -np.inf)
+    hi = np.maximum(np.searchsorted(cumulative[1:], reach), np.arange(len(values)))
+    lo = np.flatnonzero(hi < len(values))
+    widths = values[hi[lo]] - values[lo]
+    finite = widths < np.inf  # a NaN or infinite width never wins
+    if not np.any(finite):  # total mass below alpha (numerical edge)
         return float(values[0]), float(values[-1])
-    return float(best[1]), float(best[2])
+    best = lo[np.argmin(np.where(finite, widths, np.inf))]
+    return float(values[best]), float(values[hi[best]])

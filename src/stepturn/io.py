@@ -5,9 +5,11 @@ bit-exactly. Every CSV is written by ``_write_csv`` and read by
 ``_read_csv``: a reader accepts only the exact header of its schema and
 one field per column in each row, and raises SchemaError, naming the
 file, on any fault. Each artifact gets a JSON sidecar (same stem, ``.json``)
-carrying the full producing configuration, and an append-only
-``manifest.jsonl`` in the output directory records path, content digest,
-command, config digest and wall-clock duration.
+carrying the full producing configuration; the table and posterior
+readers also raise SchemaError when the sidecar is missing, is not a JSON
+object or lacks a key they read. An append-only ``manifest.jsonl`` in the
+output directory records path, content digest, command, config digest and
+wall-clock duration.
 """
 
 from __future__ import annotations
@@ -63,8 +65,26 @@ def write_sidecar(path, command, config, extra=None):
     return sidecar
 
 
-def read_sidecar(path):
-    return json.loads(Path(path).with_suffix(".json").read_text())
+def read_sidecar(path, *keys):
+    """The JSON sidecar of ``path``; raises ValueError naming the sidecar when
+    it is missing, is not a JSON object or lacks one of ``keys``, each a dotted
+    path such as ``"config.seed"``."""
+    sidecar = Path(path).with_suffix(".json")
+    try:
+        payload = json.loads(sidecar.read_text())
+    except FileNotFoundError:
+        raise ValueError(f"sidecar {sidecar} is missing") from None
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"sidecar {sidecar} is not valid JSON: {exc}") from None
+    if not isinstance(payload, dict):
+        raise ValueError(f"sidecar {sidecar} is not a JSON object")
+    for key in keys:
+        node = payload
+        for part in key.split("."):
+            if not isinstance(node, dict) or part not in node:
+                raise ValueError(f"sidecar {sidecar} lacks the key {key!r}")
+            node = node[part]
+    return payload
 
 
 def append_manifest(out_dir, path, command, config, duration_s):
@@ -228,7 +248,8 @@ def write_reference_table(path, table, command="reftable"):
 @_reader
 def read_reference_table(path):
     rows = _read_csv(path, TABLE_HEADER)
-    sidecar = read_sidecar(path)
+    sidecar = read_sidecar(path, "config.seed", "config.prior.kappa_range",
+                           "config.prior.lambda_range", "config.sim.dt", "config.sim.min_obs")
     config, prior = sidecar["config"], sidecar["config"]["prior"]
     return ReferenceTable.from_rows(
         rows,
@@ -259,7 +280,7 @@ def write_posterior(path, posterior, command="fit", config=None):
 @_reader
 def read_posterior(path):
     rows = _read_csv(path, POSTERIOR_HEADER)
-    meta = read_sidecar(path)
+    meta = read_sidecar(path, "method", "epsilon", "delta")
     return WeightedPosterior(
         draws=rows[:, :2],
         weights=rows[:, 2],

@@ -112,6 +112,33 @@ def hpd_exhaustive(values, weights, alpha):
     return float(best[1]), float(best[2])
 
 
+def hpd_two_pointer(values, weights, alpha):
+    """Two-pointer window scan over the sorted draws: for each lower index,
+    advance the upper one until the window holds ``alpha`` mass, stop at the
+    first lower index with no such window, keep the first narrowest window."""
+    order = np.argsort(values, kind="stable")
+    v = np.asarray(values)[order]
+    w = np.asarray(weights)[order] / float(np.sum(weights))
+    cumulative = np.concatenate(([0.0], np.cumsum(w)))
+    target = alpha - 1e-12
+    n = len(v)
+    best = (np.inf, v[0], v[-1])
+    hi = 0
+    for lo in range(n):
+        if hi < lo:
+            hi = lo
+        while hi < n and cumulative[hi + 1] - cumulative[lo] < target:
+            hi += 1
+        if hi == n:
+            break
+        width = v[hi] - v[lo]
+        if width < best[0]:
+            best = (width, v[lo], v[hi])
+    if not np.isfinite(best[0]):  # total mass below alpha
+        return float(v[0]), float(v[-1])
+    return float(best[1]), float(best[2])
+
+
 def weighted_quantile_scan(values, weights, q):
     """Cumulative-sum scan oracle for the weighted quantile."""
     order = np.argsort(values, kind="stable")

@@ -26,7 +26,7 @@ from stepturn import inference
 from stepturn.inference import WeightedPosterior, adjust, fit, summary_scales
 from stepturn.streams import stream
 
-from oracles import hpd_exhaustive, mad_by_hand, weighted_quantile_scan
+from oracles import hpd_exhaustive, hpd_two_pointer, mad_by_hand, weighted_quantile_scan
 
 SMALL_SIM = SimConfig(dt=0.5, min_obs=120)
 
@@ -257,6 +257,28 @@ class TestScaledTable:
         assert table.scales is table.scales and table.columns is table.columns
         assert table.summaries.flags.writeable  # the table's own arrays stay as given
         np.testing.assert_array_equal(table.columns, table.summaries.T)
+
+    def test_distances_leave_scales_and_columns_unchanged(self):
+        table = synthetic_table(500, seed=46)
+        scales = np.array([0.5, 2.0, 0.25, 3.0])
+        before = (scales.tobytes(), table.columns.tobytes(), table.summaries.tobytes())
+        standardized_distances(table, table.summaries[9] + 0.1, scales=scales)
+        assert (scales.tobytes(), table.columns.tobytes(), table.summaries.tobytes()) == before
+
+
+class TestStableOrder:
+    @pytest.mark.parametrize("kind", ["untied", "tied", "nan", "empty", "single"])
+    def test_equals_stable_argsort(self, kind):
+        rng = np.random.default_rng(47)
+        values = {
+            "untied": rng.normal(size=2000),
+            "tied": rng.integers(0, 7, size=2000).astype(float),
+            "nan": np.where(rng.random(2000) < 0.1, np.nan, rng.normal(size=2000)),
+            "empty": np.empty(0),
+            "single": np.array([3.5]),
+        }[kind]
+        np.testing.assert_array_equal(inference._stable_order(values),
+                                      np.argsort(values, kind="stable"))
 
 
 class TestAbcReject:
@@ -555,6 +577,63 @@ class TestHpdInterval:
         )
         assert hpd_interval(post, "kappa", 0.95) == hpd_exhaustive(values, weights, 0.95)
         assert hpd_interval(post, "kappa", 0.5) == hpd_exhaustive(values, weights, 0.5)
+
+    def test_two_pointer_oracle_on_random_posteriors(self):
+        # rounded draws tie; every other posterior has ~20% zero weights
+        rng = np.random.default_rng(48)
+        for case in range(300):
+            m = int(rng.integers(1, 301))
+            values = np.round(rng.normal(0.0, 3.0, size=m), int(rng.integers(0, 3)))
+            if case % 2:
+                weights = rng.uniform(size=m) * (rng.random(m) >= 0.2)
+                if weights.sum() == 0.0:
+                    weights[0] = 1.0
+                weights /= weights.sum()
+            else:
+                weights = np.full(m, 1.0 / m)
+            post = WeightedPosterior(draws=np.column_stack([values, values]),
+                                     weights=weights, method="rejection",
+                                     epsilon=1.0, delta=0.0)
+            for alpha in (1e-6, 0.1, 0.5, 0.95, 1 - 1e-6):
+                assert hpd_interval(post, "kappa", alpha) == hpd_two_pointer(
+                    values, weights, alpha), (case, alpha)
+
+    def test_two_pointer_oracle_at_window_mass_boundaries(self):
+        # alpha - 1e-12 within a few floats of one window's mass, where
+        # the mass test's rounding decides whether the window holds alpha
+        rng = np.random.default_rng(50)
+        for case in range(400):
+            m = int(rng.integers(2, 60))
+            values = np.round(rng.normal(size=m), 1)
+            weights = rng.uniform(size=m) if case % 3 else np.ones(m)
+            if case % 3 == 2:
+                weights[rng.random(m) < 0.3] = 0.0
+                weights[0] = 1.0
+            weights /= weights.sum()
+            post = WeightedPosterior(draws=np.column_stack([values, values]),
+                                     weights=weights, method="rejection",
+                                     epsilon=1.0, delta=0.0)
+            order = np.argsort(values, kind="stable")
+            cumulative = np.concatenate(([0.0], np.cumsum(weights[order] / weights.sum())))
+            for _ in range(4):
+                lo, hi = np.sort(rng.integers(0, m, size=2))
+                on_mass = (cumulative[hi + 1] - cumulative[lo]) + 1e-12
+                for alpha in on_mass + np.arange(-3, 4) * np.spacing(on_mass):
+                    if 0.0 < alpha < 1.0:
+                        assert hpd_interval(post, "kappa", alpha) == hpd_two_pointer(
+                            values, weights, alpha), (case, alpha)
+
+    def test_two_pointer_oracle_on_desk_posteriors(self, desk_table):
+        rng = np.random.default_rng(49)
+        for row in rng.choice(desk_table.n_rows, 2, replace=False):
+            s_obs = desk_table.summaries[row]
+            accepted = abc_reject(desk_table, s_obs, 0.1)
+            for method in ("rejection", "loclinear"):
+                post = adjust(accepted, s_obs, method)
+                for k in (0, 1):
+                    for alpha in (0.5, 0.95):
+                        assert hpd_interval(post, k, alpha) == hpd_two_pointer(
+                            post.draws[:, k], post.weights, alpha)
 
     def test_domain(self):
         post = WeightedPosterior(draws=np.array([[1.0, 1.0]]), weights=np.array([1.0]),

@@ -280,6 +280,28 @@ class TestCliExperiments:
         assert cli.main(base + ["--out", str(out2), "--workers", "8"]) == 0
         assert st_io.sha256_file(out1 / "rscan.csv") == st_io.sha256_file(out2 / "rscan.csv")
 
+    def test_rscan_skips_r_outside_prior(self, tmp_path, capsys):
+        # R = 60 at dt 0.5 implies lambda = 120, outside the lambda <= 50 prior
+        table = generate_reference_table(PriorSpec(), 100, SMALL_SIM, seed=16)
+        table_path = tmp_path / "table.csv"
+        st_io.write_reference_table(table_path, table)
+        base = ["rscan", "--table", str(table_path), "--r-values", "0.5", "2", "60",
+                "--kappa-values", "20", "--n-per-cell", "2", "--n-obs", "60",
+                "--methods", "rejection", "--epsilon", "0.2", "--seed", "17"]
+        with pytest.warns(UserWarning, match="skipping cell R=60"):
+            assert cli.main(base + ["--out", str(tmp_path / "r1")]) == cli.EXIT_OK
+        out = capsys.readouterr().out
+        assert "rejection: R=60 skipped" in out and "rejection: R=2 lambda error" in out
+        assert {r.r_value for r in st_io.read_rscan_csv(tmp_path / "r1" / "rscan.csv")} == {
+            0.5, 2.0}
+        with pytest.warns(UserWarning, match="skipping cell R=60"):
+            code = cli.main(base + ["--out", str(tmp_path / "r2"), "--check"])
+        assert code == cli.EXIT_CHECK_FAILED
+        assert "no records at R=60" in capsys.readouterr().err
+        no_tracks = base + ["--out", str(tmp_path / "r3"), "--n-per-cell", "0"]
+        assert cli.main(no_tracks) == cli.EXIT_RUNTIME
+        assert "n_per_cell must be >= 1" in capsys.readouterr().err
+
     def test_coverage_check_failure_exit_code(self, tmp_path, monkeypatch):
         # engineer records whose coverage is far below the 0.90 gate
         table = generate_reference_table(PriorSpec(), 60, SMALL_SIM, seed=18)

@@ -1,6 +1,7 @@
 """The CSV wire schemas: pinned writer bytes and the readers' schema checks."""
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -191,3 +192,62 @@ def test_cli_exits_1_on_bad_input(schema, fault, lines, argv, good_inputs, tmp_p
     err = capsys.readouterr().err
     assert err.startswith(f"error: {bad}: ") and "Traceback" not in err
 
+
+
+def _drop_key(payload, dotted):
+    *parents, last = dotted.split(".")
+    node = payload
+    for part in parents:
+        node = node[part]
+    del node[last]
+    return json.dumps(payload)
+
+
+# (file, fault, the broken sidecar's text from the written payload or None to
+# delete it, expected message)
+SIDECAR_FAULTS = [
+    *((name, "missing", lambda payload: None, "is missing") for name in ("table", "posterior")),
+    *((name, "invalid JSON", lambda payload: '{"config": ', "is not valid JSON")
+      for name in ("table", "posterior")),
+    ("table", "a JSON list", lambda payload: "[1, 2]", "is not a JSON object"),
+    *(("table", f"no {key}", lambda payload, key=key: _drop_key(payload, key), f"key '{key}")
+      for key in ("config.seed", "config.prior", "config.prior.lambda_range", "config.sim",
+                  "config.sim.min_obs")),
+    *(("posterior", f"no {key}", lambda payload, key=key: _drop_key(payload, key), f"key '{key}")
+      for key in ("method", "epsilon", "delta")),
+]
+
+
+def break_sidecar(directory, name, fault):
+    sidecar = directory / f"{name}.json"
+    text = fault(json.loads(sidecar.read_text()))
+    if text is None:
+        sidecar.unlink()
+    else:
+        sidecar.write_text(text)
+    return sidecar
+
+
+@pytest.mark.parametrize("name,fault,make,message", SIDECAR_FAULTS,
+                         ids=[f"{name}-{fault}" for name, fault, _, _ in SIDECAR_FAULTS])
+def test_sidecar_fault_raises_schema_error(name, fault, make, message, tmp_path):
+    write_fixed_inputs(tmp_path)
+    sidecar = break_sidecar(tmp_path, name, make)
+    reader = {"table": st_io.read_reference_table, "posterior": st_io.read_posterior}[name]
+    with pytest.raises(SchemaError, match=f"sidecar {sidecar}") as raised:
+        reader(tmp_path / f"{name}.csv")
+    assert message in str(raised.value)
+
+
+@pytest.mark.parametrize("fault,make", [(f, m) for n, f, m, _ in SIDECAR_FAULTS if n == "table"],
+                         ids=[f for n, f, _, _ in SIDECAR_FAULTS if n == "table"])
+def test_cli_exits_1_on_bad_table_sidecar(fault, make, good_inputs, tmp_path, capsys):
+    table = tmp_path / "table.csv"
+    table.write_bytes((good_inputs / "table.csv").read_bytes())
+    (tmp_path / "table.json").write_bytes((good_inputs / "table.json").read_bytes())
+    sidecar = break_sidecar(tmp_path, "table", make)
+    code = cli.main(["fit", "--table", str(table), "--summary", str(good_inputs / "summary.csv"),
+                     "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {table}: sidecar {sidecar}") and "Traceback" not in err

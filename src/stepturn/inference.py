@@ -147,8 +147,8 @@ class WeightedPosterior:
     def __post_init__(self):
         if len(self.draws) != len(self.weights):
             raise ValueError("draws and weights must have equal lengths")
-        if np.any(self.weights < 0):
-            raise ValueError("weights must be nonnegative")
+        if not np.all(self.weights >= 0):  # also False for NaN
+            raise ValueError("weights must be nonnegative, not NaN")
         if abs(float(np.sum(self.weights)) - 1.0) > 1e-12:
             raise ValueError("weights must sum to 1")
 

@@ -7,8 +7,9 @@ one field per column in each row, and raises SchemaError, naming the
 file, on any fault. Each artifact gets a JSON sidecar (same stem, ``.json``)
 carrying the full producing configuration; the table and posterior
 readers also raise SchemaError when the sidecar is missing, is not a JSON
-object or lacks a key they read. An append-only ``manifest.jsonl`` in the
-output directory records path, content digest, command, config digest and
+object or lacks a key they read, and the table reader when a setting it
+reads has the wrong type. An append-only ``manifest.jsonl`` in the output
+directory records path, content digest, command, config digest and
 wall-clock duration.
 """
 
@@ -18,6 +19,7 @@ import csv
 import functools
 import hashlib
 import json
+import math
 import warnings
 from dataclasses import astuple, fields
 from pathlib import Path
@@ -65,10 +67,28 @@ def write_sidecar(path, command, config, extra=None):
     return sidecar
 
 
-def read_sidecar(path, *keys):
+def _is_integer(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value):
+    return _is_integer(value) or (isinstance(value, float) and math.isfinite(value))
+
+
+# the kinds a sidecar value can be required to have: (name, check)
+INTEGER = ("an integer", _is_integer)
+NUMBER = ("a finite number", _is_number)
+RANGE = ("a list of two finite numbers",
+         lambda value: isinstance(value, list) and len(value) == 2 and all(map(_is_number, value)))
+
+
+def read_sidecar(path, *keys, kinds=None):
     """The JSON sidecar of ``path``; raises ValueError naming the sidecar when
-    it is missing, is not a JSON object or lacks one of ``keys``, each a dotted
-    path such as ``"config.seed"``."""
+    it is missing, is not a JSON object or lacks one of ``keys`` or of the keys
+    of ``kinds``, each a dotted path such as ``"config.seed"``. ``kinds`` maps
+    a key to the kind (``INTEGER``, ``NUMBER`` or ``RANGE``) its value must
+    have."""
+    kinds = kinds or {}
     sidecar = Path(path).with_suffix(".json")
     try:
         payload = json.loads(sidecar.read_text())
@@ -78,12 +98,15 @@ def read_sidecar(path, *keys):
         raise ValueError(f"sidecar {sidecar} is not valid JSON: {exc}") from None
     if not isinstance(payload, dict):
         raise ValueError(f"sidecar {sidecar} is not a JSON object")
-    for key in keys:
+    for key in (*keys, *kinds):
         node = payload
         for part in key.split("."):
             if not isinstance(node, dict) or part not in node:
                 raise ValueError(f"sidecar {sidecar} lacks the key {key!r}")
             node = node[part]
+        if key in kinds and not kinds[key][1](node):
+            raise ValueError(f"sidecar {sidecar} key {key!r} must be {kinds[key][0]}, "
+                             f"found {node!r}")
     return payload
 
 
@@ -248,8 +271,10 @@ def write_reference_table(path, table, command="reftable"):
 @_reader
 def read_reference_table(path):
     rows = _read_csv(path, TABLE_HEADER)
-    sidecar = read_sidecar(path, "config.seed", "config.prior.kappa_range",
-                           "config.prior.lambda_range", "config.sim.dt", "config.sim.min_obs")
+    sidecar = read_sidecar(path, kinds={
+        "config.seed": INTEGER, "config.prior.kappa_range": RANGE,
+        "config.prior.lambda_range": RANGE, "config.sim.dt": NUMBER, "config.sim.min_obs": INTEGER,
+    })
     config, prior = sidecar["config"], sidecar["config"]["prior"]
     return ReferenceTable.from_rows(
         rows,

@@ -490,6 +490,21 @@ class TestNeuralnetAdjust:
         moved = np.std(net.draws - accepted.draws, axis=0) / np.std(accepted.draws, axis=0)
         assert np.all(moved > 0.05), moved
 
+    def test_default_stop_matches_converged_fit(self, desk_table):
+        # the default stops BFGS at 500 iterations; on these rows at eps
+        # 0.001 (100 accepted rows) six fits hit that cap and two converge
+        # first. Each median stays within 1e-2 of the converged 95% HPD
+        # width (measured gap at most 1.6e-4)
+        for row in (63986, 83105, 2641, 46724, 79051, 85175, 36545, 7982):
+            s_obs = desk_table.summaries[row]
+            accepted = abc_reject(desk_table.without_row(row), s_obs, 0.001)
+            capped = neuralnet_adjust(accepted, s_obs)
+            converged = neuralnet_adjust(accepted, s_obs, NetConfig(n_iter=20_000))
+            for k in (0, 1):
+                lo, hi = hpd_interval(converged, k)
+                gap = abs(weighted_quantile(capped, k, 0.5) - weighted_quantile(converged, k, 0.5))
+                assert gap <= 1e-2 * (hi - lo), (row, k, gap, hi - lo)
+
 
 class TestAdjust:
     def test_shared_rejection_matches_fit(self):
@@ -545,6 +560,14 @@ class TestWeightedQuantile:
             weighted_quantile(post, "kappa", 1.5)
         with pytest.raises(ValueError):
             weighted_quantile(post, "sigma", 0.5)
+
+    def test_nan_weight_rejected(self):
+        # NaN fails both the sign and the sum check's comparisons; accepted,
+        # it would give the median 1.0 and the HPD (1.0, 1.0)
+        draws = np.array([[1.0, 1.0], [3.0, 3.0], [5.0, 5.0]])
+        with pytest.raises(ValueError, match="nonnegative, not NaN"):
+            WeightedPosterior(draws=draws, weights=np.array([0.5, np.nan, 0.5]),
+                              method="rejection", epsilon=1.0, delta=0.0)
 
 
 class TestHpdInterval:

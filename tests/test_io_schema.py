@@ -203,6 +203,26 @@ def _drop_key(payload, dotted):
     return json.dumps(payload)
 
 
+def _set_key(payload, dotted, value):
+    *parents, last = dotted.split(".")
+    node = payload
+    for part in parents:
+        node = node[part]
+    node[last] = value
+    return json.dumps(payload)
+
+
+# a table setting of the wrong type: (key, value, expected message)
+MISTYPED = [
+    ("config.sim.dt", "0.5", "must be a finite number"),
+    ("config.sim.dt", float("nan"), "must be a finite number"),
+    ("config.sim.min_obs", 1500.0, "must be an integer"),
+    ("config.seed", "11", "must be an integer"),
+    ("config.seed", True, "must be an integer"),
+    ("config.prior.kappa_range", [0, "100"], "must be a list of two finite numbers"),
+    ("config.prior.lambda_range", [0.0], "must be a list of two finite numbers"),
+]
+
 # (file, fault, the broken sidecar's text from the written payload or None to
 # delete it, expected message)
 SIDECAR_FAULTS = [
@@ -215,6 +235,9 @@ SIDECAR_FAULTS = [
                   "config.sim.min_obs")),
     *(("posterior", f"no {key}", lambda payload, key=key: _drop_key(payload, key), f"key '{key}")
       for key in ("method", "epsilon", "delta")),
+    *(("table", f"{key} {value!r}",
+       lambda payload, key=key, value=value: _set_key(payload, key, value),
+       f"key '{key}' {message}") for key, value, message in MISTYPED),
 ]
 
 

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
-from stepturn import TrainingDivergedError
+from stepturn import TrainingDivergedError, nnet
 from stepturn.nnet import (
     NetConfig,
     init_params,
@@ -100,6 +101,27 @@ class TestTrain:
         a, _ = train(x, y, w, NetConfig(n_iter=400))
         b, _ = train(x, y, w, NetConfig(n_iter=400))
         assert np.array_equal(a, b)
+
+    def test_default_config_stops_at_the_cap(self, monkeypatch):
+        # inputs on a small scale, like the standardized summaries of rows
+        # accepted at a small epsilon: BFGS is still above grad_tol after
+        # R abc's 500 iterations, so both trainings stop on the cap
+        results = []
+
+        def recording_minimize(*args, **kwargs):
+            results.append(minimize(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(nnet, "minimize", recording_minimize)
+        rng = np.random.default_rng(10)
+        x = 0.05 * rng.normal(size=(100, 4))
+        y = 20.0 * x @ rng.normal(size=(4, 2)) + rng.normal(size=(100, 2))
+        w = np.clip(1.0 - np.sum((x / 0.05) ** 2, axis=1) / 16.0, 0.0, None)
+        a, shapes = train(x, y, w)
+        b, _ = train(x, y, w)
+        assert NetConfig().n_iter == 500 and [r.nit for r in results] == [500, 500]
+        assert np.array_equal(a, b) and np.isfinite(a).all()
+        assert shapes == (4, 5, 2)
 
     def test_nonlinear_signal_regresses(self):
         # a kernel-weighted nonlinear signal under unit noise, standardized

@@ -10,15 +10,17 @@ Each flag is declared once, with the default ``--help`` shows. ``--seed``
 exists where a command draws random numbers and ``--workers`` where it
 spreads work over processes (default: $STEPTURN_WORKERS or 1).
 ``--config`` names a JSON object whose keys the subcommand defines become
-its defaults, checked as the flags are (explicit flags win). Each artifact
-is written with a JSON sidecar that fully reproduces it, and an
-append-only manifest records digests.
+its defaults, checked as the flags are (explicit flags win). Every artifact
+is recorded in an append-only manifest, and every CSV has a JSON sidecar with
+the config that reproduces it: the command's flags less --out, --config,
+--workers, --check and --gnuplot, which do not change an artifact's content.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -36,6 +38,7 @@ from .experiments import (
 )
 from .inference import (
     METHODS,
+    SIMULATOR_VERSION,
     PriorSpec,
     ReferenceTable,
     SimConfig,
@@ -56,6 +59,10 @@ EXIT_CHECK_FAILED = 3
 
 WORKERS_ENV = "STEPTURN_WORKERS"
 
+# entries of a command's namespace that do not change an artifact's content
+# ("started" is the command's start time, which main adds)
+UNRECORDED = {"command", "started", "out", "config", "workers", "check", "gnuplot"}
+
 
 class ValidationError(ValueError):
     """Bad command line or config."""
@@ -70,7 +77,7 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
-def _add_holdout(p, epsilons):
+def _add_holdout(p, epsilons, kappa_max, lambda_max):
     """Flags shared by crossval and coverage, which run the same held-out fits."""
     p.add_argument("--table", help="reference table CSV")
     p.add_argument("--methods", nargs="+", default=list(METHODS), choices=METHODS,
@@ -78,11 +85,8 @@ def _add_holdout(p, epsilons):
     p.add_argument("--epsilons", type=float, nargs="+", default=epsilons,
                    help="accepted table fractions")
     p.add_argument("--n-rep", type=int, default=100, help="held-out rows")
-    p.add_argument("--kappa-max", type=float, default=70.0, help="bound on held-out kappa")
-    p.add_argument("--lambda-max", type=float, default=25.0, help="bound on held-out lambda")
-    p.add_argument("--no-constraint", action="store_true",
-                   help="draw held-out truths from the whole table (the prior); "
-                        "coverage and its --check presume it")
+    p.add_argument("--kappa-max", type=float, default=kappa_max, help="bound on held-out kappa")
+    p.add_argument("--lambda-max", type=float, default=lambda_max, help="bound on held-out lambda")
     p.add_argument("--gnuplot", action="store_true", help="write a companion plot script")
 
 
@@ -136,7 +140,10 @@ def build_parser():
                    help="parameter transform for the regression")
 
     p = command("crossval", seeded, pooled, help="leave-one-out cross validation")
-    _add_holdout(p, [0.1, 0.01, 0.005, 0.001])
+    _add_holdout(p, [0.1, 0.01, 0.005, 0.001], 70.0, 25.0)
+    p.add_argument("--no-constraint", action="store_true",
+                   help="draw held-out truths from the whole table (the prior), "
+                        "ignoring the bounds")
     p.add_argument("--check", action="store_true",
                    help="exit 3 unless rejection errors shrink with epsilon")
 
@@ -144,12 +151,11 @@ def build_parser():
         "coverage", seeded, pooled, help="empirical coverage and uniformity test",
         description="Empirical HPD coverage and the uniformity test of the coverage "
                     "p-values (posterior mass below the truth). Both presume truths "
-                    "drawn from the prior: pass --no-constraint. The kappa/lambda "
-                    "constraint is meant for prediction-error cross-validation.")
-    _add_holdout(p, [0.1, 0.001])
+                    "drawn from the prior, so held-out truths come from the whole "
+                    "table unless --kappa-max or --lambda-max bounds them.")
+    _add_holdout(p, [0.1, 0.001], None, None)
     p.add_argument("--check", action="store_true",
-                   help="exit 3 unless all empirical coverages reach 0.90; "
-                        "meaningful with --no-constraint")
+                   help="exit 3 unless all empirical coverages reach 0.90")
 
     p = command("rscan", seeded, pooled, help="error scan over the observation-scale ratio R")
     p.add_argument("--table", help="reference table CSV")
@@ -251,11 +257,32 @@ def _input(resolved, key):
     return path
 
 
-def _emit(out_dir, name, writer, command, config, started):
+def _recorded_config(resolved):
+    """The config an artifact records: the command's values less those that do
+    not change its content (UNRECORDED), as JSON values (a tuple default
+    becomes a list), so it equals the config read back from ``shards.json``."""
+    return json.loads(json.dumps(
+        {key: value for key, value in resolved.items() if key not in UNRECORDED}))
+
+
+def _json(payload):
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def _emit(resolved, name, write, sidecar=True):
+    """Write the artifact ``name`` into --out, by ``write(path)`` or as the
+    text ``write``; give a CSV the command's sidecar unless its writer writes
+    its own (``sidecar=False``); and record the artifact in the manifest."""
+    out_dir = _out_dir(resolved)
     path = out_dir / name
-    writer(path)
-    io.append_manifest(out_dir, path, command, config, time.monotonic() - started)
-    return path
+    if callable(write):
+        write(path)
+    else:
+        path.write_text(write)
+    command, config = resolved["command"], _recorded_config(resolved)
+    if sidecar and path.suffix == ".csv":
+        io.write_sidecar(path, command, config)
+    io.append_manifest(out_dir, path, command, config, time.monotonic() - resolved["started"])
 
 
 # ---------------------------------------------------------------------------
@@ -267,18 +294,12 @@ def cmd_simulate(args):
     if resolved["kappa"] is None or resolved["lam"] is None:
         raise ValidationError("simulate requires --kappa and --lambda")
     out = _out_dir(resolved)
-    started = time.monotonic()
     params = MovementParams(kappa=resolved["kappa"], lam=resolved["lam"])
     rng = stream(resolved["seed"], 0)
     path = simulate_until(params, resolved["n_obs"] * resolved["dt"], rng)
     track = observe(path, resolved["dt"], resolved["n_obs"])
-    config = {k: resolved[k] for k in ("kappa", "lam", "dt", "n_obs", "seed")}
-    _emit(out, "latent.csv", lambda p: io.write_latent_csv(p, path), "simulate",
-          config, started)
-    io.write_sidecar(out / "latent.csv", "simulate", config)
-    _emit(out, "track.csv", lambda p: io.write_track_csv(p, track), "simulate",
-          config, started)
-    io.write_sidecar(out / "track.csv", "simulate", config)
+    _emit(resolved, "latent.csv", lambda p: io.write_latent_csv(p, path))
+    _emit(resolved, "track.csv", lambda p: io.write_track_csv(p, track))
     print(f"wrote {out / 'latent.csv'} ({path.n_steps} steps) and "
           f"{out / 'track.csv'} ({track.n_obs} observations)")
     return EXIT_OK
@@ -288,13 +309,9 @@ def cmd_observe(args):
     resolved = vars(args)
     latent_path = _input(resolved, "latent")
     out = _out_dir(resolved)
-    started = time.monotonic()
     latent = io.read_latent_csv(latent_path)
     track = observe(latent, resolved["dt"], resolved["n_obs"])
-    config = {k: resolved[k] for k in ("latent", "dt", "n_obs")}
-    _emit(out, "track.csv", lambda p: io.write_track_csv(p, track), "observe",
-          config, started)
-    io.write_sidecar(out / "track.csv", "observe", config)
+    _emit(resolved, "track.csv", lambda p: io.write_track_csv(p, track))
     print(f"wrote {out / 'track.csv'} ({track.n_obs} observations)")
     return EXIT_OK
 
@@ -306,48 +323,42 @@ def cmd_summarize(args):
     print("s1,s2,s3,s4")
     print(",".join(io.fmt(v) for v in summary.as_array()))
     if resolved["out"]:
-        out = _out_dir(resolved)
-        started = time.monotonic()
-        config = {k: resolved[k] for k in ("track", "dt")}
-        _emit(out, "summary.csv", lambda p: io.write_summary_csv(p, summary),
-              "summarize", config, started)
-        io.write_sidecar(out / "summary.csv", "summarize", config)
+        _emit(resolved, "summary.csv", lambda p: io.write_summary_csv(p, summary))
     return EXIT_OK
 
 
 def cmd_reftable(args):
     resolved = vars(args)
-    if resolved["n_sims"] < 1:
-        raise ValidationError(f"--n-sims must be >= 1, got {resolved['n_sims']}")
+    for key in ("n_sims", "shard_size"):
+        if resolved[key] < 1:
+            raise ValidationError(f"--{key.replace('_', '-')} must be >= 1, got {resolved[key]}")
     out = _out_dir(resolved)
     workers = _workers(resolved)
-    started = time.monotonic()
     prior = PriorSpec(tuple(resolved["kappa_range"]), tuple(resolved["lambda_range"]))
     sim = SimConfig(dt=resolved["dt"], min_obs=resolved["min_obs"])
-    config = {k: resolved[k] for k in
-              ("n_sims", "kappa_range", "lambda_range", "dt", "min_obs", "seed",
-               "shard_size")}
-    config["kappa_range"] = list(prior.kappa_range)
-    config["lambda_range"] = list(prior.lambda_range)
-    table = _sharded_reftable(out, prior, sim, resolved, workers, config)
-    _emit(out, "table.csv", lambda p: io.write_reference_table(p, table), "reftable",
-          config, started)
+    table = _sharded_reftable(out, prior, sim, resolved, workers)
+    _emit(resolved, "table.csv", lambda p: io.write_reference_table(p, table), sidecar=False)
     print(f"wrote {out / 'table.csv'}: {table.n_rows} rows, "
           f"{table.n_resampled} resampled, digest {io.sha256_file(out / 'table.csv')[:12]}")
     return EXIT_OK
 
 
-def _sharded_reftable(out, prior, sim, resolved, workers, config):
+def _sharded_reftable(out, prior, sim, resolved, workers):
     """Resumable shard-by-shard generation with digest verification."""
-    n_sims = resolved["n_sims"]
-    shard_size = max(1, resolved["shard_size"])
-    seed = resolved["seed"]
+    n_sims, shard_size, seed = resolved["n_sims"], resolved["shard_size"], resolved["seed"]
+    config = _recorded_config(resolved)
     shard_dir = out / "shards"
     shard_dir.mkdir(exist_ok=True)
     state_path = shard_dir / "shards.json"
-    state = {"config": config, "shards": {}}
+    state = {"config": config, "simulator_version": SIMULATOR_VERSION, "shards": {}}
     if state_path.exists():
         previous = json.loads(state_path.read_text())
+        version = previous.get("simulator_version")
+        if version != SIMULATOR_VERSION:
+            raise ValidationError(
+                f"existing shards in {shard_dir} were built by simulator version "
+                f"{version}, this is version {SIMULATOR_VERSION}; remove them or change --out"
+            )
         if previous.get("config") != config:
             raise ValidationError(
                 f"existing shards in {shard_dir} were built with a different config; "
@@ -370,7 +381,7 @@ def _sharded_reftable(out, prior, sim, resolved, workers, config):
             continue
         pending.append((name, span))
 
-    done = len(state["shards"])
+    done = len(bounds) - len(pending)
     chunks = reference_chunks(prior, sim, seed, [span for _, span in pending], workers)
     # chunks arrive in shard order, so each finished shard checkpoints at once
     for (rows, resamples), (name, _) in zip(chunks, pending):
@@ -398,15 +409,12 @@ def cmd_fit(args):
         s_obs = summarize(track).as_array()
     else:
         s_obs = io.read_summary_csv(_input(resolved, "summary")).as_array()
-    out = _out_dir(resolved)
-    started = time.monotonic()
+    _out_dir(resolved)
     posterior = fit(table, s_obs, resolved["method"], resolved["epsilon"],
                     transform=resolved["transform"])
-    config = {k: resolved[k] for k in
-              ("table", "track", "summary", "method", "epsilon", "transform")}
-    _emit(out, "posterior.csv",
-          lambda p: io.write_posterior(p, posterior, "fit", config), "fit",
-          config, started)
+    _emit(resolved, "posterior.csv",
+          lambda p: io.write_posterior(p, posterior, "fit", _recorded_config(resolved)),
+          sidecar=False)
     for name in ("kappa", "lambda"):
         median = weighted_quantile(posterior, name, 0.5)
         lo, hi = hpd_interval(posterior, name, 0.95)
@@ -415,27 +423,22 @@ def cmd_fit(args):
 
 
 def _holdout_run(resolved):
-    """The held-out fits of crossval and coverage: (out, start, config, report)."""
+    """The held-out fits of crossval and coverage; an unset bound is no bound."""
     table = io.read_reference_table(_input(resolved, "table"))
-    out = _out_dir(resolved)
+    _out_dir(resolved)
     workers = _workers(resolved)
-    started = time.monotonic()
-    constraint = (None if resolved["no_constraint"]
-                  else (resolved["kappa_max"], resolved["lambda_max"]))
-    report = cross_validate(table, methods=resolved["methods"], epsilons=resolved["epsilons"],
-                            n_rep=resolved["n_rep"], constraint=constraint,
-                            seed=resolved["seed"], workers=workers)
-    config = {k: resolved[k] for k in ("table", "methods", "epsilons", "n_rep", "kappa_max",
-                                       "lambda_max", "no_constraint", "seed")}
-    return out, started, config, report
+    bounds = (resolved["kappa_max"], resolved["lambda_max"])
+    constraint = (None if resolved.get("no_constraint")
+                  else tuple(math.inf if bound is None else bound for bound in bounds))
+    return cross_validate(table, methods=resolved["methods"], epsilons=resolved["epsilons"],
+                          n_rep=resolved["n_rep"], constraint=constraint,
+                          seed=resolved["seed"], workers=workers)
 
 
 def cmd_crossval(args):
     resolved = vars(args)
-    out, started, config, report = _holdout_run(resolved)
-    _emit(out, "crossval.csv", lambda p: io.write_crossval_csv(p, report.records),
-          "crossval", config, started)
-    io.write_sidecar(out / "crossval.csv", "crossval", config)
+    report = _holdout_run(resolved)
+    _emit(resolved, "crossval.csv", lambda p: io.write_crossval_csv(p, report.records))
     metrics = {}
     for method in report.methods:
         for epsilon in report.epsilons:
@@ -447,9 +450,9 @@ def cmd_crossval(args):
                 }
                 print(f"{key}: error {metrics[key]['prediction_error']:.4g}, "
                       f"MD {metrics[key]['md_index']:.4g}")
-    (out / "crossval_metrics.json").write_text(json.dumps(metrics, indent=2) + "\n")
+    _emit(resolved, "crossval_metrics.json", _json(metrics))
     if resolved["gnuplot"]:
-        (out / "crossval.gp").write_text(io.gnuplot_crossval("crossval.csv"))
+        _emit(resolved, "crossval.gp", io.gnuplot_crossval("crossval.csv"))
     if resolved["check"]:
         eps_sorted = sorted(report.epsilons, reverse=True)
         if "rejection" in report.methods and len(eps_sorted) >= 2:
@@ -466,11 +469,9 @@ def cmd_crossval(args):
 
 def cmd_coverage(args):
     resolved = vars(args)
-    out, started, config, crossval = _holdout_run(resolved)
+    crossval = _holdout_run(resolved)
     report = coverage_report(crossval)
-    _emit(out, "coverage.csv", lambda p: io.write_crossval_csv(p, crossval.records),
-          "coverage", config, started)
-    io.write_sidecar(out / "coverage.csv", "coverage", config)
+    _emit(resolved, "coverage.csv", lambda p: io.write_crossval_csv(p, crossval.records))
     summary = {}
     for key, cov in report.coverage.items():
         method, epsilon, param = key
@@ -484,9 +485,9 @@ def cmd_coverage(args):
         }
         print(f"{label}: coverage {cov:.3f}, KS p {report.ks_pvalue[key]:.3g}, "
               f"mean p {summary[label]['mean_p']:.3f}")
-    (out / "coverage_summary.json").write_text(json.dumps(summary, indent=2) + "\n")
+    _emit(resolved, "coverage_summary.json", _json(summary))
     if resolved["gnuplot"]:
-        (out / "coverage.gp").write_text(io.gnuplot_coverage("coverage.csv"))
+        _emit(resolved, "coverage.gp", io.gnuplot_coverage("coverage.csv"))
     if resolved["check"]:
         for label, entry in summary.items():
             if entry["empirical_coverage"] < 0.90:
@@ -499,9 +500,14 @@ def cmd_coverage(args):
 def cmd_rscan(args):
     resolved = vars(args)
     table = io.read_reference_table(_input(resolved, "table"))
-    out = _out_dir(resolved)
+    # the tracks must be observed as the table's rows were, or no row is near them
+    for key, table_key in (("dt", "dt"), ("n_obs", "min_obs")):
+        if resolved[key] != getattr(table.config, table_key):
+            raise ValidationError(
+                f"--{key.replace('_', '-')} {resolved[key]:g} differs from the table's "
+                f"{table_key} {getattr(table.config, table_key):g}")
+    _out_dir(resolved)
     workers = _workers(resolved)
-    started = time.monotonic()
     report = r_scan(
         table,
         r_values=resolved["r_values"],
@@ -514,12 +520,7 @@ def cmd_rscan(args):
         n_obs=resolved["n_obs"],
         workers=workers,
     )
-    config = {k: resolved[k] for k in
-              ("table", "r_values", "kappa_values", "n_per_cell", "dt", "n_obs",
-               "methods", "epsilon", "seed")}
-    _emit(out, "rscan.csv", lambda p: io.write_rscan_csv(p, report.records),
-          "rscan", config, started)
-    io.write_sidecar(out / "rscan.csv", "rscan", config)
+    _emit(resolved, "rscan.csv", lambda p: io.write_rscan_csv(p, report.records))
     scanned = {record.r_value for record in report.records}
     for method in resolved["methods"]:
         for r_value in resolved["r_values"]:
@@ -529,7 +530,7 @@ def cmd_rscan(args):
             err = report.mean_error_at(method, r_value, "lambda")
             print(f"{method}: R={r_value:g} lambda error {err:.4g}")
     if resolved["gnuplot"]:
-        (out / "rscan.gp").write_text(io.gnuplot_rscan("rscan.csv"))
+        _emit(resolved, "rscan.gp", io.gnuplot_rscan("rscan.csv"))
     if resolved["check"]:
         r_lo, r_hi = min(resolved["r_values"]), max(resolved["r_values"])
         for r_value in (r_lo, r_hi):
@@ -566,8 +567,7 @@ def cmd_directfit(args):
     }
     print(json.dumps(payload, indent=2))
     if resolved["out"]:
-        out = _out_dir(resolved)
-        (out / "directfit.json").write_text(json.dumps(payload, indent=2) + "\n")
+        _emit(resolved, "directfit.json", _json(payload))
     return EXIT_OK
 
 
@@ -593,10 +593,8 @@ ORACLE_DENSITIES = {
 
 def cmd_oracle_check(args):
     resolved = vars(args)
-    out = _out_dir(resolved)
+    _out_dir(resolved)
     n_draws = resolved["n_draws"]
-    started = time.monotonic()
-    config = {"n_draws": n_draws, "seed": resolved["seed"]}
     failures = []
     results = {}
     for name, settings in ORACLE_SETTINGS.items():
@@ -615,15 +613,13 @@ def cmd_oracle_check(args):
                 "ks_critical": check.critical,
                 "passed": ok,
             }
-            stem = f"density_{name.lower()}_{index}"
-            io.write_density_grid_csv(out / f"{stem}.csv", grid)
+            _emit(resolved, f"density_{name.lower()}_{index}.csv",
+                  lambda p: io.write_density_grid_csv(p, grid), sidecar=False)
             print(f"{label}: normalization {norm:.8f}, KS {check.ks_distance:.5f} "
                   f"(crit {check.critical:.5f}) -> {'pass' if ok else 'FAIL'}")
             if not ok:
                 failures.append(label)
-    (out / "oracle_check.json").write_text(json.dumps(results, indent=2) + "\n")
-    io.append_manifest(out, out / "oracle_check.json", "oracle-check", config,
-                       time.monotonic() - started)
+    _emit(resolved, "oracle_check.json", _json(results))
     if failures:
         raise CheckFailure("density checks failed: " + ", ".join(failures))
     return EXIT_OK
@@ -646,6 +642,7 @@ COMMANDS = {
 def main(argv=None):
     try:
         args = _parse(argv)
+        args.started = time.monotonic()  # each manifest duration counts from here
         return COMMANDS[args.command](args)
     except (ValidationError, SchemaError) as exc:
         print(f"error: {exc}", file=sys.stderr)

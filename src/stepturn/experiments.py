@@ -262,8 +262,9 @@ class CoverageReport:
     records: list[ReplicateRecord] = field(repr=False, default_factory=list)
 
 
-def coverage_report(crossval, alpha=0.95):
-    """Assemble the coverage diagnostics from cross-validation records."""
+def coverage_report(crossval):
+    """Assemble the coverage diagnostics from cross-validation records; the
+    report's ``alpha`` is the HPD mass the records were computed at."""
     records = crossval.records
     coverage, p_values, ks_stat, ks_p, histogram = {}, {}, {}, {}, {}
     for key, recs in _by_cell(records).items():
@@ -279,7 +280,7 @@ def coverage_report(crossval, alpha=0.95):
         ks_statistic=ks_stat,
         ks_pvalue=ks_p,
         histogram=histogram,
-        alpha=alpha,
+        alpha=crossval.alpha,
         records=records,
     )
 

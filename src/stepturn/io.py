@@ -4,7 +4,7 @@ Floats are written with 17 significant digits so every file round-trips
 bit-exactly. Every CSV is written by ``_write_csv`` and read by
 ``_read_csv``: a reader accepts only the exact header of its schema and
 one field per column in each row, and raises SchemaError, naming the
-file, on any fault. Each artifact gets a JSON sidecar (same stem, ``.json``)
+file, on any fault. Each CSV gets a JSON sidecar (same stem, ``.json``)
 carrying the full producing configuration; the table and posterior
 readers also raise SchemaError when the sidecar is missing, is not a JSON
 object or lacks a key they read, and the table reader when a setting it

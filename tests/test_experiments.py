@@ -193,6 +193,13 @@ class TestEmpiricalCoverage:
         with pytest.raises(ValueError, match="no replicate records"):
             empirical_coverage([])
 
+    def test_report_alpha_is_the_records_hpd_mass(self):
+        from stepturn.experiments import CrossValReport, ReplicateRecord, coverage_report
+        records = [ReplicateRecord("rejection", 0.1, i, "kappa", 5.0, 5.0, 4.0, 6.0, 0.5)
+                   for i in range(4)]
+        report = coverage_report(CrossValReport(records, 4, ("rejection",), (0.1,), 0.8))
+        assert report.alpha == 0.8
+
 
 class TestCrossValidate:
     def test_nearest_neighbour_oracle(self):

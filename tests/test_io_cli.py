@@ -205,6 +205,44 @@ class TestCliReftable:
         assert cli.main(["reftable", "--n-sims", "0", "--out", str(tmp_path)]) == \
             cli.EXIT_VALIDATION
 
+    def test_shard_size_zero_validation(self, tmp_path, capsys):
+        assert cli.main(["reftable", "--n-sims", "20", "--shard-size", "0",
+                         "--out", str(tmp_path)]) == cli.EXIT_VALIDATION
+        assert "--shard-size must be >= 1, got 0" in capsys.readouterr().err
+        assert not (tmp_path / "shards").exists()
+
+    @pytest.mark.parametrize("recorded", [0, None])
+    def test_resume_refuses_shards_of_another_simulator(self, recorded, tmp_path, capsys):
+        from stepturn.inference import SIMULATOR_VERSION
+
+        base = ["reftable", "--n-sims", "40", "--min-obs", "40", "--shard-size", "20",
+                "--seed", "9", "--out", str(tmp_path)]
+        assert cli.main(base) == 0
+        state_file = tmp_path / "shards" / "shards.json"
+        state = json.loads(state_file.read_text())
+        assert state["simulator_version"] == SIMULATOR_VERSION
+        if recorded is None:  # written before shards.json recorded the version
+            del state["simulator_version"]
+        else:
+            state["simulator_version"] = recorded
+        state_file.write_text(json.dumps(state))
+        capsys.readouterr()
+        assert cli.main(base) == cli.EXIT_VALIDATION
+        assert (f"built by simulator version {recorded}, this is version {SIMULATOR_VERSION}"
+                in capsys.readouterr().err)
+
+    def test_resume_progress_counts_missing_shards_once(self, tmp_path, capsys):
+        base = ["reftable", "--n-sims", "60", "--min-obs", "40", "--shard-size", "20",
+                "--seed", "9", "--out", str(tmp_path)]
+        assert cli.main(base) == 0
+        # a shard recorded in shards.json whose file is gone is built again
+        (tmp_path / "shards" / "shard_00001.npz").unlink()
+        capsys.readouterr()
+        assert cli.main(base) == 0
+        progress = [line for line in capsys.readouterr().out.splitlines()
+                    if line.startswith("shard ")]
+        assert progress == ["shard shard_00001.npz: 20 rows (3/3)"]
+
 
 class TestCliFit:
     def test_self_recovery(self, tmp_path, capsys):
@@ -302,6 +340,38 @@ class TestCliExperiments:
         assert cli.main(no_tracks) == cli.EXIT_RUNTIME
         assert "n_per_cell must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--dt", "0.25", "--dt 0.25 differs from the table's dt 0.5"),
+        ("--n-obs", "100", "--n-obs 100 differs from the table's min_obs 60"),
+    ])
+    def test_rscan_observation_design_must_match_table(self, flag, value, message, tmp_path,
+                                                       capsys):
+        table = generate_reference_table(PriorSpec(), 40, SMALL_SIM, seed=16)
+        table_path = tmp_path / "table.csv"
+        st_io.write_reference_table(table_path, table)
+        argv = ["rscan", "--table", str(table_path), "--r-values", "0.5", "--kappa-values",
+                "25", "--n-per-cell", "2", "--dt", "0.5", "--n-obs", "60", "--methods",
+                "rejection", "--epsilon", "0.2", flag, value, "--out", str(tmp_path / "r")]
+        assert cli.main(argv) == cli.EXIT_VALIDATION
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
+    def test_coverage_draws_truths_from_the_whole_table(self, tmp_path):
+        # 9 of the 24 rows lie in the corner kappa <= 70, lambda <= 25
+        table = generate_reference_table(PriorSpec(), 24, SMALL_SIM, seed=24)
+        table_path = tmp_path / "table.csv"
+        st_io.write_reference_table(table_path, table)
+        holdout = ["--table", str(table_path), "--methods", "rejection", "--epsilons", "0.25",
+                   "--n-rep", "12", "--seed", "4"]
+        assert cli.main(["coverage", *holdout, "--out", str(tmp_path / "cov")]) == cli.EXIT_OK
+        assert cli.main(["crossval", *holdout, "--no-constraint",
+                         "--out", str(tmp_path / "cv")]) == cli.EXIT_OK
+        assert (tmp_path / "cov" / "coverage.csv").read_bytes() == \
+            (tmp_path / "cv" / "crossval.csv").read_bytes()
+        # a bound that is given still applies
+        assert cli.main(["coverage", *holdout, "--kappa-max", "70", "--lambda-max", "25",
+                         "--out", str(tmp_path / "corner")]) == cli.EXIT_RUNTIME
+
     def test_coverage_check_failure_exit_code(self, tmp_path, monkeypatch):
         # engineer records whose coverage is far below the 0.90 gate
         table = generate_reference_table(PriorSpec(), 60, SMALL_SIM, seed=18)
@@ -332,7 +402,7 @@ class TestCliExperiments:
         out = tmp_path / "cov"
         assert cli.main(["coverage", "--table", str(table_path), "--methods", "rejection",
                          "loclinear", "--epsilons", "0.3", "--n-rep", "6",
-                         "--no-constraint", "--seed", "3", "--out", str(out)]) == 0
+                         "--seed", "3", "--out", str(out)]) == 0
         rows = st_io.read_crossval_csv(out / "coverage.csv")
         assert len(rows) == 2 * 6 * 2  # methods x reps x params
         summary = json.loads((out / "coverage_summary.json").read_text())
@@ -416,7 +486,9 @@ PARSED_DEFAULTS = {
     "fit": {"table": None, "track": None, "summary": None, "method": "loclinear",
             "epsilon": 0.001, "transform": "none", "out": None},
     "crossval": {**HOLDOUT_DEFAULTS, "epsilons": [0.1, 0.01, 0.005, 0.001]},
-    "coverage": {**HOLDOUT_DEFAULTS, "epsilons": [0.1, 0.001]},
+    "coverage": {"table": None, "methods": ALL_METHODS, "epsilons": [0.1, 0.001], "n_rep": 100,
+                 "kappa_max": None, "lambda_max": None, "seed": 0, "out": None,
+                 "workers": None, "check": False, "gnuplot": False},
     "rscan": {"table": None, "r_values": [0.25, 1.0, 4.5], "kappa_values": [10.0, 40.0, 70.0],
               "n_per_cell": 50, "dt": 0.5, "n_obs": 1500, "methods": ALL_METHODS,
               "epsilon": 0.001, "seed": 0, "out": None, "workers": None, "check": False,
@@ -472,3 +544,91 @@ class TestCliFlags:
         argv = [command, "--config", str(path), "--out", str(tmp_path / "out")]
         assert cli.main(argv) == cli.EXIT_VALIDATION
         assert capsys.readouterr().err.startswith(f"error: config file {path}: {message}")
+
+
+# Every subcommand on small fixed inputs. Each run starts in a directory that
+# holds the inputs and names them by relative paths, so its recorded config is
+# the same wherever the test runs.
+CLI_RUNS = {
+    "simulate": ["--kappa", "20", "--lambda", "2", "--n-obs", "80", "--seed", "7"],
+    "observe": ["--latent", "latent.csv", "--n-obs", "60"],
+    "summarize": ["--track", "track.csv"],
+    "reftable": ["--n-sims", "40", "--min-obs", "40", "--shard-size", "20", "--seed", "9"],
+    "fit": ["--table", "table.csv", "--track", "track.csv", "--method", "rejection",
+            "--epsilon", "0.25"],
+    "crossval": ["--table", "table.csv", "--methods", "rejection", "--epsilons", "0.3",
+                 "--n-rep", "3", "--seed", "5", "--gnuplot"],
+    "coverage": ["--table", "table.csv", "--methods", "rejection", "--epsilons", "0.3",
+                 "--n-rep", "3", "--seed", "5", "--gnuplot"],
+    "rscan": ["--table", "table.csv", "--r-values", "0.5", "--kappa-values", "25",
+              "--n-per-cell", "2", "--n-obs", "60", "--methods", "rejection",
+              "--epsilon", "0.2", "--seed", "17", "--gnuplot"],
+    "directfit": ["--latent", "latent.csv"],
+    "oracle-check": ["--n-draws", "5000"],
+}
+
+
+def run_on_fixed_inputs(command, tmp_path, monkeypatch):
+    """Run ``command`` with its CLI_RUNS arguments; returns its --out directory."""
+    table = generate_reference_table(PriorSpec(), 80, SMALL_SIM, seed=2)
+    st_io.write_reference_table(tmp_path / "table.csv", table)
+    latent, track = simulate_track()
+    st_io.write_latent_csv(tmp_path / "latent.csv", latent)
+    st_io.write_track_csv(tmp_path / "track.csv", track)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "ORACLE_SETTINGS", {"f_V": [{"kappa": 2.0}]})
+    assert cli.main([command, *CLI_RUNS[command], "--out", "out"]) == cli.EXIT_OK
+    return tmp_path / "out"
+
+
+# sha256 of each command's recorded config (io.config_digest) for its CLI_RUNS
+# arguments, and the files that hold that config; all but two were computed
+# when each command still listed its config keys by hand. coverage's changed
+# when it lost --no-constraint and its default bounds; directfit recorded none.
+PINNED_CONFIG = {
+    "simulate": ("bf1cc807440e92a4b3cec202ff1d4447cdb550593fe517fadb227568019bfea4",
+                 ["latent.json", "track.json"]),
+    "observe": ("c21cb0e235c47d18668df9d5920d809c2519966c1703da6e3d8d2ebb82460131",
+                ["track.json"]),
+    "summarize": ("25520b50a400739d8a0452b3e90b3cf6e2609a11841a05f8c93d260785518152",
+                  ["summary.json"]),
+    "reftable": ("7d282543fc9d1dbc6fad08254f6ca2075313df07a956f66905fa7d2d06f80c54",
+                 ["shards/shards.json"]),
+    "fit": ("a6749e9a042ccb233860efd105b39004142b9f62ac1dc79f78491cbf6fbe1c61",
+            ["posterior.json"]),
+    "crossval": ("9094e46a2e418078eb5d870d54bb3e69f113460abaddaf0928a909d05e78266d",
+                 ["crossval.json"]),
+    "coverage": ("fb7609627b5203dd841bb55eb1248ce6ac186640599e1949fa01ef4c6585e822",
+                 ["coverage.json"]),
+    "rscan": ("f540b79e8d495776bdf324d5c0731d3dbcecfc9565ce5287fda99f840150b56b",
+              ["rscan.json"]),
+    "directfit": ("7872d960416e284d6cab0308ee3252addcc00349494870bfc19a789e6c7adfca", []),
+    "oracle-check": ("23e8a74262af077500e95cb61b1f6ea68feeb13fe4368118364f9edc69bca20f", []),
+}
+
+
+def manifest_records(out):
+    return [json.loads(line) for line in (out / "manifest.jsonl").read_text().splitlines()]
+
+
+class TestProvenance:
+    @pytest.mark.parametrize("command", sorted(CLI_RUNS))
+    def test_every_artifact_is_in_the_manifest(self, command, tmp_path, monkeypatch):
+        out = run_on_fixed_inputs(command, tmp_path, monkeypatch)
+        files = {path for path in out.rglob("*") if path.is_file()
+                 and path.relative_to(out).parts[0] not in ("manifest.jsonl", "shards")}
+        sidecars = {path.with_suffix(".json") for path in files if path.suffix == ".csv"}
+        assert sidecars <= files  # every CSV has its sidecar
+        expected = sorted((str(path.resolve()), st_io.sha256_file(path))
+                          for path in files - sidecars)
+        found = sorted((record["path"], record["sha256"]) for record in manifest_records(out))
+        assert found == expected
+
+    @pytest.mark.parametrize("command", sorted(CLI_RUNS))
+    def test_recorded_config_is_pinned(self, command, tmp_path, monkeypatch):
+        out = run_on_fixed_inputs(command, tmp_path, monkeypatch)
+        digest, holders = PINNED_CONFIG[command]
+        assert {record["config_sha256"] for record in manifest_records(out)} == {digest}
+        for name in holders:
+            config = json.loads((out / name).read_text())["config"]
+            assert st_io.config_digest(config) == digest

@@ -17,18 +17,16 @@ scan = r_scan(
     r_values=(0.25, 1.0, 2.0, 4.5),
     kappa_values=(20.0, 50.0),
     n_per_cell=10,
-    dt=0.5,
     methods=("rejection", "loclinear"),
     epsilon=0.01,
     seed=21,
-    n_obs=300,
     workers=2,
 )
 
 print(f"\nlambda prediction error by R (10 tracks per cell, truth lambda = R / dt):")
 print(f"{'R':>5} {'lambda':>7} | {'rejection':>10} {'loclinear':>10}")
 for r_value in (0.25, 1.0, 2.0, 4.5):
-    line = f"{r_value:5.2f} {r_value / 0.5:7.1f} |"
+    line = f"{r_value:5.2f} {r_value / sim.dt:7.1f} |"
     for method in ("rejection", "loclinear"):
         line += f" {scan.mean_error_at(method, r_value, 'lambda'):10.3f}"
     print(line)

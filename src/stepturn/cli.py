@@ -164,8 +164,6 @@ def build_parser():
     p.add_argument("--kappa-values", type=float, nargs="+", default=[10.0, 40.0, 70.0],
                    help="true kappa of each cell")
     p.add_argument("--n-per-cell", type=int, default=50, help="tracks per (R, kappa) cell")
-    p.add_argument("--dt", type=float, default=0.5, help="observation interval")
-    p.add_argument("--n-obs", type=int, default=1500, help="observations per track")
     p.add_argument("--methods", nargs="+", default=list(METHODS), choices=METHODS,
                    help="ABC methods")
     p.add_argument("--epsilon", type=float, default=0.001, help="accepted table fraction")
@@ -232,10 +230,18 @@ def _config_tokens(subparser, config):
 
 
 def _workers(resolved):
-    if resolved.get("workers"):
-        return int(resolved["workers"])
+    """--workers, else $STEPTURN_WORKERS, else 1; each must be a positive integer."""
+    workers = resolved.get("workers")
+    if workers is not None:
+        if workers < 1:
+            raise ValidationError(f"--workers must be >= 1, got {workers}")
+        return workers
     env = os.environ.get(WORKERS_ENV)
-    return int(env) if env else 1
+    if not env:
+        return 1
+    if not env.isdecimal() or int(env) < 1:
+        raise ValidationError(f"${WORKERS_ENV} must be a positive integer, got {env!r}")
+    return int(env)
 
 
 def _out_dir(resolved):
@@ -332,8 +338,8 @@ def cmd_reftable(args):
     for key in ("n_sims", "shard_size"):
         if resolved[key] < 1:
             raise ValidationError(f"--{key.replace('_', '-')} must be >= 1, got {resolved[key]}")
-    out = _out_dir(resolved)
     workers = _workers(resolved)
+    out = _out_dir(resolved)
     prior = PriorSpec(tuple(resolved["kappa_range"]), tuple(resolved["lambda_range"]))
     sim = SimConfig(dt=resolved["dt"], min_obs=resolved["min_obs"])
     table = _sharded_reftable(out, prior, sim, resolved, workers)
@@ -424,9 +430,9 @@ def cmd_fit(args):
 
 def _holdout_run(resolved):
     """The held-out fits of crossval and coverage; an unset bound is no bound."""
+    workers = _workers(resolved)
     table = io.read_reference_table(_input(resolved, "table"))
     _out_dir(resolved)
-    workers = _workers(resolved)
     bounds = (resolved["kappa_max"], resolved["lambda_max"])
     constraint = (None if resolved.get("no_constraint")
                   else tuple(math.inf if bound is None else bound for bound in bounds))
@@ -499,25 +505,17 @@ def cmd_coverage(args):
 
 def cmd_rscan(args):
     resolved = vars(args)
-    table = io.read_reference_table(_input(resolved, "table"))
-    # the tracks must be observed as the table's rows were, or no row is near them
-    for key, table_key in (("dt", "dt"), ("n_obs", "min_obs")):
-        if resolved[key] != getattr(table.config, table_key):
-            raise ValidationError(
-                f"--{key.replace('_', '-')} {resolved[key]:g} differs from the table's "
-                f"{table_key} {getattr(table.config, table_key):g}")
-    _out_dir(resolved)
     workers = _workers(resolved)
+    table = io.read_reference_table(_input(resolved, "table"))
+    _out_dir(resolved)
     report = r_scan(
         table,
         r_values=resolved["r_values"],
         kappa_values=resolved["kappa_values"],
         n_per_cell=resolved["n_per_cell"],
-        dt=resolved["dt"],
         methods=resolved["methods"],
         epsilon=resolved["epsilon"],
         seed=resolved["seed"],
-        n_obs=resolved["n_obs"],
         workers=workers,
     )
     _emit(resolved, "rscan.csv", lambda p: io.write_rscan_csv(p, report.records))

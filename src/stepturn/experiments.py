@@ -144,32 +144,37 @@ class CrossValReport:
         return md_index([r.truth for r in recs], [r.median for r in recs])
 
 
+def _fits(table, s_obs, methods, epsilons):
+    """Yield ``(method, epsilon, posterior)`` for every pair, fitted against
+    ``table``; the methods share one rejection pass per epsilon."""
+    accepted = [abc_reject(table, s_obs, epsilon) for epsilon in epsilons]
+    for method in methods:
+        for epsilon, sample in zip(epsilons, accepted):
+            yield method, epsilon, adjust(sample, s_obs, method)
+
+
 def _crossval_replicate(context, task):
     rep, row = task
-    table, methods, epsilons, alpha, net_config = context
+    table, methods, epsilons, alpha = context
     truth = table.params[row]
     s_obs = table.summaries[row]
-    sub = table.without_row(row)
-    rejected = [abc_reject(sub, s_obs, epsilon) for epsilon in epsilons]
     records = []
-    for method in methods:
-        for epsilon, accepted in zip(epsilons, rejected):
-            post = adjust(accepted, s_obs, method, net_config=net_config)
-            for k, name in enumerate(PARAM_NAMES):
-                hpd_lo, hpd_hi = hpd_interval(post, k, alpha)
-                records.append(
-                    ReplicateRecord(
-                        method=method,
-                        epsilon=float(epsilon),
-                        rep=rep,
-                        param=name,
-                        truth=float(truth[k]),
-                        median=weighted_quantile(post, k, 0.5),
-                        hpd_lo=hpd_lo,
-                        hpd_hi=hpd_hi,
-                        p=coverage_pvalue(post, k, truth[k]),
-                    )
+    for method, epsilon, post in _fits(table.without_row(row), s_obs, methods, epsilons):
+        for k, name in enumerate(PARAM_NAMES):
+            hpd_lo, hpd_hi = hpd_interval(post, k, alpha)
+            records.append(
+                ReplicateRecord(
+                    method=method,
+                    epsilon=float(epsilon),
+                    rep=rep,
+                    param=name,
+                    truth=float(truth[k]),
+                    median=weighted_quantile(post, k, 0.5),
+                    hpd_lo=hpd_lo,
+                    hpd_hi=hpd_hi,
+                    p=coverage_pvalue(post, k, truth[k]),
                 )
+            )
     return records
 
 
@@ -181,7 +186,6 @@ def cross_validate(
     constraint=DEFAULT_CONSTRAINT,
     seed=0,
     alpha=0.95,
-    net_config=None,
     workers=1,
 ):
     """Leave-one-out assessment over pseudo-observations from the table.
@@ -214,7 +218,7 @@ def cross_validate(
     rng = np.random.default_rng(seed)
     chosen = rng.choice(eligible, size=n_rep, replace=False)
     tasks = [(rep, int(row)) for rep, row in enumerate(chosen)]
-    context = (table, tuple(methods), tuple(epsilons), alpha, net_config)
+    context = (table, tuple(methods), tuple(epsilons), alpha)
     results = ordered_map(_crossval_replicate, context, tasks, workers)
     records = [record for sub in results for record in sub]
     return CrossValReport(
@@ -304,9 +308,6 @@ class RScanRecord:
 class RScanReport:
     records: list[RScanRecord]
     skipped: list[tuple[float, float, str]]  # (R, kappa, reason)
-    n_per_cell: int
-    dt: float
-    epsilon: float
 
     def mean_error_at(self, method, r_value, param):
         recs = [
@@ -319,7 +320,8 @@ class RScanReport:
 
 def _rscan_cell(context, task):
     cell_index, r_value, kappa_true = task
-    table, methods, epsilon, dt, n_per_cell, n_obs, net_config, seed = context
+    table, methods, epsilon, n_per_cell, seed = context
+    dt, n_obs = table.config.dt, table.config.min_obs
     lam_true = r_value / dt
     records = []
     for rep in range(n_per_cell):
@@ -327,9 +329,7 @@ def _rscan_cell(context, task):
         params = MovementParams(kappa=kappa_true, lam=lam_true)
         path = simulate_until(params, n_obs * dt, rng)
         s_obs = summarize(observe(path, dt, n_obs)).as_array()
-        accepted = abc_reject(table, s_obs, epsilon)
-        for method in methods:
-            post = adjust(accepted, s_obs, method, net_config=net_config)
+        for method, _, post in _fits(table, s_obs, methods, (epsilon,)):
             for k, name in enumerate(PARAM_NAMES):
                 records.append(
                     RScanRecord(
@@ -350,20 +350,18 @@ def r_scan(
     r_values,
     kappa_values,
     n_per_cell=50,
-    dt=0.5,
     methods=("rejection", "loclinear", "neuralnet"),
     epsilon=0.001,
     seed=0,
-    n_obs=1500,
-    net_config=None,
     workers=1,
 ):
     """Prediction errors on fresh trajectories over a grid of R = lam * dt.
 
     Each (R, kappa) cell simulates ``n_per_cell`` trajectories with
-    lam = R / dt and fits them against the fixed reference table. Cells
-    whose implied parameters fall outside the table's prior support are
-    skipped with a warning record.
+    lam = R / dt, observes each as the table's rows were (its
+    ``config.dt`` and ``config.min_obs``), and fits them against the
+    table. Cells whose implied parameters fall outside the table's prior
+    support are skipped with a warning record.
     """
     if n_per_cell < 1:
         raise ValueError(f"n_per_cell must be >= 1, got {n_per_cell}")
@@ -372,7 +370,7 @@ def r_scan(
     cell_index = 0
     for r_value in r_values:
         for kappa_true in kappa_values:
-            lam_true = r_value / dt
+            lam_true = r_value / table.config.dt
             if not table.prior.contains(kappa_true, lam_true):
                 reason = (
                     f"implied lambda={lam_true:g} or kappa={kappa_true:g} "
@@ -383,16 +381,10 @@ def r_scan(
             else:
                 cells.append((cell_index, float(r_value), float(kappa_true)))
             cell_index += 1
-    context = (table, tuple(methods), float(epsilon), dt, n_per_cell, n_obs, net_config, seed)
+    context = (table, tuple(methods), float(epsilon), n_per_cell, seed)
     results = ordered_map(_rscan_cell, context, cells, workers)
     records = [record for sub in results for record in sub]
-    return RScanReport(
-        records=records,
-        skipped=skipped,
-        n_per_cell=n_per_cell,
-        dt=dt,
-        epsilon=float(epsilon),
-    )
+    return RScanReport(records=records, skipped=skipped)
 
 
 # ---------------------------------------------------------------------------

@@ -43,27 +43,19 @@ class MovementParams:
         von Mises concentration of the turning angles, >= 0.
     lam : float
         Rate of direction changes (1/time), > 0.
-    nu : float, optional
-        Mean turning angle. Fixed at 0 unless ``allow_extensions``.
-    allow_extensions : bool, optional
-        Permit a non-zero ``nu`` (off the beaten track of the reference
-        configuration).
 
-    The walker always travels at unit speed, as in the paper.
+    The walker always travels at unit speed and its mean turning angle
+    is 0, as in the paper.
     """
 
     kappa: float
     lam: float
-    nu: float = 0.0
-    allow_extensions: bool = False
 
     def __post_init__(self):
         if not np.isfinite(self.kappa) or self.kappa < 0:
             raise ValueError(f"kappa must be finite and >= 0, got {self.kappa}")
         if not np.isfinite(self.lam) or self.lam <= 0:
             raise ValueError(f"lam must be finite and > 0, got {self.lam}")
-        if not self.allow_extensions and self.nu != 0.0:
-            raise ValueError(f"nu != 0 requires allow_extensions=True; got nu={self.nu}")
 
 
 @dataclass(frozen=True)
@@ -164,8 +156,8 @@ def sample_exponential(lam, rng, size=None):
         draws[bad] = rng.exponential(scale=1.0 / lam, size=int(bad.sum()))
 
 
-def sample_von_mises(kappa, nu, rng, size=None):
-    """Draw turning angle(s) from vM(nu, kappa), wrapped to (-pi, pi].
+def sample_von_mises(kappa, rng, size=None):
+    """Draw turning angle(s) from vM(0, kappa), wrapped to (-pi, pi].
 
     kappa = 0 degenerates to the uniform distribution on the circle. The
     underlying sampler is the Best-Fisher rejection scheme with a wrapped
@@ -174,7 +166,7 @@ def sample_von_mises(kappa, nu, rng, size=None):
     if kappa < 0:
         raise ValueError(f"concentration must be >= 0, got {kappa}")
     rng = as_generator(rng)
-    draws = rng.vonmises(nu, kappa, size=size)
+    draws = rng.vonmises(0.0, kappa, size=size)
     return wrap_angle(draws)
 
 
@@ -221,7 +213,7 @@ def simulate_latent(params, n_steps, rng):
     rng = as_generator(rng)
     durations = sample_exponential(params.lam, rng, size=n_steps)
     if n_steps > 1:
-        turns = sample_von_mises(params.kappa, params.nu, rng, size=n_steps - 1)
+        turns = sample_von_mises(params.kappa, rng, size=n_steps - 1)
     else:
         turns = np.empty(0)
     return latent_from_steps(durations, turns)
@@ -250,7 +242,7 @@ def simulate_until(params, total_time, rng):
     n = int(np.searchsorted(cumsum, total_time, side="left")) + 1
     durations = durations[:n]
     if n > 1:
-        turns = sample_von_mises(params.kappa, params.nu, rng, size=n - 1)
+        turns = sample_von_mises(params.kappa, rng, size=n - 1)
     else:
         turns = np.empty(0)
     return latent_from_steps(durations, turns)

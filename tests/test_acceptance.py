@@ -135,8 +135,8 @@ class TestCriterion3:
     def test_rscan_trend(self, desk_table):
         scan = r_scan(
             desk_table, r_values=(0.25, 1.0, 4.5), kappa_values=(10.0, 40.0, 70.0),
-            n_per_cell=25, dt=0.5, methods=("rejection", "loclinear", "neuralnet"),
-            epsilon=0.001, seed=SEED_RSCAN, n_obs=1500, workers=2,
+            n_per_cell=25, methods=("rejection", "loclinear", "neuralnet"),
+            epsilon=0.001, seed=SEED_RSCAN, workers=2,
         )
         details = []
         passed = True
@@ -358,7 +358,7 @@ class TestCriterion11:
         table_ok = len(set(digests.values())) == 1
         table_path = tmp_path / "ref_w1_r0" / "table.csv"
         scan_args = ["rscan", "--table", str(table_path), "--r-values", "0.5", "1.0",
-                     "--kappa-values", "20", "--n-per-cell", "3", "--n-obs", "200",
+                     "--kappa-values", "20", "--n-per-cell", "3",
                      "--methods", "rejection", "loclinear", "--epsilon", "0.1",
                      "--seed", "22"]
         scan_digests = set()

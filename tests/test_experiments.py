@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -325,14 +326,22 @@ class TestRScan:
 
         table = synthetic_table(60, seed=20, summary_fn=summary_fn)
         report = r_scan(table, r_values=[1.0], kappa_values=[20.0], n_per_cell=2,
-                        dt=0.5, methods=("rejection",), epsilon=0.2, seed=21, n_obs=60)
+                        methods=("rejection",), epsilon=0.2, seed=21)
         lam_records = [r for r in report.records if r.param == "lambda"]
         assert all(r.truth == 2.0 for r in lam_records)  # R / dt = 1 / 0.5
 
+    def test_observes_as_the_table_does(self):
+        table = replace(synthetic_table(60, seed=28), config=SimConfig(dt=0.25, min_obs=80))
+        report = r_scan(table, r_values=[0.5, 2.0], kappa_values=[20.0], n_per_cell=2,
+                        methods=("rejection",), epsilon=0.2, seed=29)
+        lam_records = [r for r in report.records if r.param == "lambda"]
+        assert len(lam_records) == 4
+        assert all(r.truth == r.r_value / 0.25 for r in lam_records)
+
     def test_determinism(self):
         table = synthetic_table(60, seed=22)
-        kwargs = dict(r_values=[0.5], kappa_values=[30.0], n_per_cell=2, dt=0.5,
-                      methods=("rejection",), epsilon=0.2, seed=23, n_obs=60)
+        kwargs = dict(r_values=[0.5], kappa_values=[30.0], n_per_cell=2,
+                      methods=("rejection",), epsilon=0.2, seed=23)
         a = r_scan(table, **kwargs)
         b = r_scan(table, **kwargs)
         assert a.records == b.records
@@ -342,15 +351,15 @@ class TestRScan:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             report = r_scan(table, r_values=[30.0], kappa_values=[20.0], n_per_cell=2,
-                            dt=0.5, methods=("rejection",), epsilon=0.2, seed=25, n_obs=60)
+                            methods=("rejection",), epsilon=0.2, seed=25)
         assert len(report.records) == 0
         assert len(report.skipped) == 1
         assert any("outside prior support" in str(w.message) for w in caught)
 
     def test_worker_invariance(self):
         table = synthetic_table(60, seed=26)
-        kwargs = dict(r_values=[0.5, 1.0], kappa_values=[30.0], n_per_cell=2, dt=0.5,
-                      methods=("rejection",), epsilon=0.2, seed=27, n_obs=60)
+        kwargs = dict(r_values=[0.5, 1.0], kappa_values=[30.0], n_per_cell=2,
+                      methods=("rejection",), epsilon=0.2, seed=27)
         assert r_scan(table, workers=1, **kwargs).records == r_scan(
             table, workers=3, **kwargs).records
 

@@ -311,8 +311,8 @@ class TestCliExperiments:
         table_path = tmp_path / "table.csv"
         st_io.write_reference_table(table_path, table)
         base = ["rscan", "--table", str(table_path), "--r-values", "0.5", "--kappa-values",
-                "25", "--n-per-cell", "2", "--n-obs", "60", "--methods", "rejection",
-                "--epsilon", "0.2", "--seed", "17"]
+                "25", "--n-per-cell", "2", "--methods", "rejection", "--epsilon", "0.2",
+                "--seed", "17"]
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
         assert cli.main(base + ["--out", str(out1), "--workers", "1"]) == 0
         assert cli.main(base + ["--out", str(out2), "--workers", "8"]) == 0
@@ -324,8 +324,8 @@ class TestCliExperiments:
         table_path = tmp_path / "table.csv"
         st_io.write_reference_table(table_path, table)
         base = ["rscan", "--table", str(table_path), "--r-values", "0.5", "2", "60",
-                "--kappa-values", "20", "--n-per-cell", "2", "--n-obs", "60",
-                "--methods", "rejection", "--epsilon", "0.2", "--seed", "17"]
+                "--kappa-values", "20", "--n-per-cell", "2", "--methods", "rejection",
+                "--epsilon", "0.2", "--seed", "17"]
         with pytest.warns(UserWarning, match="skipping cell R=60"):
             assert cli.main(base + ["--out", str(tmp_path / "r1")]) == cli.EXIT_OK
         out = capsys.readouterr().out
@@ -339,22 +339,6 @@ class TestCliExperiments:
         no_tracks = base + ["--out", str(tmp_path / "r3"), "--n-per-cell", "0"]
         assert cli.main(no_tracks) == cli.EXIT_RUNTIME
         assert "n_per_cell must be >= 1" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("flag,value,message", [
-        ("--dt", "0.25", "--dt 0.25 differs from the table's dt 0.5"),
-        ("--n-obs", "100", "--n-obs 100 differs from the table's min_obs 60"),
-    ])
-    def test_rscan_observation_design_must_match_table(self, flag, value, message, tmp_path,
-                                                       capsys):
-        table = generate_reference_table(PriorSpec(), 40, SMALL_SIM, seed=16)
-        table_path = tmp_path / "table.csv"
-        st_io.write_reference_table(table_path, table)
-        argv = ["rscan", "--table", str(table_path), "--r-values", "0.5", "--kappa-values",
-                "25", "--n-per-cell", "2", "--dt", "0.5", "--n-obs", "60", "--methods",
-                "rejection", "--epsilon", "0.2", flag, value, "--out", str(tmp_path / "r")]
-        assert cli.main(argv) == cli.EXIT_VALIDATION
-        assert message in capsys.readouterr().err
-        assert not (tmp_path / "r").exists()
 
     def test_coverage_draws_truths_from_the_whole_table(self, tmp_path):
         # 9 of the 24 rows lie in the corner kappa <= 70, lambda <= 25
@@ -432,8 +416,8 @@ class TestCliExperiments:
         table_path = tmp_path / "table.csv"
         st_io.write_reference_table(table_path, table)
         config = {"r_values": [0.5, 2.0], "kappa_values": [25.0], "n_per_cell": 2,
-                  "n_obs": 60, "methods": ["rejection"], "epsilon": 0.2, "seed": 17,
-                  "gnuplot": True, "no_such_flag": 1}
+                  "methods": ["rejection"], "epsilon": 0.2, "seed": 17, "gnuplot": True,
+                  "no_such_flag": 1}
         config_path.write_text(json.dumps(config))
         base = ["rscan", "--config", str(config_path), "--table", str(table_path)]
         assert cli.main(base + ["--out", str(tmp_path / "r1")]) == 0
@@ -460,6 +444,11 @@ class TestCliExperiments:
         assert report["f_V[0]"]["passed"]
 
 
+# the commands that take --workers, with arguments that keep a run small
+POOLED = {"reftable": ["--n-sims", "4", "--min-obs", "40"], "crossval": [], "coverage": [],
+          "rscan": []}
+
+
 class TestWorkersEnvVar:
     def test_env_default_honoured_and_flag_overrides(self, tmp_path, monkeypatch):
         monkeypatch.setenv(cli.WORKERS_ENV, "3")
@@ -467,6 +456,26 @@ class TestWorkersEnvVar:
         assert cli._workers({"workers": 2}) == 2
         monkeypatch.delenv(cli.WORKERS_ENV)
         assert cli._workers({"workers": None}) == 1
+
+    @pytest.mark.parametrize("command", POOLED)
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_exit_1(self, command, workers, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv(cli.WORKERS_ENV, "2")
+        argv = [command, *POOLED[command], "--workers", workers, "--out", str(tmp_path / "out")]
+        assert cli.main(argv) == cli.EXIT_VALIDATION
+        assert f"--workers must be >= 1, got {workers}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", POOLED)
+    @pytest.mark.parametrize("value", ["0", "-2", "abc", "1.5"])
+    def test_env_must_be_a_positive_integer(self, command, value, tmp_path, monkeypatch,
+                                            capsys):
+        monkeypatch.setenv(cli.WORKERS_ENV, value)
+        argv = [command, *POOLED[command], "--out", str(tmp_path / "out")]
+        assert cli.main(argv) == cli.EXIT_VALIDATION
+        message = f"${cli.WORKERS_ENV} must be a positive integer, got '{value}'"
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 ALL_METHODS = ["rejection", "loclinear", "neuralnet"]
@@ -490,7 +499,7 @@ PARSED_DEFAULTS = {
                  "kappa_max": None, "lambda_max": None, "seed": 0, "out": None,
                  "workers": None, "check": False, "gnuplot": False},
     "rscan": {"table": None, "r_values": [0.25, 1.0, 4.5], "kappa_values": [10.0, 40.0, 70.0],
-              "n_per_cell": 50, "dt": 0.5, "n_obs": 1500, "methods": ALL_METHODS,
+              "n_per_cell": 50, "methods": ALL_METHODS,
               "epsilon": 0.001, "seed": 0, "out": None, "workers": None, "check": False,
               "gnuplot": False},
     "directfit": {"latent": None, "a0": 1.0, "b0": 0.0, "kappa_grid_max": 200.0,
@@ -513,7 +522,7 @@ class TestCliFlags:
         ("simulate", "--workers"), ("observe", "--seed"), ("observe", "--workers"),
         ("summarize", "--seed"), ("summarize", "--workers"), ("fit", "--seed"),
         ("fit", "--workers"), ("directfit", "--seed"), ("directfit", "--workers"),
-        ("oracle-check", "--workers"),
+        ("oracle-check", "--workers"), ("rscan", "--dt"), ("rscan", "--n-obs"),
     ])
     def test_removed_flags_exit_1(self, command, flag, capsys):
         assert cli.main([command, flag, "2"]) == cli.EXIT_VALIDATION
@@ -561,8 +570,8 @@ CLI_RUNS = {
     "coverage": ["--table", "table.csv", "--methods", "rejection", "--epsilons", "0.3",
                  "--n-rep", "3", "--seed", "5", "--gnuplot"],
     "rscan": ["--table", "table.csv", "--r-values", "0.5", "--kappa-values", "25",
-              "--n-per-cell", "2", "--n-obs", "60", "--methods", "rejection",
-              "--epsilon", "0.2", "--seed", "17", "--gnuplot"],
+              "--n-per-cell", "2", "--methods", "rejection", "--epsilon", "0.2",
+              "--seed", "17", "--gnuplot"],
     "directfit": ["--latent", "latent.csv"],
     "oracle-check": ["--n-draws", "5000"],
 }
@@ -582,9 +591,10 @@ def run_on_fixed_inputs(command, tmp_path, monkeypatch):
 
 
 # sha256 of each command's recorded config (io.config_digest) for its CLI_RUNS
-# arguments, and the files that hold that config; all but two were computed
+# arguments, and the files that hold that config; all but three were computed
 # when each command still listed its config keys by hand. coverage's changed
-# when it lost --no-constraint and its default bounds; directfit recorded none.
+# when it lost --no-constraint and its default bounds, rscan's when it lost
+# --dt and --n-obs; directfit recorded none.
 PINNED_CONFIG = {
     "simulate": ("bf1cc807440e92a4b3cec202ff1d4447cdb550593fe517fadb227568019bfea4",
                  ["latent.json", "track.json"]),
@@ -600,7 +610,7 @@ PINNED_CONFIG = {
                  ["crossval.json"]),
     "coverage": ("fb7609627b5203dd841bb55eb1248ce6ac186640599e1949fa01ef4c6585e822",
                  ["coverage.json"]),
-    "rscan": ("f540b79e8d495776bdf324d5c0731d3dbcecfc9565ce5287fda99f840150b56b",
+    "rscan": ("d46d669c5d957208a96fbbd7e26398310f8cd3e2268ab2281969a9c7b153345e",
               ["rscan.json"]),
     "directfit": ("7872d960416e284d6cab0308ee3252addcc00349494870bfc19a789e6c7adfca", []),
     "oracle-check": ("23e8a74262af077500e95cb61b1f6ea68feeb13fe4368118364f9edc69bca20f", []),
@@ -632,3 +642,9 @@ class TestProvenance:
         for name in holders:
             config = json.loads((out / name).read_text())["config"]
             assert st_io.config_digest(config) == digest
+
+    def test_rscan_csv_is_pinned(self, tmp_path, monkeypatch):
+        # computed when rscan still took --dt and --n-obs, given the table's 0.5 and 60
+        out = run_on_fixed_inputs("rscan", tmp_path, monkeypatch)
+        assert st_io.sha256_file(out / "rscan.csv") == (
+            "93c317e9bb9180138ffca055021ade26c6cc385893d9af6fadee8f85ef14301e")

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -23,18 +25,12 @@ EXAMPLE_TURNS = [0.32, 5.65, 5.81, 0.02, 0.11]  # interior turn points only
 class TestMovementParams:
     def test_defaults_fixed(self):
         params = MovementParams(kappa=3.0, lam=2.0)
-        assert params.nu == 0.0
+        assert [f.name for f in fields(params)] == ["kappa", "lam"]
 
     @pytest.mark.parametrize("kappa,lam", [(-1.0, 1.0), (1.0, 0.0), (1.0, -2.0), (np.nan, 1.0)])
     def test_invalid(self, kappa, lam):
         with pytest.raises(ValueError):
             MovementParams(kappa=kappa, lam=lam)
-
-    def test_extensions_need_flag(self):
-        with pytest.raises(ValueError):
-            MovementParams(kappa=1.0, lam=1.0, nu=0.3)
-        params = MovementParams(kappa=1.0, lam=1.0, nu=0.3, allow_extensions=True)
-        assert params.nu == 0.3
 
 
 class TestSampleExponential:
@@ -63,7 +59,7 @@ class TestSampleExponential:
 class TestSampleVonMises:
     def test_kappa_zero_uniform(self):
         rng = np.random.default_rng(3)
-        draws = sample_von_mises(0.0, 0.0, rng, size=100_000)
+        draws = sample_von_mises(0.0, rng, size=100_000)
         sorted_draws = np.sort((draws + np.pi) / (2 * np.pi))
         i = np.arange(1, len(draws) + 1)
         ks = np.max(np.maximum(i / len(draws) - sorted_draws,
@@ -72,7 +68,7 @@ class TestSampleVonMises:
 
     def test_mean_resultant_length(self):
         rng = np.random.default_rng(4)
-        draws = sample_von_mises(2.0, 0.0, rng, size=100_000)
+        draws = sample_von_mises(2.0, rng, size=100_000)
         resultant = np.hypot(np.cos(draws).mean(), np.sin(draws).mean())
         target = bessel_ratio_series(2.0)
         assert abs(target - 0.697775) < 1e-6  # series oracle sanity
@@ -81,21 +77,21 @@ class TestSampleVonMises:
 
     def test_high_concentration_mean(self):
         rng = np.random.default_rng(5)
-        draws = sample_von_mises(50.0, 0.0, rng, size=20_000)
+        draws = sample_von_mises(50.0, rng, size=20_000)
         mean_angle = np.arctan2(np.sin(draws).mean(), np.cos(draws).mean())
         assert abs(mean_angle) < 0.05
 
     def test_range_and_domain(self):
         rng = np.random.default_rng(6)
-        draws = sample_von_mises(0.7, 0.0, rng, size=50_000)
+        draws = sample_von_mises(0.7, rng, size=50_000)
         assert np.all(draws > -np.pi) and np.all(draws <= np.pi)
         with pytest.raises(ValueError):
-            sample_von_mises(-0.1, 0.0, rng)
+            sample_von_mises(-0.1, rng)
 
     def test_kappa_limit(self):
         # kappa -> inf: turning angles collapse to 0
         rng = np.random.default_rng(7)
-        draws = sample_von_mises(1e4, 0.0, rng, size=10_000)
+        draws = sample_von_mises(1e4, rng, size=10_000)
         assert np.all(np.abs(draws) < 0.1)
 
 

@@ -1,3 +1,4 @@
+import multiprocessing
 import threading
 import time
 
@@ -49,6 +50,24 @@ class TestOrderedMap:
         assert list(ordered_map(slow_early, {"delay": 0, "n": 1, "scale": 1}, [], workers)) == []
         assert list(ordered_map(under_lock, {"lock": threading.Lock(), "offset": abs},
                                 [-4], workers)) == [4]
+
+    def test_pool_no_larger_than_task_count(self, monkeypatch):
+        fork = multiprocessing.get_context("fork")
+        real_pool, sizes = fork.Pool, []
+
+        def recording_pool(processes, *args, **kwargs):
+            sizes.append(processes)
+            return real_pool(processes, *args, **kwargs)
+
+        monkeypatch.setattr(fork, "Pool", recording_pool)
+        context = {"delay": 0, "n": 5, "scale": 2}
+        assert list(ordered_map(slow_early, context, range(3), 8)) == [
+            (task, 2 * task) for task in range(3)
+        ]
+        assert list(ordered_map(slow_early, context, range(5), 2)) == [
+            (task, 2 * task) for task in range(5)
+        ]
+        assert sizes == [3, 2]
 
 
 def test_chunk_bounds_cover_rows_in_order():

@@ -13,7 +13,8 @@ spreads work over processes (default: $STEPTURN_WORKERS or 1).
 its defaults, checked as the flags are (explicit flags win). Every artifact
 is recorded in an append-only manifest, and every CSV has a JSON sidecar with
 the config that reproduces it: the command's flags less --out, --config,
---workers, --check and --gnuplot, which do not change an artifact's content.
+--workers, --check and --gnuplot, which do not change an artifact's content,
+plus the sha256 of the --table a command reads.
 """
 
 from __future__ import annotations
@@ -62,6 +63,9 @@ WORKERS_ENV = "STEPTURN_WORKERS"
 # entries of a command's namespace that do not change an artifact's content
 # ("started" is the command's start time, which main adds)
 UNRECORDED = {"command", "started", "out", "config", "workers", "check", "gnuplot"}
+
+# flags that count rows, replicates or tracks, each at least 1
+COUNT_FLAGS = ("n_sims", "shard_size", "n_rep", "n_per_cell")
 
 
 class ValidationError(ValueError):
@@ -205,7 +209,14 @@ def _parse(argv):
         # edits flag objects that subcommands share, hence a fresh parser per call
         subparser.set_defaults(**{key: checked[key] for key in config.keys() & checked})
         args = parser.parse_args(argv)
+    _check_counts(vars(args))
     return args
+
+
+def _check_counts(resolved):
+    for key in COUNT_FLAGS:
+        if resolved.get(key, 1) < 1:
+            raise ValidationError(f"--{key.replace('_', '-')} must be >= 1, got {resolved[key]}")
 
 
 def _config_tokens(subparser, config):
@@ -261,6 +272,14 @@ def _input(resolved, key):
     if not Path(path).exists():
         raise ValidationError(f"{key} not found: {path}")
     return path
+
+
+def _table(resolved):
+    """The reference table named by --table; its sha256 joins the recorded
+    config, so an artifact names the table by content as well as by path."""
+    path = _input(resolved, "table")
+    resolved["table_sha256"] = io.sha256_file(path)
+    return io.read_reference_table(path)
 
 
 def _recorded_config(resolved):
@@ -335,9 +354,6 @@ def cmd_summarize(args):
 
 def cmd_reftable(args):
     resolved = vars(args)
-    for key in ("n_sims", "shard_size"):
-        if resolved[key] < 1:
-            raise ValidationError(f"--{key.replace('_', '-')} must be >= 1, got {resolved[key]}")
     workers = _workers(resolved)
     out = _out_dir(resolved)
     prior = PriorSpec(tuple(resolved["kappa_range"]), tuple(resolved["lambda_range"]))
@@ -407,7 +423,7 @@ def _sharded_reftable(out, prior, sim, resolved, workers):
 
 def cmd_fit(args):
     resolved = vars(args)
-    table = io.read_reference_table(_input(resolved, "table"))
+    table = _table(resolved)
     if bool(resolved["track"]) == bool(resolved["summary"]):
         raise ValidationError("fit requires exactly one of --track or --summary")
     if resolved["track"]:
@@ -431,7 +447,7 @@ def cmd_fit(args):
 def _holdout_run(resolved):
     """The held-out fits of crossval and coverage; an unset bound is no bound."""
     workers = _workers(resolved)
-    table = io.read_reference_table(_input(resolved, "table"))
+    table = _table(resolved)
     _out_dir(resolved)
     bounds = (resolved["kappa_max"], resolved["lambda_max"])
     constraint = (None if resolved.get("no_constraint")
@@ -443,6 +459,10 @@ def _holdout_run(resolved):
 
 def cmd_crossval(args):
     resolved = vars(args)
+    if resolved["check"]:
+        if "rejection" not in resolved["methods"]:
+            raise ValidationError("--check compares rejection errors; --methods lacks rejection")
+        _check_distinct(resolved, "epsilons")
     report = _holdout_run(resolved)
     _emit(resolved, "crossval.csv", lambda p: io.write_crossval_csv(p, report.records))
     metrics = {}
@@ -461,16 +481,22 @@ def cmd_crossval(args):
         _emit(resolved, "crossval.gp", io.gnuplot_crossval("crossval.csv"))
     if resolved["check"]:
         eps_sorted = sorted(report.epsilons, reverse=True)
-        if "rejection" in report.methods and len(eps_sorted) >= 2:
-            for param in ("kappa", "lambda"):
-                coarse = report.prediction_error("rejection", eps_sorted[0], param)
-                fine = report.prediction_error("rejection", eps_sorted[-1], param)
-                if not coarse > fine:
-                    raise CheckFailure(
-                        f"rejection {param} error at eps={eps_sorted[0]:g} ({coarse:.4g}) "
-                        f"does not exceed eps={eps_sorted[-1]:g} ({fine:.4g})"
-                    )
+        for param in ("kappa", "lambda"):
+            coarse = report.prediction_error("rejection", eps_sorted[0], param)
+            fine = report.prediction_error("rejection", eps_sorted[-1], param)
+            if not coarse > fine:
+                raise CheckFailure(
+                    f"rejection {param} error at eps={eps_sorted[0]:g} ({coarse:.4g}) "
+                    f"does not exceed eps={eps_sorted[-1]:g} ({fine:.4g})"
+                )
     return EXIT_OK
+
+
+def _check_distinct(resolved, key):
+    """--check compares the smallest and the largest of the --<key> values."""
+    if len(set(resolved[key])) < 2:
+        raise ValidationError(f"--check needs two distinct --{key.replace('_', '-')}, "
+                              f"got {' '.join(f'{v:g}' for v in resolved[key])}")
 
 
 def cmd_coverage(args):
@@ -505,8 +531,10 @@ def cmd_coverage(args):
 
 def cmd_rscan(args):
     resolved = vars(args)
+    if resolved["check"]:
+        _check_distinct(resolved, "r_values")
     workers = _workers(resolved)
-    table = io.read_reference_table(_input(resolved, "table"))
+    table = _table(resolved)
     _out_dir(resolved)
     report = r_scan(
         table,

@@ -1,6 +1,11 @@
 """Evaluation protocol: cross-validation metrics, coverage diagnostics,
 observation-scale scans, and a direct conjugate/grid fit on decomposed
 steps and turns.
+
+Cross-validation and the r-scan return flat records, one per (method,
+epsilon or R, replicate, parameter). Their reports group the records once,
+into ``cells`` keyed by (method, epsilon or R, parameter); the prediction
+error, the MD index and the coverage diagnostics each read one cell.
 """
 
 from __future__ import annotations
@@ -8,6 +13,7 @@ from __future__ import annotations
 import warnings
 from collections import defaultdict
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.special import i0e
@@ -61,43 +67,18 @@ def coverage_pvalue(posterior, parameter, truth):
     return below + 0.5 * at
 
 
-@dataclass(frozen=True)
-class CoverageTestResult:
-    p_values: np.ndarray
-    ks_statistic: float
-    ks_pvalue: float
-    histogram: np.ndarray  # 20-bin counts over [0, 1]
-
-    @property
-    def mean_p(self):
-        return float(np.mean(self.p_values))
+def _by_cell(records, column):
+    """The records grouped by (method, ``column``, param), in sorted key order."""
+    if not records:
+        raise ValueError("no replicate records")
+    groups = defaultdict(list)
+    for r in records:
+        groups[(r.method, getattr(r, column), r.param)].append(r)
+    return {key: groups[key] for key in sorted(groups)}
 
 
-def coverage_test(posteriors, true_values, parameter):
-    """Uniformity diagnostic of coverage p-values across replicates.
-
-    Computes p_i for each (posterior, truth) pair and tests the sample
-    against U(0, 1) with a Kolmogorov-Smirnov test.
-    """
-    true_values = np.asarray(true_values, dtype=float)
-    if len(posteriors) != len(true_values) or len(posteriors) == 0:
-        raise ValueError("need equally many posteriors and true values (>= 1)")
-    p_values = np.array(
-        [coverage_pvalue(post, parameter, t) for post, t in zip(posteriors, true_values)]
-    )
-    return _uniformity_test(p_values)
-
-
-def _uniformity_test(p_values):
-    """KS test of ``p_values`` against U(0, 1) and their 20-bin histogram."""
-    ks = kstest(p_values, "uniform")
-    histogram, _ = np.histogram(p_values, bins=20, range=(0.0, 1.0))
-    return CoverageTestResult(
-        p_values=p_values,
-        ks_statistic=float(ks.statistic),
-        ks_pvalue=float(ks.pvalue),
-        histogram=histogram,
-    )
+def _truths_and_medians(records):
+    return [r.truth for r in records], [r.median for r in records]
 
 
 # ---------------------------------------------------------------------------
@@ -120,28 +101,20 @@ class ReplicateRecord:
 @dataclass(frozen=True)
 class CrossValReport:
     records: list[ReplicateRecord]
-    n_rep: int
     methods: tuple[str, ...]
     epsilons: tuple[float, ...]
     alpha: float
 
-    def select(self, method=None, epsilon=None, param=None):
-        out = self.records
-        if method is not None:
-            out = [r for r in out if r.method == method]
-        if epsilon is not None:
-            out = [r for r in out if r.epsilon == epsilon]
-        if param is not None:
-            out = [r for r in out if r.param == param]
-        return out
+    @cached_property
+    def cells(self):
+        """The records of each (method, epsilon, param), in sorted key order."""
+        return _by_cell(self.records, "epsilon")
 
     def prediction_error(self, method, epsilon, param):
-        recs = self.select(method, epsilon, param)
-        return prediction_error([r.truth for r in recs], [r.median for r in recs])
+        return prediction_error(*_truths_and_medians(self.cells[method, epsilon, param]))
 
     def md_index(self, method, epsilon, param):
-        recs = self.select(method, epsilon, param)
-        return md_index([r.truth for r in recs], [r.median for r in recs])
+        return md_index(*_truths_and_medians(self.cells[method, epsilon, param]))
 
 
 def _fits(table, s_obs, methods, epsilons):
@@ -204,6 +177,8 @@ def cross_validate(
     a corner of the prior leave a calibrated posterior short of its
     nominal coverage and its p-values skewed.
     """
+    if n_rep < 1:
+        raise ValueError(f"n_rep must be >= 1, got {n_rep}")
     if constraint is not None:
         kappa_max, lambda_max = constraint
         eligible = np.flatnonzero(
@@ -223,39 +198,17 @@ def cross_validate(
     records = [record for sub in results for record in sub]
     return CrossValReport(
         records=records,
-        n_rep=n_rep,
         methods=tuple(methods),
         epsilons=tuple(float(e) for e in epsilons),
         alpha=alpha,
     )
 
 
-def _by_cell(records):
-    """The records grouped by (method, epsilon, param), in sorted key order."""
-    if not records:
-        raise ValueError("no replicate records")
-    groups = defaultdict(list)
-    for r in records:
-        groups[(r.method, r.epsilon, r.param)].append(r)
-    return {key: groups[key] for key in sorted(groups)}
-
-
-def _hpd_hit_rate(records):
-    return sum(1 for r in records if r.hpd_lo <= r.truth <= r.hpd_hi) / len(records)
-
-
-def empirical_coverage(records):
-    """Fraction of replicates whose truth lies inside the recorded HPD.
-
-    Returns a dict keyed by (method, epsilon, param).
-    """
-    return {key: _hpd_hit_rate(recs) for key, recs in _by_cell(records).items()}
-
-
 @dataclass(frozen=True)
 class CoverageReport:
     """Per (method, epsilon, parameter): empirical coverage, the coverage
-    p-values, and their KS uniformity test."""
+    p-values, their KS uniformity test and their 20-bin histogram over
+    [0, 1]."""
 
     coverage: dict
     p_values: dict
@@ -263,21 +216,20 @@ class CoverageReport:
     ks_pvalue: dict
     histogram: dict
     alpha: float
-    records: list[ReplicateRecord] = field(repr=False, default_factory=list)
 
 
 def coverage_report(crossval):
-    """Assemble the coverage diagnostics from cross-validation records; the
-    report's ``alpha`` is the HPD mass the records were computed at."""
-    records = crossval.records
+    """The coverage diagnostics of each of ``crossval.cells``: the fraction of
+    truths inside the recorded HPD, and the KS test of the coverage p-values
+    against U(0, 1). The report's ``alpha`` is the HPD mass the records were
+    computed at."""
     coverage, p_values, ks_stat, ks_p, histogram = {}, {}, {}, {}, {}
-    for key, recs in _by_cell(records).items():
-        coverage[key] = _hpd_hit_rate(recs)
-        test = _uniformity_test(np.array([r.p for r in recs]))
-        p_values[key] = test.p_values
-        ks_stat[key] = test.ks_statistic
-        ks_p[key] = test.ks_pvalue
-        histogram[key] = test.histogram
+    for key, recs in crossval.cells.items():
+        coverage[key] = sum(r.hpd_lo <= r.truth <= r.hpd_hi for r in recs) / len(recs)
+        p_values[key] = np.array([r.p for r in recs])
+        ks = kstest(p_values[key], "uniform")
+        ks_stat[key], ks_p[key] = float(ks.statistic), float(ks.pvalue)
+        histogram[key], _ = np.histogram(p_values[key], bins=20, range=(0.0, 1.0))
     return CoverageReport(
         coverage=coverage,
         p_values=p_values,
@@ -285,7 +237,6 @@ def coverage_report(crossval):
         ks_pvalue=ks_p,
         histogram=histogram,
         alpha=crossval.alpha,
-        records=records,
     )
 
 
@@ -309,13 +260,13 @@ class RScanReport:
     records: list[RScanRecord]
     skipped: list[tuple[float, float, str]]  # (R, kappa, reason)
 
+    @cached_property
+    def cells(self):
+        """The records of each (method, R, param), in sorted key order."""
+        return _by_cell(self.records, "r_value")
+
     def mean_error_at(self, method, r_value, param):
-        recs = [
-            r
-            for r in self.records
-            if r.method == method and r.r_value == r_value and r.param == param
-        ]
-        return prediction_error([r.truth for r in recs], [r.median for r in recs])
+        return prediction_error(*_truths_and_medians(self.cells[method, r_value, param]))
 
 
 def _rscan_cell(context, task):

@@ -13,15 +13,14 @@ from stepturn import (
     WeightedPosterior,
     coverage_pvalue,
     coverage_report,
-    coverage_test,
     cross_validate,
     direct_fit,
-    empirical_coverage,
     md_index,
     prediction_error,
     r_scan,
     simulate_latent,
 )
+from stepturn.experiments import CrossValReport, ReplicateRecord
 
 SMALL_SIM = SimConfig(dt=0.5, min_obs=120)
 
@@ -48,6 +47,19 @@ def uniform_posterior(draws_1d, weights=None):
         draws=np.column_stack([draws_1d, draws_1d]), weights=weights,
         method="rejection", epsilon=1.0, delta=0.0,
     )
+
+
+def coverage_of(records):
+    """coverage_report over ``records``, which hold one method and epsilon."""
+    return coverage_report(CrossValReport(records, (records[0].method,),
+                                          (records[0].epsilon,), 0.95))
+
+
+def pvalue_records(posteriors, truths):
+    """One kappa record per (posterior, truth), holding only its coverage p-value."""
+    return [ReplicateRecord("rejection", 1.0, i, "kappa", float(t), 0.0, 0.0, 0.0,
+                            coverage_pvalue(post, "kappa", t))
+            for i, (post, t) in enumerate(zip(posteriors, truths))]
 
 
 class TestMetrics:
@@ -124,33 +136,31 @@ class TestCoveragePvalues:
         accepted = 0
         for _ in range(100):
             truths = rng.uniform(size=100)
-            result = coverage_test(posteriors, truths, "kappa")
-            accepted += result.ks_pvalue > 0.01
+            result = coverage_of(pvalue_records(posteriors, truths))
+            accepted += result.ks_pvalue[("rejection", 1.0, "kappa")] > 0.01
         assert accepted >= 98
 
     def test_coverage_test_histogram(self):
         posts = [uniform_posterior(np.linspace(0, 1, 101))] * 10
         truths = np.linspace(0.05, 0.95, 10)
-        result = coverage_test(posts, truths, "kappa")
-        assert result.histogram.sum() == 10
-        assert len(result.p_values) == 10
+        result = coverage_of(pvalue_records(posts, truths))
+        assert result.histogram[("rejection", 1.0, "kappa")].sum() == 10
+        assert len(result.p_values[("rejection", 1.0, "kappa")]) == 10
 
 
 class TestEmpiricalCoverage:
     def test_all_and_none(self, ):
-        from stepturn.experiments import ReplicateRecord
         inside = [ReplicateRecord("rejection", 0.1, i, "kappa", 5.0, 5.0, 4.0, 6.0, 0.5)
                   for i in range(10)]
         outside = [ReplicateRecord("rejection", 0.1, i, "lambda", 9.0, 5.0, 4.0, 6.0, 0.5)
                    for i in range(10)]
-        cov = empirical_coverage(inside + outside)
+        cov = coverage_of(inside + outside).coverage
         assert cov[("rejection", 0.1, "kappa")] == 1.0
         assert cov[("rejection", 0.1, "lambda")] == 0.0
 
     def test_synthetic_calibration(self):
         # uniform posteriors with uniform truths: the 95% HPD window covers
         # the truth with probability ~ alpha
-        from stepturn.experiments import ReplicateRecord
         from stepturn.inference import hpd_interval
         rng = np.random.default_rng(5)
         records = []
@@ -162,14 +172,13 @@ class TestEmpiricalCoverage:
             records.append(
                 ReplicateRecord("rejection", 1.0, i, "kappa", truth, 0.5, lo, hi, 0.5)
             )
-        cov = empirical_coverage(records)[("rejection", 1.0, "kappa")]
+        cov = coverage_of(records).coverage[("rejection", 1.0, "kappa")]
         se = math.sqrt(0.95 * 0.05 / n_rep)
         assert abs(cov - 0.95) < max(3 * se, hi - lo - 0.95 + 3 * se)
 
 
     def test_grouping_matches_per_key_scan(self):
         # reference: the per-key rescan of every record the grouping replaced
-        from stepturn.experiments import CrossValReport, ReplicateRecord, coverage_report
         rng = np.random.default_rng(8)
         records = [
             ReplicateRecord(method, eps, i, param, float(rng.uniform()), 0.5,
@@ -182,23 +191,21 @@ class TestEmpiricalCoverage:
         ]
         rng.shuffle(records)
         keys = sorted({(r.method, r.epsilon, r.param) for r in records})
-        cov = empirical_coverage(records)
-        report = coverage_report(CrossValReport(records, 6, ("neuralnet", "rejection"),
+        report = coverage_report(CrossValReport(records, ("neuralnet", "rejection"),
                                                 (0.1, 0.001), 0.95))
-        assert list(cov) == list(report.coverage) == list(report.p_values) == keys
+        assert list(report.coverage) == list(report.p_values) == keys
         for key in keys:
             recs = [r for r in records if (r.method, r.epsilon, r.param) == key]
             hits = sum(1 for r in recs if r.hpd_lo <= r.truth <= r.hpd_hi)
-            assert cov[key] == report.coverage[key] == hits / len(recs)
+            assert report.coverage[key] == hits / len(recs)
             assert np.array_equal(report.p_values[key], [r.p for r in recs])
         with pytest.raises(ValueError, match="no replicate records"):
-            empirical_coverage([])
+            coverage_report(CrossValReport([], ("rejection",), (0.1,), 0.95))
 
     def test_report_alpha_is_the_records_hpd_mass(self):
-        from stepturn.experiments import CrossValReport, ReplicateRecord, coverage_report
         records = [ReplicateRecord("rejection", 0.1, i, "kappa", 5.0, 5.0, 4.0, 6.0, 0.5)
                    for i in range(4)]
-        report = coverage_report(CrossValReport(records, 4, ("rejection",), (0.1,), 0.8))
+        report = coverage_report(CrossValReport(records, ("rejection",), (0.1,), 0.8))
         assert report.alpha == 0.8
 
 
@@ -298,9 +305,30 @@ class TestCrossValidate:
         table = synthetic_table(200, seed=14)
         report = cross_validate(table, methods=("rejection",), epsilons=(0.5,),
                                 n_rep=20, constraint=(70.0, 25.0), seed=15)
-        truths_k = [r.truth for r in report.select(param="kappa")]
-        truths_l = [r.truth for r in report.select(param="lambda")]
+        truths_k = [r.truth for r in report.records if r.param == "kappa"]
+        truths_l = [r.truth for r in report.records if r.param == "lambda"]
         assert max(truths_k) <= 70.0 and max(truths_l) <= 25.0
+
+    def test_cells_group_the_records_once(self):
+        table = synthetic_table(60, seed=12)
+        report = cross_validate(table, methods=("rejection", "loclinear"),
+                                epsilons=(0.5, 0.2), n_rep=3, constraint=None, seed=13)
+        assert report.cells is report.cells
+        assert list(report.cells) == sorted(report.cells) and len(report.cells) == 8
+        for (method, epsilon, param), recs in report.cells.items():
+            assert [(r.method, r.epsilon, r.param, r.rep) for r in recs] == [
+                (method, epsilon, param, rep) for rep in range(3)]
+        recs = report.cells["loclinear", 0.2, "lambda"]
+        truths, medians = [r.truth for r in recs], [r.median for r in recs]
+        assert report.prediction_error("loclinear", 0.2, "lambda") == prediction_error(
+            truths, medians)
+        assert report.md_index("loclinear", 0.2, "lambda") == md_index(truths, medians)
+
+    @pytest.mark.parametrize("n_rep", [0, -2])
+    def test_n_rep_below_one(self, n_rep):
+        with pytest.raises(ValueError, match=f"n_rep must be >= 1, got {n_rep}"):
+            cross_validate(synthetic_table(30, seed=16), methods=("rejection",),
+                           epsilons=(0.5,), n_rep=n_rep, constraint=None)
 
     def test_insufficient_constrained_rows(self):
         table = synthetic_table(30, seed=16)
@@ -329,6 +357,15 @@ class TestRScan:
                         methods=("rejection",), epsilon=0.2, seed=21)
         lam_records = [r for r in report.records if r.param == "lambda"]
         assert all(r.truth == 2.0 for r in lam_records)  # R / dt = 1 / 0.5
+        assert list(report.cells) == [("rejection", 1.0, "kappa"), ("rejection", 1.0, "lambda")]
+        assert report.cells["rejection", 1.0, "lambda"] == lam_records
+        assert report.mean_error_at("rejection", 1.0, "lambda") == prediction_error(
+            [r.truth for r in lam_records], [r.median for r in lam_records])
+
+    def test_n_per_cell_below_one(self):
+        with pytest.raises(ValueError, match="n_per_cell must be >= 1, got 0"):
+            r_scan(synthetic_table(20, seed=20), r_values=[1.0], kappa_values=[20.0],
+                   n_per_cell=0)
 
     def test_observes_as_the_table_does(self):
         table = replace(synthetic_table(60, seed=28), config=SimConfig(dt=0.25, min_obs=80))

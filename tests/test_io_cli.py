@@ -337,8 +337,23 @@ class TestCliExperiments:
         assert code == cli.EXIT_CHECK_FAILED
         assert "no records at R=60" in capsys.readouterr().err
         no_tracks = base + ["--out", str(tmp_path / "r3"), "--n-per-cell", "0"]
-        assert cli.main(no_tracks) == cli.EXIT_RUNTIME
-        assert "n_per_cell must be >= 1" in capsys.readouterr().err
+        assert cli.main(no_tracks) == cli.EXIT_VALIDATION
+        assert "--n-per-cell must be >= 1, got 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,message", [
+        (["crossval", "--methods", "loclinear", "--epsilons", "0.5", "0.2"],
+         "--check compares rejection errors; --methods lacks rejection"),
+        (["crossval", "--methods", "rejection", "--epsilons", "0.5", "0.5"],
+         "--check needs two distinct --epsilons, got 0.5 0.5"),
+        (["rscan", "--r-values", "1"], "--check needs two distinct --r-values, got 1"),
+    ])
+    def test_check_with_nothing_to_compare_exits_1(self, argv, message, tmp_path, capsys):
+        # the table does not exist: the check refuses before any table is read
+        out = tmp_path / "out"
+        argv = [*argv, "--table", str(tmp_path / "missing.csv"), "--check", "--out", str(out)]
+        assert cli.main(argv) == cli.EXIT_VALIDATION
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_coverage_draws_truths_from_the_whole_table(self, tmp_path):
         # 9 of the 24 rows lie in the corner kappa <= 70, lambda <= 25
@@ -368,7 +383,7 @@ class TestCliExperiments:
                 ReplicateRecord("rejection", 0.1, i, "kappa", 50.0, 1.0, 0.0, 2.0, 0.9)
                 for i in range(5)
             ]
-            return CrossValReport(records=records, n_rep=5, methods=("rejection",),
+            return CrossValReport(records=records, methods=("rejection",),
                                   epsilons=(0.1,), alpha=0.95)
 
         monkeypatch.setattr(cli, "cross_validate", fake_cross_validate)
@@ -378,7 +393,7 @@ class TestCliExperiments:
         assert code == cli.EXIT_CHECK_FAILED
 
     def test_coverage_csv_is_crossval_schema(self, tmp_path):
-        from stepturn.experiments import empirical_coverage
+        from stepturn.experiments import CrossValReport, coverage_report
 
         table = generate_reference_table(PriorSpec(), 120, SMALL_SIM, seed=14)
         table_path = tmp_path / "table.csv"
@@ -390,7 +405,8 @@ class TestCliExperiments:
         rows = st_io.read_crossval_csv(out / "coverage.csv")
         assert len(rows) == 2 * 6 * 2  # methods x reps x params
         summary = json.loads((out / "coverage_summary.json").read_text())
-        coverage = empirical_coverage(rows)
+        coverage = coverage_report(
+            CrossValReport(rows, ("rejection", "loclinear"), (0.3,), 0.95)).coverage
         assert len(coverage) == len(summary) == 4
         for (method, epsilon, param), value in coverage.items():
             entry = summary[f"{method}:eps={epsilon:g}:{param}"]
@@ -528,6 +544,19 @@ class TestCliFlags:
         assert cli.main([command, flag, "2"]) == cli.EXIT_VALIDATION
         assert f"unrecognized arguments: {flag} 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["crossval", "--n-rep", "0"], ["crossval", "--n-rep", "-2"],
+        ["coverage", "--n-rep", "0"],
+    ])
+    def test_counts_below_one_exit_1(self, argv, tmp_path, capsys):
+        # as --n-sims, --shard-size and --n-per-cell are; the table does not
+        # exist, so the count is refused before any table is read
+        out = tmp_path / "out"
+        code = cli.main([*argv, "--table", str(tmp_path / "missing.csv"), "--out", str(out)])
+        assert code == cli.EXIT_VALIDATION
+        assert f"error: {argv[1]} must be >= 1, got {argv[2]}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_config_errors(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -591,10 +620,11 @@ def run_on_fixed_inputs(command, tmp_path, monkeypatch):
 
 
 # sha256 of each command's recorded config (io.config_digest) for its CLI_RUNS
-# arguments, and the files that hold that config; all but three were computed
-# when each command still listed its config keys by hand. coverage's changed
-# when it lost --no-constraint and its default bounds, rscan's when it lost
-# --dt and --n-obs; directfit recorded none.
+# arguments, and the files that hold that config; all but five were computed
+# when each command still listed its config keys by hand. fit, crossval,
+# coverage and rscan changed when their configs gained the table's sha256
+# (coverage's also when it lost --no-constraint and its default bounds,
+# rscan's when it lost --dt and --n-obs); directfit recorded none.
 PINNED_CONFIG = {
     "simulate": ("bf1cc807440e92a4b3cec202ff1d4447cdb550593fe517fadb227568019bfea4",
                  ["latent.json", "track.json"]),
@@ -604,16 +634,36 @@ PINNED_CONFIG = {
                   ["summary.json"]),
     "reftable": ("7d282543fc9d1dbc6fad08254f6ca2075313df07a956f66905fa7d2d06f80c54",
                  ["shards/shards.json"]),
-    "fit": ("a6749e9a042ccb233860efd105b39004142b9f62ac1dc79f78491cbf6fbe1c61",
+    "fit": ("7707792c8395c95c949c7e40a4ec2a1427c3896eb57c3fa1a8fc222896580b59",
             ["posterior.json"]),
-    "crossval": ("9094e46a2e418078eb5d870d54bb3e69f113460abaddaf0928a909d05e78266d",
+    "crossval": ("2b2d21e152d3a896d33f3246ea29d0722c695f032026aedbe794edffc93d5a67",
                  ["crossval.json"]),
-    "coverage": ("fb7609627b5203dd841bb55eb1248ce6ac186640599e1949fa01ef4c6585e822",
+    "coverage": ("fc39b0662c446f231e2d8f899189debc279daf7e504d008e6e09e3d5a112951d",
                  ["coverage.json"]),
-    "rscan": ("d46d669c5d957208a96fbbd7e26398310f8cd3e2268ab2281969a9c7b153345e",
+    "rscan": ("6809fc3eab04dbe8b664ebd577984b67dbb668e9071b45be44762825871662f9",
               ["rscan.json"]),
     "directfit": ("7872d960416e284d6cab0308ee3252addcc00349494870bfc19a789e6c7adfca", []),
     "oracle-check": ("23e8a74262af077500e95cb61b1f6ea68feeb13fe4368118364f9edc69bca20f", []),
+}
+
+
+# sha256 of the reports each CLI_RUNS experiment writes, computed when each
+# report still grouped its records its own way (rscan's when rscan still took
+# --dt and --n-obs, given the table's 0.5 and 60)
+PINNED_REPORTS = {
+    "crossval": {
+        "crossval.csv": "4624b5e0f7eca817920143d778b992300996892f5b7ad680703617f8c2f6edff",
+        "crossval_metrics.json":
+            "e5a571082b2568d71d2d6c8a5f6181b970c48537303239589101149ed2af14b2",
+    },
+    "coverage": {
+        "coverage.csv": "d35a542a52ee02effe02c93195cf2942bd794b6254e75cc10a21b9d119dd7864",
+        "coverage_summary.json":
+            "1383a1367846dc2d18cf527d91567a3dabe52b9d50c0293ed80053de59002297",
+    },
+    "rscan": {
+        "rscan.csv": "93c317e9bb9180138ffca055021ade26c6cc385893d9af6fadee8f85ef14301e",
+    },
 }
 
 
@@ -643,8 +693,15 @@ class TestProvenance:
             config = json.loads((out / name).read_text())["config"]
             assert st_io.config_digest(config) == digest
 
-    def test_rscan_csv_is_pinned(self, tmp_path, monkeypatch):
-        # computed when rscan still took --dt and --n-obs, given the table's 0.5 and 60
-        out = run_on_fixed_inputs("rscan", tmp_path, monkeypatch)
-        assert st_io.sha256_file(out / "rscan.csv") == (
-            "93c317e9bb9180138ffca055021ade26c6cc385893d9af6fadee8f85ef14301e")
+    @pytest.mark.parametrize("command", sorted(PINNED_REPORTS))
+    def test_reports_are_pinned(self, command, tmp_path, monkeypatch):
+        out = run_on_fixed_inputs(command, tmp_path, monkeypatch)
+        pinned = PINNED_REPORTS[command]
+        assert {name: st_io.sha256_file(out / name) for name in pinned} == pinned
+
+    @pytest.mark.parametrize("command", ["coverage", "crossval", "fit", "rscan"])
+    def test_table_is_recorded_by_digest(self, command, tmp_path, monkeypatch):
+        out = run_on_fixed_inputs(command, tmp_path, monkeypatch)
+        config = json.loads((out / PINNED_CONFIG[command][1][0]).read_text())["config"]
+        assert config["table"] == "table.csv"
+        assert config["table_sha256"] == st_io.sha256_file(tmp_path / "table.csv")

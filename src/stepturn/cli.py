@@ -39,6 +39,7 @@ from .experiments import (
 )
 from .inference import (
     METHODS,
+    MIN_OBS,
     SIMULATOR_VERSION,
     PriorSpec,
     ReferenceTable,
@@ -64,8 +65,10 @@ WORKERS_ENV = "STEPTURN_WORKERS"
 # ("started" is the command's start time, which main adds)
 UNRECORDED = {"command", "started", "out", "config", "workers", "check", "gnuplot"}
 
-# flags that count rows, replicates or tracks, each at least 1
-COUNT_FLAGS = ("n_sims", "shard_size", "n_rep", "n_per_cell")
+# flags that count rows, replicates, tracks, observations or draws, and
+# their floors: at least 1, or the library's own floor
+COUNT_FLAGS = {"n_sims": 1, "shard_size": 1, "n_rep": 1, "n_per_cell": 1, "n_obs": 1,
+               "min_obs": MIN_OBS, "n_draws": densities.MIN_MC_DRAWS}
 
 
 class ValidationError(ValueError):
@@ -214,9 +217,13 @@ def _parse(argv):
 
 
 def _check_counts(resolved):
-    for key in COUNT_FLAGS:
-        if resolved.get(key, 1) < 1:
-            raise ValidationError(f"--{key.replace('_', '-')} must be >= 1, got {resolved[key]}")
+    """Refuse a count below its floor, or a --dt that is not positive."""
+    for key, floor in COUNT_FLAGS.items():
+        if resolved.get(key, floor) < floor:
+            raise ValidationError(
+                f"--{key.replace('_', '-')} must be >= {floor}, got {resolved[key]}")
+    if not resolved.get("dt", 1.0) > 0:  # also refuses NaN
+        raise ValidationError(f"--dt must be > 0, got {resolved['dt']}")
 
 
 def _config_tokens(subparser, config):

@@ -333,6 +333,9 @@ def f_s_grid(kappa, lam, n, c, n_nodes=1000, quadrature_tol=2e-3, tail=1e-8):
     )
 
 
+MIN_MC_DRAWS = 1000  # fewest draws density_mc_check accepts
+
+
 @dataclass(frozen=True)
 class MCCheckResult:
     ks_distance: float
@@ -351,8 +354,8 @@ def density_mc_check(grid, sampler, n_draws, rng=0):
     to describe. Passes when the KS distance is below the asymptotic 1%
     critical value 1.63 / sqrt(n_draws).
     """
-    if n_draws < 1000:
-        raise ValueError(f"need at least 1000 draws, got {n_draws}")
+    if n_draws < MIN_MC_DRAWS:
+        raise ValueError(f"need at least {MIN_MC_DRAWS} draws, got {n_draws}")
     mass = grid.trapezoid_mass()
     if abs(mass - 1.0) > grid.quadrature_tol:
         raise ValueError(

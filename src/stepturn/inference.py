@@ -23,6 +23,7 @@ from .summaries import SummaryVector, summarize
 PARAM_NAMES = ("kappa", "lambda")
 SUMMARY_NAMES = ("s1", "s2", "s3", "s4")
 METHODS = ("rejection", "loclinear", "neuralnet")
+MIN_OBS = 4  # fewest observations per row: the summaries need two turning angles
 
 
 @dataclass(frozen=True)
@@ -62,8 +63,8 @@ class SimConfig:
     def __post_init__(self):
         if self.dt <= 0:
             raise ValueError(f"dt must be > 0, got {self.dt}")
-        if self.min_obs < 4:
-            raise ValueError(f"min_obs must be >= 4, got {self.min_obs}")
+        if self.min_obs < MIN_OBS:
+            raise ValueError(f"min_obs must be >= {MIN_OBS}, got {self.min_obs}")
 
 
 @dataclass(frozen=True)

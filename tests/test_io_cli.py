@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import stepturn.cli as cli
+import stepturn.densities as densities
 import stepturn.io as st_io
 from stepturn import (
     MovementParams,
@@ -556,6 +557,31 @@ class TestCliFlags:
         assert code == cli.EXIT_VALIDATION
         assert f"error: {argv[1]} must be >= 1, got {argv[2]}" in capsys.readouterr().err
         assert not out.exists()
+
+    SIMULATE = ["simulate", "--kappa", "5", "--lambda", "1"]
+
+    @pytest.mark.parametrize("argv,message", [
+        ([*SIMULATE, "--n-obs", "0"], "--n-obs must be >= 1, got 0"),
+        ([*SIMULATE, "--dt", "0"], "--dt must be > 0, got 0.0"),
+        (["observe", "--latent", "missing.csv", "--dt", "nan"], "--dt must be > 0, got nan"),
+        (["reftable", "--min-obs", "0"], "--min-obs must be >= 4, got 0"),
+        (["reftable", "--min-obs", "3"], "--min-obs must be >= 4, got 3"),
+        (["reftable", "--dt", "-1"], "--dt must be > 0, got -1.0"),
+        (["oracle-check", "--n-draws", "0"], "--n-draws must be >= 1000, got 0"),
+    ])
+    def test_numeric_flags_below_their_floor_exit_1(self, argv, message, tmp_path, capsys):
+        # refused when parsed, before --out is made or any input is read
+        out = tmp_path / "out"
+        assert cli.main([*argv, "--out", str(out)]) == cli.EXIT_VALIDATION
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_floors_are_the_library_floors(self):
+        with pytest.raises(ValueError, match="min_obs must be >= 4"):
+            SimConfig(min_obs=cli.COUNT_FLAGS["min_obs"] - 1)
+        SimConfig(min_obs=cli.COUNT_FLAGS["min_obs"])
+        with pytest.raises(ValueError, match="at least 1000 draws"):
+            densities.density_mc_check(None, None, cli.COUNT_FLAGS["n_draws"] - 1)
 
     def test_config_errors(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-from scipy.optimize import minimize
 
 from stepturn import TrainingDivergedError, nnet
 from stepturn.nnet import (
@@ -11,6 +10,7 @@ from stepturn.nnet import (
     predict,
     train,
     unpack,
+    vmmin,
 )
 
 from oracles import network_loss_and_grad
@@ -104,22 +104,24 @@ class TestTrain:
 
     def test_default_config_stops_at_the_cap(self, monkeypatch):
         # inputs on a small scale, like the standardized summaries of rows
-        # accepted at a small epsilon: BFGS is still above grad_tol after
-        # R abc's 500 iterations, so both trainings stop on the cap
-        results = []
+        # accepted at a small epsilon: vmmin needs 901 iterations to meet
+        # RELTOL here, so the default trainings stop on the cap
+        runs = []
 
-        def recording_minimize(*args, **kwargs):
-            results.append(minimize(*args, **kwargs))
-            return results[-1]
+        def recording_vmmin(*args):
+            runs.append(vmmin(*args))
+            return runs[-1]
 
-        monkeypatch.setattr(nnet, "minimize", recording_minimize)
+        monkeypatch.setattr(nnet, "vmmin", recording_vmmin)
         rng = np.random.default_rng(10)
         x = 0.05 * rng.normal(size=(100, 4))
         y = 20.0 * x @ rng.normal(size=(4, 2)) + rng.normal(size=(100, 2))
         w = np.clip(1.0 - np.sum((x / 0.05) ** 2, axis=1) / 16.0, 0.0, None)
         a, shapes = train(x, y, w)
         b, _ = train(x, y, w)
-        assert NetConfig().n_iter == 500 and [r.nit for r in results] == [500, 500]
+        train(x, y, w, NetConfig(n_iter=5000))
+        assert NetConfig().n_iter == 700
+        assert [run[1:] for run in runs] == [(700, "maxit"), (700, "maxit"), (901, "reltol")]
         assert np.array_equal(a, b) and np.isfinite(a).all()
         assert shapes == (4, 5, 2)
 
@@ -165,3 +167,77 @@ class TestTrain:
         full, _ = train(x, corrupted_y, w, NetConfig(n_iter=300, seed=9))
         clean, _ = train(x, y, w, NetConfig(n_iter=300, seed=9))
         np.testing.assert_allclose(full, clean, atol=1e-12)
+
+    def test_every_evaluation_goes_through_loss_and_grad(self, monkeypatch):
+        # perfbench counts the module-global loss_and_grad calls per training
+        through_global = []
+        through_optimizer = []
+
+        def counting_loss_and_grad(*args):
+            through_global.append(1)
+            return loss_and_grad(*args)
+
+        def counting_vmmin(objective, start, maxit):
+            def counted(flat):
+                through_optimizer.append(1)
+                return objective(flat)
+            return vmmin(counted, start, maxit)
+
+        monkeypatch.setattr(nnet, "loss_and_grad", counting_loss_and_grad)
+        monkeypatch.setattr(nnet, "vmmin", counting_vmmin)
+        rng = np.random.default_rng(7)
+        x = rng.normal(size=(80, 3))
+        y = np.tanh(x[:, :2]) + 0.1 * rng.normal(size=(80, 2))
+        train(x, y, np.ones(80), NetConfig(n_iter=50))
+        assert len(through_global) == len(through_optimizer) > 50
+
+
+def rosenbrock(p):
+    a, b = p
+    grad = np.array([-400.0 * a * (b - a * a) - 2.0 * (1.0 - a), 200.0 * (b - a * a)])
+    return 100.0 * (b - a * a) ** 2 + (1.0 - a) ** 2, grad
+
+
+def quadratic_objective(matrix, vector):
+    return lambda x: (0.5 * x @ matrix @ x - vector @ x, matrix @ x - vector)
+
+
+class TestVmmin:
+    def test_rosenbrock_converges_on_reltol(self):
+        x, iterations, reason = vmmin(rosenbrock, [-1.2, 1.0], 1000)
+        np.testing.assert_allclose(x, [1.0, 1.0], atol=1e-6)
+        assert reason == "reltol" and iterations < 100
+
+    def test_rosenbrock_matches_r_optim(self, monkeypatch):
+        # ?optim's example, optim(c(-1.2, 1), fr, grr, method = "BFGS"),
+        # runs vmmin at optim's default reltol sqrt(eps): value
+        # 9.594956e-18 after 43 gradient evaluations
+        monkeypatch.setattr(nnet, "RELTOL", float(np.sqrt(np.finfo(float).eps)))
+        x, iterations, reason = vmmin(rosenbrock, [-1.2, 1.0], 100)
+        assert rosenbrock(x)[0] == pytest.approx(9.594956e-18, rel=1e-6)
+        assert (iterations, reason) == (43, "reltol")
+
+    def test_quadratic_converges(self):
+        matrix = np.array([[4.0, 1.0, 0.0], [1.0, 3.0, 0.5], [0.0, 0.5, 2.0]])
+        vector = np.array([1.0, -2.0, 0.5])
+        x, iterations, reason = vmmin(quadratic_objective(matrix, vector), np.zeros(3), 100)
+        np.testing.assert_allclose(x, np.linalg.solve(matrix, vector), atol=1e-4)
+        assert reason == "reltol" and iterations < 20
+
+    def test_stops_on_the_cap_before_reltol(self):
+        x, iterations, reason = vmmin(rosenbrock, [-1.2, 1.0], 10)
+        assert (iterations, reason) == (10, "maxit")
+        assert rosenbrock(x)[0] < rosenbrock([-1.2, 1.0])[0]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_start_raises_at_iteration_1(self, bad):
+        with pytest.raises(TrainingDivergedError) as excinfo:
+            vmmin(lambda x: (bad, np.ones_like(x)), np.zeros(3), 100)
+        assert excinfo.value.iteration == 1
+        with pytest.raises(TrainingDivergedError) as excinfo:
+            vmmin(lambda x: (0.0, np.full_like(x, bad)), np.zeros(3), 100)
+        assert excinfo.value.iteration == 1
+
+    def test_zero_gradient_start_stalls(self):
+        x, iterations, reason = vmmin(lambda x: (float(x @ x), 2.0 * x), np.zeros(2), 100)
+        assert np.array_equal(x, np.zeros(2)) and (iterations, reason) == (1, "stalled")

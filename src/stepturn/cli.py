@@ -276,17 +276,18 @@ def _input(resolved, key):
     path = resolved.get(key)
     if not path:
         raise ValidationError(f"--{key} is required")
-    if not Path(path).exists():
-        raise ValidationError(f"{key} not found: {path}")
+    if not Path(path).is_file():
+        raise ValidationError(f"--{key} names no file: {path}")
     return path
 
 
 def _table(resolved):
     """The reference table named by --table; its sha256 joins the recorded
-    config, so an artifact names the table by content as well as by path."""
+    config, so an artifact names the table by content as well as by path,
+    and keys the table's parsed binary twin (see ``io``)."""
     path = _input(resolved, "table")
     resolved["table_sha256"] = io.sha256_file(path)
-    return io.read_reference_table(path)
+    return io.read_reference_table(path, resolved["table_sha256"])
 
 
 def _recorded_config(resolved):
@@ -304,7 +305,8 @@ def _json(payload):
 def _emit(resolved, name, write, sidecar=True):
     """Write the artifact ``name`` into --out, by ``write(path)`` or as the
     text ``write``; give a CSV the command's sidecar unless its writer writes
-    its own (``sidecar=False``); and record the artifact in the manifest."""
+    its own (``sidecar=False``); and record the artifact in the manifest.
+    Returns the manifest record."""
     out_dir = _out_dir(resolved)
     path = out_dir / name
     if callable(write):
@@ -314,7 +316,8 @@ def _emit(resolved, name, write, sidecar=True):
     command, config = resolved["command"], _recorded_config(resolved)
     if sidecar and path.suffix == ".csv":
         io.write_sidecar(path, command, config)
-    io.append_manifest(out_dir, path, command, config, time.monotonic() - resolved["started"])
+    return io.append_manifest(out_dir, path, command, config,
+                              time.monotonic() - resolved["started"])
 
 
 # ---------------------------------------------------------------------------
@@ -366,9 +369,10 @@ def cmd_reftable(args):
     prior = PriorSpec(tuple(resolved["kappa_range"]), tuple(resolved["lambda_range"]))
     sim = SimConfig(dt=resolved["dt"], min_obs=resolved["min_obs"])
     table = _sharded_reftable(out, prior, sim, resolved, workers)
-    _emit(resolved, "table.csv", lambda p: io.write_reference_table(p, table), sidecar=False)
+    record = _emit(resolved, "table.csv", lambda p: io.write_reference_table(p, table),
+                   sidecar=False)
     print(f"wrote {out / 'table.csv'}: {table.n_rows} rows, "
-          f"{table.n_resampled} resampled, digest {io.sha256_file(out / 'table.csv')[:12]}")
+          f"{table.n_resampled} resampled, digest {record['sha256'][:12]}")
     return EXIT_OK
 
 

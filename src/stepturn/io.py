@@ -11,15 +11,28 @@ object or lacks a key they read, and the table reader when a setting it
 reads has the wrong type. An append-only ``manifest.jsonl`` in the output
 directory records path, content digest, command, config digest and
 wall-clock duration.
+
+A reference table CSV is parsed once per content: the first read saves the
+parsed float64 rows as a binary twin beside the CSV,
+``.<name>.<sha256 of the CSV>.npy``, and later reads of the same bytes load
+the twin instead of parsing the text. The header check and the sidecar
+checks still run on every read. A twin is a cache, not an artifact: it is
+never recorded in a manifest, a missing or malformed one is rebuilt from the
+CSV, a write that fails (a read-only directory) leaves the parsed table in
+use, and a new twin removes those left by earlier contents of the same CSV.
+Deleting a twin is always safe.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import functools
 import hashlib
 import json
 import math
+import os
+import re
 import warnings
 from dataclasses import astuple, fields
 from pathlib import Path
@@ -148,15 +161,20 @@ def _write_csv(path, header, rows):
         )
 
 
+def _check_header(handle, header):
+    """Read the first line of ``handle``; raise ValueError unless it is ``header``."""
+    found = handle.readline().rstrip("\r\n")
+    if found != ",".join(header):
+        raise ValueError(f"expected header {','.join(header)!r}, found {found!r}")
+
+
 def _read_csv(path, header, dtype=float, min_rows=1):
     """The data rows of the CSV at ``path`` as one 2-d ``dtype`` array; raises
     ValueError unless the first line is exactly ``header``, every row has one
     field per column, every cell parses as ``dtype`` and there are at least
     ``min_rows`` rows."""
     with open(path, newline="") as handle:
-        found = handle.readline().rstrip("\r\n")
-        if found != ",".join(header):
-            raise ValueError(f"expected header {','.join(header)!r}, found {found!r}")
+        _check_header(handle, header)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # no data rows: counted below
             rows = np.loadtxt(handle, dtype=dtype, delimiter=",", comments=None,
@@ -268,21 +286,71 @@ def write_reference_table(path, table, command="reftable"):
     )
 
 
+def _load_twin(twin):
+    """The rows stored in ``twin``, or None when it is missing, unreadable or
+    not a float64 array of at least one row with one column per table field.
+    ``read_array`` reads only the ``.npy`` format and raises ValueError on any
+    malformed file (``np.load`` would open a zip archive, and raise EOFError
+    on an empty file)."""
+    try:
+        with open(twin, "rb") as handle:
+            rows = np.lib.format.read_array(handle, allow_pickle=False)
+    except (OSError, ValueError):
+        return None
+    if rows.dtype == np.float64 and rows.ndim == 2 and rows.shape[1] == len(TABLE_HEADER):
+        return rows if len(rows) else None
+    return None
+
+
+def _save_twin(path, twin, rows):
+    """Write ``rows`` to ``twin`` through a temporary file in its directory,
+    then remove the twins of the CSV at ``path`` that carry other digests.
+    An OSError (a read-only directory, a full disk) leaves no twin."""
+    tmp = twin.with_name(f"{twin.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as handle:
+            np.save(handle, rows, allow_pickle=False)
+        os.replace(tmp, twin)
+    except OSError:
+        with contextlib.suppress(OSError):
+            tmp.unlink(missing_ok=True)
+        return
+    stale = re.compile(rf"\.{re.escape(path.name)}\.[0-9a-f]{{64}}\.npy")
+    for other in twin.parent.iterdir():
+        if other.name != twin.name and stale.fullmatch(other.name):
+            with contextlib.suppress(OSError):
+                other.unlink()
+
+
 @_reader
-def read_reference_table(path):
-    rows = _read_csv(path, TABLE_HEADER)
+def read_reference_table(path, sha256=None):
+    """The table at ``path``. ``sha256`` is the digest of its bytes, computed
+    here when not given; it names the binary twin that spares the parse of
+    content read before (see the module docstring)."""
+    path = Path(path)
+    twin = path.with_name(f".{path.name}.{sha256 or sha256_file(path)}.npy")
+    rows = _load_twin(twin)
+    parsed = rows is None
+    if parsed:
+        rows = _read_csv(path, TABLE_HEADER)
+    else:  # the twin spares the parse, not the header check
+        with open(path, newline="") as handle:
+            _check_header(handle, TABLE_HEADER)
     sidecar = read_sidecar(path, kinds={
         "config.seed": INTEGER, "config.prior.kappa_range": RANGE,
         "config.prior.lambda_range": RANGE, "config.sim.dt": NUMBER, "config.sim.min_obs": INTEGER,
     })
     config, prior = sidecar["config"], sidecar["config"]["prior"]
-    return ReferenceTable.from_rows(
+    table = ReferenceTable.from_rows(
         rows,
         PriorSpec(tuple(prior["kappa_range"]), tuple(prior["lambda_range"])),
         SimConfig(dt=config["sim"]["dt"], min_obs=config["sim"]["min_obs"]),
         config["seed"],
         sidecar.get("n_resampled", 0),
     )
+    if parsed:  # only a table that passed every check is saved
+        _save_twin(path, twin, rows)
+    return table
 
 
 def write_posterior(path, posterior, command="fit", config=None):

@@ -491,10 +491,10 @@ class TestNeuralnetAdjust:
         assert np.all(moved > 0.05), moved
 
     def test_default_stop_matches_converged_fit(self, desk_table):
-        # the default stops BFGS at 500 iterations; on these rows at eps
-        # 0.001 (100 accepted rows) six fits hit that cap and two converge
-        # first. Each median stays within 1e-2 of the converged 95% HPD
-        # width (measured gap at most 1.6e-4)
+        # the default stops vmmin at 700 iterations; on these rows at eps
+        # 0.001 (100 accepted rows) seven fits meet RELTOL first and one
+        # (row 2641) hits the cap. Each median stays within 1e-2 of the
+        # converged 95% HPD width (measured gap at most 2.2e-3, row 2641)
         for row in (63986, 83105, 2641, 46724, 79051, 85175, 36545, 7982):
             s_obs = desk_table.summaries[row]
             accepted = abc_reject(desk_table.without_row(row), s_obs, 0.001)

@@ -8,6 +8,7 @@ import stepturn.densities as densities
 import stepturn.io as st_io
 from stepturn import (
     MovementParams,
+    SchemaError,
     PriorSpec,
     SimConfig,
     abc_reject,
@@ -137,6 +138,131 @@ class TestManifest:
         assert json.loads(lines[0])["command"] == "simulate"
 
 
+def twins(directory):
+    return sorted(path.name for path in directory.iterdir() if path.suffix == ".npy")
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def table_rows(table):
+    return np.column_stack([table.params, table.summaries])
+
+
+class TestTableTwin:
+    """The binary twin that spares the parse of a table CSV read before."""
+
+    def test_named_by_content(self, small_table):
+        _, path = small_table
+        st_io.read_reference_table(path)
+        assert twins(path.parent) == [f".table.csv.{st_io.sha256_file(path)}.npy"]
+
+    def test_equals_the_parse_bit_for_bit(self, small_table):
+        table, path = small_table
+        parsed = st_io._read_csv(path, st_io.TABLE_HEADER)
+        cold = st_io.read_reference_table(path)
+        warm = st_io.read_reference_table(path, st_io.sha256_file(path))
+        for read in (cold, warm):
+            assert same_bits(table_rows(read), parsed)
+            assert same_bits(table_rows(read), table_rows(table))
+            assert (read.prior, read.config, read.seed) == (table.prior, table.config, table.seed)
+
+    def test_second_read_does_not_parse(self, small_table, monkeypatch):
+        _, path = small_table
+        cold = st_io.read_reference_table(path)
+
+        def no_parse(*args, **kwargs):
+            raise AssertionError("the CSV was parsed")
+
+        monkeypatch.setattr(st_io, "_read_csv", no_parse)
+        assert same_bits(table_rows(st_io.read_reference_table(path)), table_rows(cold))
+
+    def test_header_checked_on_every_read(self, small_table):
+        _, path = small_table
+        st_io.read_reference_table(path)
+        digest = st_io.sha256_file(path)
+        lines = path.read_bytes().split(b"\r\n", 1)
+        path.write_bytes(b"lambda,kappa,s1,s2,s3,s4\r\n" + lines[1])
+        # the new bytes have another digest; pass the old one so the twin is found
+        with pytest.raises(SchemaError, match="expected header"):
+            st_io.read_reference_table(path, digest)
+
+    def test_changed_csv_drops_the_old_twin(self, small_table, tmp_path):
+        _, path = small_table
+        st_io.read_reference_table(path)
+        old = twins(tmp_path)
+        other = generate_reference_table(PriorSpec(), 50, SMALL_SIM, seed=3)
+        st_io.write_reference_table(path, other)
+        read = st_io.read_reference_table(path)
+        assert same_bits(table_rows(read), table_rows(other))
+        assert twins(tmp_path) == [f".table.csv.{st_io.sha256_file(path)}.npy"] != old
+
+    def test_twins_of_other_files_are_kept(self, small_table, tmp_path):
+        _, path = small_table
+        st_io.write_reference_table(tmp_path / "table.csv.b.csv", small_table[0])
+        st_io.read_reference_table(tmp_path / "table.csv.b.csv")
+        kept = tmp_path / f".table.csv.{'0' * 63}.npy"  # not a sha256: not a twin
+        kept.write_bytes(b"")
+        st_io.read_reference_table(path)
+        assert len(twins(tmp_path)) == 3
+
+    @pytest.mark.parametrize("fault", ["empty", "truncated", "not npy", "zip archive",
+                                       "wrong shape", "no rows", "float32", "big-endian",
+                                       "object"])
+    def test_bad_twin_falls_back_to_the_parse(self, fault, small_table, tmp_path):
+        table, path = small_table
+        st_io.read_reference_table(path)
+        twin = tmp_path / twins(tmp_path)[0]
+        rows = table_rows(table)
+        npy = {"wrong shape": rows[:, :5], "no rows": rows[:0],
+               "float32": rows.astype(np.float32), "big-endian": rows.astype(">f8"),
+               "object": rows.astype(object)}
+        if fault in npy:
+            with open(twin, "wb") as handle:
+                np.save(handle, npy[fault])
+        elif fault == "zip archive":
+            with open(twin, "wb") as handle:
+                np.savez(handle, rows=rows)
+        else:
+            twin.write_bytes({"empty": b"", "truncated": twin.read_bytes()[:-8],
+                              "not npy": b"kappa,lambda\r\n1,2\r\n"}[fault])
+        read = st_io.read_reference_table(path)
+        assert same_bits(table_rows(read), rows)
+        assert same_bits(np.load(twin), rows)  # rewritten
+
+    @pytest.mark.parametrize("failing", ["save", "replace"])
+    def test_unwritable_twin_keeps_the_table(self, failing, small_table, tmp_path,
+                                             monkeypatch):
+        table, path = small_table
+
+        def refuse(*args, **kwargs):
+            raise OSError(30, "Read-only file system")
+
+        monkeypatch.setattr(*{"save": (st_io.np, "save"), "replace": (st_io.os, "replace")}
+                            [failing], refuse)
+        read = st_io.read_reference_table(path)
+        assert same_bits(table_rows(read), table_rows(table))
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["table.csv", "table.json"]
+
+    @pytest.mark.parametrize("fault", ["bad header", "short row", "no rows", "bad sidecar"])
+    def test_bad_table_leaves_no_twin(self, fault, small_table, tmp_path):
+        _, path = small_table
+        header, first, *rest = path.read_bytes().split(b"\r\n")
+        lines = {
+            "bad header": [b"kappa,lambda,s1,s2,s3", first, *rest],
+            "short row": [header, first.rsplit(b",", 1)[0], *rest],
+            "no rows": [header, b""],
+            "bad sidecar": [header, first, *rest],
+        }[fault]
+        path.write_bytes(b"\r\n".join(lines))
+        if fault == "bad sidecar":
+            path.with_suffix(".json").write_text("[]")
+        with pytest.raises(SchemaError, match=str(path)):
+            st_io.read_reference_table(path)
+        assert twins(tmp_path) == []
+
+
 class TestCliSimulate:
     def test_rerun_digest_equality(self, tmp_path):
         args = ["simulate", "--kappa", "20", "--lambda", "2", "--dt", "0.5",
@@ -191,6 +317,17 @@ class TestCliReftable:
         (partial / "table.csv").unlink()
         assert cli.main(base + ["--out", str(partial)]) == 0
         assert st_io.sha256_file(full / "table.csv") == st_io.sha256_file(partial / "table.csv")
+
+    def test_table_is_hashed_once(self, tmp_path, monkeypatch, capsys):
+        hashed = []
+        sha256_file = st_io.sha256_file
+        monkeypatch.setattr(st_io, "sha256_file",
+                            lambda path: hashed.append(path) or sha256_file(path))
+        assert cli.main(["reftable", "--n-sims", "20", "--min-obs", "40", "--shard-size", "20",
+                         "--out", str(tmp_path)]) == 0
+        table = tmp_path / "table.csv"
+        assert [path for path in hashed if path == table] == [table]
+        assert capsys.readouterr().out.endswith(f"digest {sha256_file(table)[:12]}\n")
 
     def test_shard_digest_mismatch_refused(self, tmp_path, capsys):
         base = ["reftable", "--n-sims", "40", "--min-obs", "40", "--shard-size", "20",
@@ -583,6 +720,20 @@ class TestCliFlags:
         with pytest.raises(ValueError, match="at least 1000 draws"):
             densities.density_mc_check(None, None, cli.COUNT_FLAGS["n_draws"] - 1)
 
+    @pytest.mark.parametrize("argv", [
+        ["fit", "--table", "{dir}"], ["fit", "--table", "{table}", "--track", "{dir}"],
+        ["fit", "--table", "{table}", "--summary", "{dir}"], ["observe", "--latent", "{dir}"],
+        ["summarize", "--track", "{dir}"], ["directfit", "--latent", "{dir}"],
+        ["crossval", "--table", "{dir}"], ["coverage", "--table", "{dir}"],
+        ["rscan", "--table", "{dir}"],
+    ], ids=lambda argv: " ".join(argv[:1] + argv[-2:-1]))
+    def test_directory_input_exits_1(self, argv, small_table, tmp_path, capsys):
+        folder = tmp_path / "folder"
+        folder.mkdir()
+        argv = [arg.format(dir=folder, table=small_table[1]) for arg in argv]
+        assert cli.main([*argv, "--out", str(tmp_path / "out")]) == cli.EXIT_VALIDATION
+        assert f"error: {argv[-2]} names no file: {folder}" in capsys.readouterr().err
+
     def test_config_errors(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -724,6 +875,14 @@ class TestProvenance:
         out = run_on_fixed_inputs(command, tmp_path, monkeypatch)
         pinned = PINNED_REPORTS[command]
         assert {name: st_io.sha256_file(out / name) for name in pinned} == pinned
+
+    @pytest.mark.parametrize("command", ["coverage", "crossval", "fit", "rscan"])
+    def test_table_twin_is_no_artifact(self, command, tmp_path, monkeypatch):
+        out = run_on_fixed_inputs(command, tmp_path, monkeypatch)
+        twin = f".table.csv.{st_io.sha256_file(tmp_path / 'table.csv')}.npy"
+        assert twins(tmp_path) == [twin]
+        assert not [path for path in out.rglob("*") if path.suffix == ".npy"]
+        assert not [r for r in manifest_records(out) if r["path"].endswith(".npy")]
 
     @pytest.mark.parametrize("command", ["coverage", "crossval", "fit", "rscan"])
     def test_table_is_recorded_by_digest(self, command, tmp_path, monkeypatch):

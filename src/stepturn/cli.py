@@ -196,8 +196,9 @@ def _parse(argv):
     args = parser.parse_args(argv)
     if args.config:
         path = Path(args.config)
-        if not path.exists():
-            raise ValidationError(f"config file not found: {path}")
+        if not path.is_file():  # missing, or a directory
+            raise ValidationError(f"--config names no file: {path}" if path.exists()
+                                  else f"config file not found: {path}")
         try:
             config = json.loads(path.read_text())
         except json.JSONDecodeError as exc:

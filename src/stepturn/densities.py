@@ -9,6 +9,11 @@ endpoint singularity of f_V disappears; the product-density Jacobian is
 included throughout. Each density has an interior integrable singularity
 at 0 (and f_V at +-1), so grids exclude those points.
 
+A normalization checks the parameters its density checks. The grid and the
+normalization of f_Z share the support |z| <= -log(F_Z_TAIL) / lam, whose
+tails hold F_Z_TAIL = 1e-7 of the mass; those of f_S share |s| <= max(c,
+|c - w|), w the Gamma quantile above which F_S_TAIL = 1e-8 of W's mass lies.
+
 A Monte Carlo check compares each gridded density's CDF against draws of
 the corresponding random variable with a Kolmogorov-Smirnov statistic.
 """
@@ -28,16 +33,51 @@ from .streams import as_generator
 
 #: asymptotic 1% critical value constant for the one-sample KS test
 KS_COEFF_1PCT = 1.63
+F_Z_TAIL, F_S_TAIL = 1e-7, 1e-8  # the truncations (see above)
 
 
-def _quad_checked(func, a, b, epsabs, points=None, limit=300):
+def _quad_checked(func, a, b, epsabs, points=None):
     """quad with quadpack chatter converted into the achieved-error
     contract: returns (value, abserr) and leaves judging the error to the
     caller."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", IntegrationWarning)
-        return quad(func, a, b, points=points, epsabs=epsabs, epsrel=1e-10,
-                    limit=limit)
+        return quad(func, a, b, points=points, epsabs=epsabs, epsrel=1e-10, limit=300)
+
+
+def _check(kappa, lam=1.0, n=1, c=1.0):
+    """The parameter checks of f_V (kappa), f_Z (kappa, lam) and f_S (all)."""
+    if kappa < 0:
+        raise ValueError(f"concentration must be >= 0, got {kappa}")
+    if lam <= 0:
+        raise ValueError(f"rate must be > 0, got {lam}")
+    if c <= 0:
+        raise ValueError(f"elapsed-time constant must be > 0, got {c}")
+    if int(n) != n or n < 1:
+        raise ValueError(f"gamma shape must be an integer >= 1, got {n}")
+
+
+def _z_max(kappa, lam):
+    """Half-width of f_Z's truncated support (checked parameters)."""
+    _check(kappa, lam)
+    return -np.log(F_Z_TAIL) / lam
+
+
+def _s_max(kappa, lam, n, c):
+    """Half-width of f_S's truncated support (checked parameters)."""
+    _check(kappa, lam, n, c)
+    w_max = float(gamma_dist(a=n, scale=1.0 / lam).ppf(1.0 - F_S_TAIL))
+    return max(c, abs(c - w_max)) + 1e-9
+
+
+def _normalization(density, half_width, points):
+    """Integral over (-half_width, half_width) of ``density``, singular at 0."""
+    tol = 1e-6
+    value, err = quad(lambda x: 0.0 if x == 0.0 else density(x), -half_width, half_width,
+                      points=points, epsabs=tol / 10.0, epsrel=tol / 10.0, limit=400)
+    if err > tol:
+        raise QuadratureError(err, tol)
+    return value
 
 
 def f_v_density(v, kappa):
@@ -46,8 +86,7 @@ def f_v_density(v, kappa):
     Equals exp(kappa v) / (pi I0(kappa) sqrt(1 - v^2)); the arcsine law
     at kappa = 0.
     """
-    if kappa < 0:
-        raise ValueError(f"concentration must be >= 0, got {kappa}")
+    _check(kappa)
     arr = np.asarray(v, dtype=float)
     if np.any(np.abs(arr) >= 1.0):
         raise ValueError("f_v_density requires -1 < v < 1")
@@ -55,17 +94,13 @@ def f_v_density(v, kappa):
     return float(out) if arr.ndim == 0 else out
 
 
-def f_v_normalization(kappa, tol=1e-9):
+def f_v_normalization(kappa):
     """Integral of f_V over (-1, 1) via the singularity-removing
     substitution v = sin(u)."""
-    value, err = quad(
-        lambda u: np.exp(kappa * (np.sin(u) - 1.0)) / (np.pi * i0e(kappa)),
-        -np.pi / 2.0,
-        np.pi / 2.0,
-        epsabs=tol,
-        epsrel=tol,
-        limit=200,
-    )
+    _check(kappa)
+    tol = 1e-9
+    value, err = quad(lambda u: np.exp(kappa * (np.sin(u) - 1.0)) / (np.pi * i0e(kappa)),
+                      -np.pi / 2.0, np.pi / 2.0, epsabs=tol, epsrel=tol, limit=200)
     if err > 10.0 * tol + 1e-12:
         raise QuadratureError(err, tol)
     return value
@@ -79,10 +114,7 @@ def f_z_density(z, kappa, lam, epsabs=1e-11):
     (-pi/2, pi/2), with the von Mises density reflected for z < 0. Not
     defined at z = 0 (logarithmic singularity).
     """
-    if kappa < 0:
-        raise ValueError(f"concentration must be >= 0, got {kappa}")
-    if lam <= 0:
-        raise ValueError(f"rate must be > 0, got {lam}")
+    _check(kappa, lam)
     arr = np.asarray(z, dtype=float)
     if arr.ndim == 0:
         return _f_z_scalar(float(arr), kappa, lam, epsabs)
@@ -110,22 +142,10 @@ def _f_z_scalar(z, kappa, lam, epsabs):
     return value
 
 
-def f_z_normalization(kappa, lam, tol=1e-6, tail=1e-7):
-    """Integral of f_Z over a truncated support chosen so the neglected
-    exponential tail is below ``tail``."""
-    z_max = -np.log(tail) / lam
-    value, err = quad(
-        lambda z: 0.0 if z == 0.0 else _f_z_scalar(z, kappa, lam, 1e-11),
-        -z_max,
-        z_max,
-        points=[0.0],
-        epsabs=tol / 10.0,
-        epsrel=tol / 10.0,
-        limit=400,
-    )
-    if err > tol:
-        raise QuadratureError(err, tol)
-    return value
+def f_z_normalization(kappa, lam):
+    """Integral of f_Z over its truncated support."""
+    return _normalization(lambda z: _f_z_scalar(z, kappa, lam, 1e-11), _z_max(kappa, lam),
+                          [0.0])
 
 
 def f_s_density(s, kappa, lam, n, c, epsabs=1e-11):
@@ -135,12 +155,7 @@ def f_s_density(s, kappa, lam, n, c, epsabs=1e-11):
     and ``c`` the elapsed-time constant. Evaluated in the angle domain;
     singular at s = 0.
     """
-    if kappa < 0:
-        raise ValueError(f"concentration must be >= 0, got {kappa}")
-    if lam <= 0 or c <= 0:
-        raise ValueError("rate and elapsed-time constant must be > 0")
-    if int(n) != n or n < 1:
-        raise ValueError(f"gamma shape must be an integer >= 1, got {n}")
+    _check(kappa, lam, n, c)
     arr = np.asarray(s, dtype=float)
     if arr.ndim == 0:
         return _f_s_scalar(float(arr), kappa, lam, int(n), c, epsabs)
@@ -173,18 +188,15 @@ def _f_s_scalar(s, kappa, lam, n, c, epsabs):
         pts = [start + k / lam for k in (1.0, 4.0, 16.0, 64.0)]
         return [p for p in pts if start < p < stop] or None
 
-    total = 0.0
-    total_err = 0.0
+    total = total_err = 0.0
     # region y in (|s|, c]: w in (0, c - |s|); the f_V edge singularity at
     # the right endpoint is removed by the substitution w = upper - u^2
     upper = c - abs(s)
     if upper > 0.0:
         pts = decay_points(0.0, upper)
         u_pts = sorted(np.sqrt(upper - p) for p in pts) if pts else None
-        value, abserr = _quad_checked(
-            lambda u: 2.0 * u * integrand(upper - u * u, False),
-            0.0, np.sqrt(upper), epsabs / 2.0, points=u_pts,
-        )
+        value, abserr = _quad_checked(lambda u: 2.0 * u * integrand(upper - u * u, False),
+                                      0.0, np.sqrt(upper), epsabs / 2.0, points=u_pts)
         total += value
         total_err += abserr
     # region y < -|s|: w in (c + |s|, w_max) with the edge at the left
@@ -195,10 +207,8 @@ def _f_s_scalar(s, kappa, lam, n, c, epsabs):
         w_max = lower + max(80.0, 8.0 * n) / lam
         pts = decay_points(lower, w_max)
         u_pts = sorted(np.sqrt(p - lower) for p in pts) if pts else None
-        value, abserr = _quad_checked(
-            lambda u: 2.0 * u * integrand(lower + u * u, True),
-            0.0, np.sqrt(w_max - lower), epsabs / 2.0, points=u_pts,
-        )
+        value, abserr = _quad_checked(lambda u: 2.0 * u * integrand(lower + u * u, True),
+                                      0.0, np.sqrt(w_max - lower), epsabs / 2.0, points=u_pts)
         total += value
         total_err += abserr
     if total_err > max(100.0 * epsabs, 1e-6 * (1.0 + abs(total))):
@@ -206,23 +216,11 @@ def _f_s_scalar(s, kappa, lam, n, c, epsabs):
     return total
 
 
-def f_s_normalization(kappa, lam, n, c, tol=1e-6, tail=1e-8):
-    """Integral of f_S over a truncated support covering all but ``tail``
-    of the Gamma elapsed-time mass."""
-    w_max = float(gamma_dist(a=n, scale=1.0 / lam).ppf(1.0 - tail))
-    s_max = max(c, abs(c - w_max)) + 1e-9
-    value, err = quad(
-        lambda s: 0.0 if s == 0.0 else _f_s_scalar(s, kappa, lam, int(n), c, 1e-11),
-        -s_max,
-        s_max,
-        points=[-c, 0.0, c] if c < s_max else [0.0],
-        epsabs=tol / 10.0,
-        epsrel=tol / 10.0,
-        limit=400,
-    )
-    if err > tol:
-        raise QuadratureError(err, tol)
-    return value
+def f_s_normalization(kappa, lam, n, c):
+    """Integral of f_S over its truncated support."""
+    s_max = _s_max(kappa, lam, n, c)
+    return _normalization(lambda s: _f_s_scalar(s, kappa, lam, int(n), c, 1e-11), s_max,
+                          [-c, 0.0, c] if c < s_max else [0.0])
 
 
 # ---------------------------------------------------------------------------
@@ -257,16 +255,12 @@ class DensityGrid:
 
     def cdf(self, x):
         """Piecewise-linear CDF from the trapezoid rule, clamped to [0, 1]."""
-        increments = 0.5 * (self.values[1:] + self.values[:-1]) * np.diff(self.nodes)
-        cumulative = np.concatenate(([0.0], np.cumsum(increments)))
-        cumulative /= cumulative[-1]
+        cumulative = trapezoid_cdf(self.nodes, self.values)
         return np.interp(x, self.nodes, cumulative, left=0.0, right=1.0)
 
     def inverse_cdf_sampler(self):
         """Sampler drawing from the gridded density by inverse CDF."""
-        increments = 0.5 * (self.values[1:] + self.values[:-1]) * np.diff(self.nodes)
-        cumulative = np.concatenate(([0.0], np.cumsum(increments)))
-        cumulative /= cumulative[-1]
+        cumulative = trapezoid_cdf(self.nodes, self.values)
 
         def sampler(rng, size):
             rng = as_generator(rng)
@@ -275,20 +269,26 @@ class DensityGrid:
         return sampler
 
 
-def _sinh_nodes(scale, n_nodes, sharpness=6.0):
+def trapezoid_cdf(nodes, values):
+    """CDF at ``nodes`` of the density ``values`` by the trapezoid rule,
+    scaled to end at 1."""
+    increments = 0.5 * (values[1:] + values[:-1]) * np.diff(nodes)
+    cumulative = np.concatenate(([0.0], np.cumsum(increments)))
+    cumulative /= cumulative[-1]
+    return cumulative
+
+
+def _sinh_nodes(scale, n_nodes):
     """Symmetric nodes on (-scale, scale) clustered near 0, excluding 0."""
     edges = np.linspace(-1.0, 1.0, n_nodes + 1)
     mids = 0.5 * (edges[1:] + edges[:-1])
-    return scale * np.sinh(sharpness * mids) / np.sinh(sharpness)
+    return scale * np.sinh(6.0 * mids) / np.sinh(6.0)
 
 
-def _sinh_sin_nodes(scale, n_nodes, sharpness=6.0):
+def _sinh_sin_nodes(scale, n_nodes):
     """Like :func:`_sinh_nodes` but additionally clustered at the support
     endpoints, where a concentrated multiplier leaves near-singular mass."""
-    edges = np.linspace(-1.0, 1.0, n_nodes + 1)
-    mids = 0.5 * (edges[1:] + edges[:-1])
-    inner = np.sinh(sharpness * mids) / np.sinh(sharpness)
-    return scale * np.sin(0.5 * np.pi * inner)
+    return scale * np.sin(0.5 * np.pi * _sinh_nodes(1.0, n_nodes))
 
 
 def f_v_grid(kappa, n_nodes=4000, quadrature_tol=1e-3):
@@ -305,9 +305,9 @@ def f_v_grid(kappa, n_nodes=4000, quadrature_tol=1e-3):
     )
 
 
-def f_z_grid(kappa, lam, n_nodes=800, quadrature_tol=1e-3, tail=1e-7):
+def f_z_grid(kappa, lam, n_nodes=800, quadrature_tol=1e-3):
     """Grid of f_Z on sinh-spaced nodes that avoid the singularity at 0."""
-    z_max = -np.log(tail) / lam
+    z_max = _z_max(kappa, lam)
     nodes = _sinh_nodes(z_max, n_nodes)
     return DensityGrid(
         support=(-z_max, z_max),
@@ -318,11 +318,10 @@ def f_z_grid(kappa, lam, n_nodes=800, quadrature_tol=1e-3, tail=1e-7):
     )
 
 
-def f_s_grid(kappa, lam, n, c, n_nodes=1000, quadrature_tol=2e-3, tail=1e-8):
+def f_s_grid(kappa, lam, n, c, n_nodes=1000, quadrature_tol=2e-3):
     """Grid of f_S on nodes clustered at the 0 singularity and at the
     support endpoints (near-singular when c - W concentrates at c)."""
-    w_max = float(gamma_dist(a=n, scale=1.0 / lam).ppf(1.0 - tail))
-    s_max = max(c, abs(c - w_max)) + 1e-9
+    s_max = _s_max(kappa, lam, n, c)
     nodes = _sinh_sin_nodes(s_max, n_nodes)
     return DensityGrid(
         support=(-s_max, s_max),

@@ -19,6 +19,7 @@ import numpy as np
 from scipy.special import i0e
 from scipy.stats import gamma, kstest
 
+from .densities import trapezoid_cdf
 from .inference import (
     PARAM_NAMES,
     _param_index,
@@ -30,9 +31,10 @@ from .inference import (
 from .movement import MovementParams, observe, simulate_until
 from .parallel import ordered_map
 from .streams import stream
-from .summaries import MEANCOS_CLAMP, bessel_ratio_inverse, summarize
+from .summaries import kappa_estimate, summarize
 
 DEFAULT_CONSTRAINT = (70.0, 25.0)  # kappa_max, lambda_max for pseudo-observations
+KAPPA_GRID_POINTS = 4001  # nodes of direct_fit's concentration grid
 
 
 def _paired(true_values, medians):
@@ -357,21 +359,14 @@ class DirectFitResult:
     at_grid_bound: bool = False
 
 
-def direct_fit(
-    durations,
-    turns,
-    a0=1.0,
-    b0=0.0,
-    kappa_grid_max=200.0,
-    n_grid=4001,
-    alpha=0.95,
-):
+def direct_fit(durations, turns, a0=1.0, b0=0.0, kappa_grid_max=200.0, alpha=0.95):
     """Fit (lambda, kappa) from known step durations and turning angles.
 
     The rate posterior is the conjugate Gamma(n + a0, sum(t) + b0) with a
     flat-limit default prior (a0 = 1, b0 = 0). The concentration gets a
     1-d grid posterior under the von Mises likelihood with a uniform prior
-    on [0, kappa_grid_max], plus the inverse-Bessel-ratio point estimate.
+    on [0, kappa_grid_max], plus the point estimate of summary s2
+    (:func:`~stepturn.summaries.kappa_estimate`).
     Intervals are central (equal-tailed) at mass ``alpha``.
     """
     durations = np.asarray(durations, dtype=float)
@@ -386,24 +381,16 @@ def direct_fit(
     lambda_interval = (float(rate_post.ppf(lo)), float(rate_post.ppf(1.0 - lo)))
 
     mean_cos = float(np.mean(np.cos(turns)))
-    kappa_point = bessel_ratio_inverse(min(max(mean_cos, 0.0), 1.0 - MEANCOS_CLAMP))
-    grid = np.linspace(0.0, kappa_grid_max, n_grid)
-    n_turn = len(turns)
+    grid = np.linspace(0.0, kappa_grid_max, KAPPA_GRID_POINTS)
     # log I0(k) = k + log(i0e(k)) keeps large concentrations finite
-    log_lik = n_turn * (grid * mean_cos - grid - np.log(i0e(grid)) - np.log(2.0 * np.pi))
+    log_lik = len(turns) * (grid * mean_cos - grid - np.log(i0e(grid)) - np.log(2.0 * np.pi))
     density = np.exp(log_lik - log_lik.max())
-    mass = np.trapezoid(density, grid)
-    density = density / mass
-    cdf = np.concatenate(
-        ([0.0], np.cumsum(0.5 * (density[1:] + density[:-1]) * np.diff(grid)))
-    )
-    cdf = cdf / cdf[-1]
+    density = density / np.trapezoid(density, grid)
+    cdf = trapezoid_cdf(grid, density)
     at_bound = bool(np.argmax(density) == len(grid) - 1)
     if at_bound:
-        warnings.warn(
-            "concentration posterior peaks at the grid upper bound; "
-            "increase kappa_grid_max"
-        )
+        warnings.warn("concentration posterior peaks at the grid upper bound; "
+                      "increase kappa_grid_max")
     kappa_median = float(np.interp(0.5, cdf, grid))
     kappa_interval = (float(np.interp(lo, cdf, grid)), float(np.interp(1.0 - lo, cdf, grid)))
     return DirectFitResult(
@@ -412,7 +399,7 @@ def direct_fit(
         lambda_point=float(n_dur / durations.sum()),
         kappa_median=kappa_median,
         kappa_interval=kappa_interval,
-        kappa_point=kappa_point,
+        kappa_point=kappa_estimate(mean_cos),
         kappa_grid=grid,
         kappa_density=density,
         at_grid_bound=at_bound,

@@ -89,8 +89,8 @@ class ReferenceTable:
     def __post_init__(self):
         if len(self.params) != len(self.summaries):
             raise ValueError("params and summaries must have equal row counts")
-        if not np.all(np.isfinite(self.summaries)):
-            raise ValueError("every summary row must be finite")
+        if not (np.all(np.isfinite(self.params)) and np.all(np.isfinite(self.summaries))):
+            raise ValueError("every parameter and summary row must be finite")
 
     @classmethod
     def from_rows(cls, rows, prior, config, seed, n_resampled):
@@ -317,18 +317,21 @@ def abc_reject(table, s_obs, epsilon):
         raise ValueError(f"epsilon must be in (0, 1], got {epsilon}")
     if table.n_rows == 0:
         raise ValueError("reference table is empty")
+    s_obs = _as_summary_array(s_obs)
+    if not np.all(np.isfinite(s_obs)):
+        raise ValueError(f"observed summaries must be finite, got {s_obs}")
     scales = table.scales
     distances = standardized_distances(table, s_obs, scales)
     n_accept = int(np.ceil(epsilon * table.n_rows))
     accepted = _closest(distances, n_accept)
     return WeightedPosterior(
-        draws=table.params[accepted].copy(),
+        draws=table.params[accepted],
         weights=np.full(n_accept, 1.0 / n_accept),
         method="rejection",
         epsilon=float(epsilon),
         delta=float(distances[accepted[-1]]),
-        summaries=table.summaries[accepted].copy(),
-        distances=distances[accepted].copy(),
+        summaries=table.summaries[accepted],
+        distances=distances[accepted],
         indices=accepted.copy(),
         scales=scales,
         prior=table.prior,
@@ -341,10 +344,7 @@ def _closest(distances, n):
     Only the rows within the n-th smallest distance are sorted; ties keep
     row order, as in the full stable sort.
     """
-    kth = np.partition(distances, n - 1)[n - 1]
-    near = np.flatnonzero(distances <= kth)
-    if len(near) < n:  # NaN distances: let the full sort place them
-        return _stable_order(distances)[:n]
+    near = np.flatnonzero(distances <= np.partition(distances, n - 1)[n - 1])
     return near[_stable_order(distances[near])][:n]
 
 

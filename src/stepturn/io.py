@@ -171,8 +171,8 @@ def _check_header(handle, header):
 def _read_csv(path, header, dtype=float, min_rows=1):
     """The data rows of the CSV at ``path`` as one 2-d ``dtype`` array; raises
     ValueError unless the first line is exactly ``header``, every row has one
-    field per column, every cell parses as ``dtype`` and there are at least
-    ``min_rows`` rows."""
+    field per column, every cell parses as ``dtype`` (a finite one, for float)
+    and there are at least ``min_rows`` rows."""
     with open(path, newline="") as handle:
         _check_header(handle, header)
         with warnings.catch_warnings():
@@ -183,7 +183,15 @@ def _read_csv(path, header, dtype=float, min_rows=1):
         raise ValueError(f"{len(rows)} data rows, expected at least {min_rows}")
     if len(rows) and rows.shape[1] != len(header):
         raise ValueError(f"rows have {rows.shape[1]} fields, the header {len(header)}")
-    return rows
+    return _finite(rows) if dtype is float else rows
+
+
+def _finite(cells):
+    """``cells`` as floats; raises ValueError unless each is finite."""
+    values = np.asarray(cells, dtype=float)
+    if not np.all(np.isfinite(values)):
+        raise ValueError("numeric cells must hold finite numbers")
+    return values
 
 
 def _reader(read):
@@ -201,6 +209,7 @@ def _reader(read):
 def _read_records(path, header, record):
     """The rows of a report CSV as ``record`` instances (none if header-only)."""
     kinds = [get_type_hints(record)[f.name] for f in fields(record)]
+    kinds = [(lambda cell: float(_finite(cell))) if kind is float else kind for kind in kinds]
     rows = _read_csv(path, header, dtype=str, min_rows=0).tolist()
     return [record(*(kind(cell) for kind, cell in zip(kinds, row))) for row in rows]
 
@@ -221,7 +230,7 @@ def write_track_csv(path, track):
 def read_track_csv(path, dt):
     rows = _read_csv(path, TRACK_HEADER)
     counts = rows[1:, 3]
-    if not np.all(np.isfinite(counts) & (counts == np.trunc(counts))):
+    if not np.all(counts == np.trunc(counts)):
         raise ValueError("nj must hold integers")
     return ObservedTrack(dt=dt, positions=rows[:, 1:3].copy(), change_counts=counts.astype(int))
 
@@ -239,8 +248,8 @@ def write_latent_csv(path, latent):
 @_reader
 def read_latent_csv(path):
     rows = _read_csv(path, LATENT_HEADER, dtype=str)
-    headings, durations, turns = (column[column != ""].astype(float) for column in rows[:, 3:].T)
-    return LatentPath(positions=rows[:, 1:3].astype(float), headings=headings,
+    headings, durations, turns = (_finite(column[column != ""]) for column in rows[:, 3:].T)
+    return LatentPath(positions=_finite(rows[:, 1:3]), headings=headings,
                       durations=durations, turns=turns)
 
 

@@ -143,14 +143,18 @@ def bessel_ratio_inverse(y):
     return x
 
 
+def kappa_estimate(mean_cos):
+    """Inverse Bessel ratio of ``mean_cos`` clamped to [0, 1 - MEANCOS_CLAMP]: always finite."""
+    return bessel_ratio_inverse(min(max(mean_cos, 0.0), 1.0 - MEANCOS_CLAMP))
+
+
 def summarize(track):
     """Compute the four summary statistics of an observed track.
 
-    s1 is the inverse mean observed step length; s2 inverts the Bessel
-    ratio at the mean cosine of the observed turning angles (clamped to
-    [0, 1 - 1e-12] so every track yields a finite value); s3 and s4 are
-    sample standard deviations (divisor n - 1) of the turning angles and
-    step lengths.
+    s1 is the inverse mean observed step length; s2 is the
+    :func:`kappa_estimate` at the mean cosine of the observed turning
+    angles; s3 and s4 are sample standard deviations (divisor n - 1) of
+    the turning angles and step lengths.
 
     Raises
     ------
@@ -167,11 +171,9 @@ def summarize(track):
     mean_len = float(np.mean(dec.step_lengths))
     if mean_len == 0.0:
         raise DegenerateTrackError("all observed steps have zero length")
-    mean_cos = float(np.mean(np.cos(dec.turn_angles)))
-    clamped = min(max(mean_cos, 0.0), 1.0 - MEANCOS_CLAMP)
     return SummaryVector(
         s1=1.0 / mean_len,
-        s2=bessel_ratio_inverse(clamped),
+        s2=kappa_estimate(float(np.mean(np.cos(dec.turn_angles)))),
         s3=float(np.std(dec.turn_angles, ddof=1)),
         s4=float(np.std(dec.step_lengths, ddof=1)),
     )

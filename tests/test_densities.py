@@ -117,6 +117,40 @@ class TestFS:
             f_s_density(0.5, -2.0, 1.0, 2, 4.0)
 
 
+# (density, normalization, grid, a parameter setting the density refuses)
+REFUSED = [
+    (lambda kappa: f_v_density(0.5, kappa), f_v_normalization, f_v_grid, (-1.0,)),
+    *((lambda kappa, lam: f_z_density(0.5, kappa, lam), f_z_normalization, f_z_grid, setting)
+      for setting in ((-1.0, 2.0), (1.0, 0.0), (1.0, -2.0))),
+    *((lambda kappa, lam, n, c: f_s_density(0.5, kappa, lam, n, c), f_s_normalization,
+       f_s_grid, setting)
+      for setting in ((-1.0, 2.0, 2, 4.0), (5.0, 0.0, 2, 4.0), (5.0, 2.0, 2.5, 4.0),
+                      (5.0, 2.0, 0, 4.0), (5.0, 2.0, 2, 0.0), (5.0, 2.0, 2, -1.0))),
+]
+
+
+@pytest.mark.parametrize("density,normalization,grid,setting", REFUSED,
+                         ids=[f"{norm.__name__}{setting}" for _, norm, _, setting in REFUSED])
+def test_normalization_and_grid_refuse_what_the_density_refuses(density, normalization,
+                                                                  grid, setting):
+    with pytest.raises(ValueError) as refused:
+        density(*setting)
+    for follower in (normalization, grid):
+        with pytest.raises(ValueError) as raised:
+            follower(*setting)
+        assert str(raised.value) == str(refused.value)
+
+
+def test_sinh_sin_nodes_keep_their_bits():
+    # f_S's nodes, written out in full: the sin map of midpoint sinh nodes
+    from stepturn.densities import _sinh_sin_nodes
+    for scale, n in ((1.0, 10), (4.000000001, 1000), (0.3, 7)):
+        edges = np.linspace(-1.0, 1.0, n + 1)
+        mids = 0.5 * (edges[1:] + edges[:-1])
+        expected = scale * np.sin(0.5 * np.pi * (np.sinh(6.0 * mids) / np.sinh(6.0)))
+        assert _sinh_sin_nodes(scale, n).tobytes() == expected.tobytes()
+
+
 class TestDensityGrid:
     def test_trapezoid_mass_near_one(self):
         for grid in (f_v_grid(2.0), f_z_grid(2.0, 1.0)):

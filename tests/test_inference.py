@@ -331,6 +331,31 @@ class TestAbcReject:
         with pytest.raises(ValueError):
             abc_reject(table, table.summaries[0], eps)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_observation_refused(self, value):
+        table = synthetic_table(10, seed=15)
+        s_obs = table.summaries[0].copy()
+        s_obs[2] = value
+        with pytest.raises(ValueError, match="observed summaries must be finite"):
+            abc_reject(table, s_obs, 0.5)
+
+    def test_accepted_arrays_are_the_posteriors_own(self):
+        table = synthetic_table(50, seed=17)
+        post = abc_reject(table, table.summaries[4], 0.2)
+        for own, source in ((post.draws, table.params), (post.summaries, table.summaries)):
+            assert not np.shares_memory(own, source)
+
+
+class TestReferenceTableChecks:
+    @pytest.mark.parametrize("name", ["params", "summaries"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_row_refused(self, name, value):
+        table = synthetic_table(10, seed=18)
+        arrays = {"params": table.params.copy(), "summaries": table.summaries.copy()}
+        arrays[name][3, 1] = value
+        with pytest.raises(ValueError, match="every parameter and summary row must be finite"):
+            replace(table, **arrays)
+
 
 def affine_posterior(seed=16, m=160, slope=None, intercept=None, noise=0.0):
     """Rejection posterior whose params are (almost) affine in summaries.

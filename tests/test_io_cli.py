@@ -408,6 +408,19 @@ class TestCliFit:
         expected = loclinear_adjust(abc_reject(table, s_obs, 0.5), s_obs)
         np.testing.assert_allclose(posterior.draws, expected.draws, atol=1e-8)
 
+    @pytest.mark.parametrize("method", ["rejection", "loclinear"])
+    @pytest.mark.parametrize("cell", ["nan", "inf"])
+    def test_non_finite_summary_exits_1(self, method, cell, small_table, tmp_path, capsys):
+        # refused by the reader, before --out is made: no NaN reaches the fit
+        summary = tmp_path / "s.csv"
+        summary.write_text(f"s1,s2,s3,s4\n{cell},1,1,1\n")
+        out = tmp_path / "out"
+        assert cli.main(["fit", "--table", str(small_table[1]), "--summary", str(summary),
+                         "--method", method, "--out", str(out)]) == cli.EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err == f"error: {summary}: numeric cells must hold finite numbers\n"
+        assert not out.exists()
+
     def test_track_and_summary_mutually_exclusive(self, small_table, tmp_path):
         _, table_path = small_table
         assert cli.main(["fit", "--table", str(table_path), "--out", str(tmp_path)]) == \
@@ -718,7 +731,7 @@ class TestCliFlags:
     @pytest.mark.parametrize("argv", [
         ["fit", "--table", "{dir}"], ["fit", "--table", "{table}", "--track", "{dir}"],
         ["fit", "--table", "{table}", "--summary", "{dir}"], ["observe", "--latent", "{dir}"],
-        ["crossval", "--table", "{dir}"],
+        ["crossval", "--table", "{dir}"], ["summarize", "--config", "{dir}"],
     ], ids=lambda argv: " ".join(argv[:1] + argv[-2:-1]))
     def test_directory_input_exits_1(self, argv, small_table, tmp_path, capsys):
         folder = tmp_path / "folder"

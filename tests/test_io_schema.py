@@ -110,6 +110,8 @@ def bad_variants(schema):
         ("extra column", [header + ",extra", *(row + ",1" for row in rows)]),
         ("too few fields", [header, *rows[:-1], rows[-1].rsplit(",", 1)[0]]),
         ("non-numeric cell", [header, _replace_second(rows[0], "abc"), *rows[1:]]),
+        *((f"{cell} cell", [header, _replace_second(rows[0], cell), *rows[1:]])
+          for cell in ("nan", "inf")),
     ]
     if schema not in ("crossval", "rscan"):  # a report may hold no records
         variants.append(("header only", [header]))
@@ -134,6 +136,31 @@ CASES = [(schema, fault, lines) for schema in VALID for fault, lines in bad_vari
                          ids=[f"{schema}-{fault}" for schema, fault, _ in CASES])
 def test_reader_raises_schema_error(schema, fault, lines, tmp_path):
     path = write_lines(tmp_path / f"{schema}.csv", lines)
+    with pytest.raises(SchemaError, match=str(path)):
+        READERS[schema](path)
+
+
+def _numeric_columns(schema):
+    """The columns its reader parses as numbers (the latent reader skips ``i``)."""
+    header = VALID[schema][0]
+    text = {"method", "param"} | ({"i"} if schema == "latent" else set())
+    return [index for index, name in enumerate(header.split(",")) if name not in text]
+
+
+# one NaN per numeric column; "nan cell" and "inf cell" in bad_variants cover column 1
+NON_FINITE = [(schema, column) for schema in VALID for column in _numeric_columns(schema)]
+
+
+@pytest.mark.parametrize("schema,column", NON_FINITE,
+                         ids=[f"{schema}-{column}" for schema, column in NON_FINITE])
+def test_every_numeric_column_must_be_finite(schema, column, tmp_path):
+    write_fixed_inputs(tmp_path)  # the table and posterior sidecars
+    header, row, *rest = VALID[schema]
+    path = write_lines(tmp_path / f"{schema}.csv", VALID[schema])
+    READERS[schema](path)  # valid as written
+    cells = row.split(",")
+    cells[column] = "nan"
+    write_lines(path, [header, ",".join(cells), *rest])
     with pytest.raises(SchemaError, match=str(path)):
         READERS[schema](path)
 

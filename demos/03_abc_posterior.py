@@ -16,9 +16,7 @@ from stepturn import (
     fit,
     generate_reference_table,
     hpd_interval,
-    observe,
-    simulate_until,
-    summarize,
+    simulated_summaries,
     weighted_quantile,
 )
 
@@ -30,8 +28,7 @@ table = generate_reference_table(PriorSpec(), 4000, sim, seed=5, workers=2)
 print(f"done: {table.n_rows} rows, {table.n_resampled} resampled")
 
 truth = MovementParams(kappa=30.0, lam=3.0)
-path = simulate_until(truth, sim.min_obs * sim.dt, np.random.default_rng(42))
-s_obs = summarize(observe(path, sim.dt, sim.min_obs)).as_array()
+s_obs = simulated_summaries(truth, sim, np.random.default_rng(42))  # observed as the rows were
 print(f"\nobserved summaries: {np.round(s_obs, 4)}")
 print(f"truth: kappa = {truth.kappa}, lambda = {truth.lam}\n")
 

@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import densities, io
-from .errors import SchemaError, StepturnError
+from .errors import DegenerateTrackError, SchemaError, StepturnError, TrackTooShortError
 from .experiments import (
     coverage_report,
     cross_validate,
@@ -352,10 +352,18 @@ def cmd_observe(args):
     return EXIT_OK
 
 
+def _track_summaries(resolved, dt):
+    """The --track's summaries; undefined ones are a SchemaError naming the file."""
+    path = _input(resolved, "track")
+    try:
+        return summarize(io.read_track_csv(path, dt))
+    except (TrackTooShortError, DegenerateTrackError) as exc:
+        raise SchemaError(f"{path}: {exc}") from exc
+
+
 def cmd_summarize(args):
     resolved = vars(args)
-    track = io.read_track_csv(_input(resolved, "track"), resolved["dt"])
-    summary = summarize(track)
+    summary = _track_summaries(resolved, resolved["dt"])
     print("s1,s2,s3,s4")
     print(",".join(io.fmt(v) for v in summary.as_array()))
     if resolved["out"]:
@@ -386,7 +394,8 @@ def _sharded_reftable(out, prior, sim, resolved, workers):
     state_path = shard_dir / "shards.json"
     state = {"config": config, "simulator_version": SIMULATOR_VERSION, "shards": {}}
     if state_path.exists():
-        previous = json.loads(state_path.read_text())
+        # the sidecar checks; the .json file's sidecar is itself
+        previous = io.read_sidecar(state_path, {"shards": io.SHARD_RECORDS})
         version = previous.get("simulator_version")
         if version != SIMULATOR_VERSION:
             raise ValidationError(
@@ -438,11 +447,8 @@ def cmd_fit(args):
     table = _table(resolved)
     if bool(resolved["track"]) == bool(resolved["summary"]):
         raise ValidationError("fit requires exactly one of --track or --summary")
-    if resolved["track"]:
-        track = io.read_track_csv(_input(resolved, "track"), table.config.dt)
-        s_obs = summarize(track).as_array()
-    else:
-        s_obs = io.read_summary_csv(_input(resolved, "summary")).as_array()
+    s_obs = (_track_summaries(resolved, table.config.dt) if resolved["track"]
+             else io.read_summary_csv(_input(resolved, "summary")))
     _out_dir(resolved)
     posterior = fit(table, s_obs, resolved["method"], resolved["epsilon"],
                     transform=resolved["transform"])

@@ -27,7 +27,7 @@ class TrackTooShortError(StepturnError, ValueError):
 
 
 class DegenerateTrackError(StepturnError, ValueError):
-    """All observed steps have zero length; summaries are undefined."""
+    """A track's summaries are undefined: all steps have zero length, or one is not finite."""
 
 
 class SingularRegressionError(StepturnError, ValueError):

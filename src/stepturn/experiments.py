@@ -26,12 +26,13 @@ from .inference import (
     abc_reject,
     adjust,
     hpd_interval,
+    simulated_summaries,
     weighted_quantile,
 )
-from .movement import MovementParams, observe, simulate_until
+from .movement import MovementParams
 from .parallel import ordered_map
 from .streams import stream
-from .summaries import kappa_estimate, summarize
+from .summaries import kappa_estimate
 
 DEFAULT_CONSTRAINT = (70.0, 25.0)  # kappa_max, lambda_max for pseudo-observations
 KAPPA_GRID_POINTS = 4001  # nodes of direct_fit's concentration grid
@@ -274,14 +275,12 @@ class RScanReport:
 def _rscan_cell(context, task):
     cell_index, r_value, kappa_true = task
     table, methods, epsilon, n_per_cell, seed = context
-    dt, n_obs = table.config.dt, table.config.min_obs
-    lam_true = r_value / dt
+    lam_true = r_value / table.config.dt
+    params = MovementParams(kappa=kappa_true, lam=lam_true)
     records = []
     for rep in range(n_per_cell):
         rng = stream(seed, cell_index * n_per_cell + rep)
-        params = MovementParams(kappa=kappa_true, lam=lam_true)
-        path = simulate_until(params, n_obs * dt, rng)
-        s_obs = summarize(observe(path, dt, n_obs)).as_array()
+        s_obs = simulated_summaries(params, table.config, rng)
         for method, _, post in _fits(table, s_obs, methods, (epsilon,)):
             for k, name in enumerate(PARAM_NAMES):
                 records.append(
@@ -311,10 +310,10 @@ def r_scan(
     """Prediction errors on fresh trajectories over a grid of R = lam * dt.
 
     Each (R, kappa) cell simulates ``n_per_cell`` trajectories with
-    lam = R / dt, observes each as the table's rows were (its
-    ``config.dt`` and ``config.min_obs``), and fits them against the
-    table. Cells whose implied parameters fall outside the table's prior
-    support are skipped with a warning record.
+    lam = R / dt, summarizes each as the table's rows were
+    (:func:`~stepturn.inference.simulated_summaries`), and fits them
+    against the table. Cells whose implied parameters fall outside the
+    table's prior support are skipped with a warning record.
     """
     if n_per_cell < 1:
         raise ValueError(f"n_per_cell must be >= 1, got {n_per_cell}")

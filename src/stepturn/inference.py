@@ -176,9 +176,16 @@ def _param_index(parameter):
 # reference-table generation
 
 
+def simulated_summaries(params, config, rng):
+    """Summaries of a walk under ``params`` observed as every table row is, every
+    ``config.dt`` for ``config.min_obs`` intervals (DegenerateTrackError if undefined)."""
+    path = simulate_until(params, config.min_obs * config.dt, rng)
+    return summarize(observe(path, config.dt, config.min_obs)).as_array()
+
+
 def _reference_row(prior, config, base_seed, index):
-    """Simulate one table row; a draw of lambda exactly 0, a degenerate track
-    or non-finite summaries are resampled with a bumped sub-stream.
+    """Simulate one table row; a draw of lambda exactly 0 or a track whose
+    summaries are undefined is resampled with a bumped sub-stream.
     Returns (kappa, lambda, s1..s4, n_resamples)."""
     for attempt in range(1000):
         rng = stream(base_seed, index, bump=attempt)
@@ -186,14 +193,11 @@ def _reference_row(prior, config, base_seed, index):
         lam = rng.uniform(*prior.lambda_range)
         if lam == 0.0:  # the walk needs a positive rate
             continue
-        path = simulate_until(MovementParams(kappa=kappa, lam=lam),
-                              config.min_obs * config.dt, rng)
         try:
-            s = summarize(observe(path, config.dt, config.min_obs)).as_array()
+            s = simulated_summaries(MovementParams(kappa=kappa, lam=lam), config, rng)
         except DegenerateTrackError:
             continue
-        if np.all(np.isfinite(s)):
-            return kappa, lam, s[0], s[1], s[2], s[3], attempt
+        return kappa, lam, s[0], s[1], s[2], s[3], attempt
     raise RuntimeError(f"row {index}: exhausted resampling attempts")
 
 
@@ -275,19 +279,17 @@ def summary_scales(table):
     return scales
 
 
-def standardized_distances(table, s_obs, scales=None):
-    """Standardized Euclidean distance of every table row to ``s_obs``.
+def standardized_distances(table, s_obs):
+    """Euclidean distance of every table row to ``s_obs``, each summary
+    divided by its :attr:`ReferenceTable.scales` entry.
 
-    ``scales`` defaults to the table's cached :attr:`ReferenceTable.scales`.
     The squares are summed column by column, in the order of a row-wise sum,
     into one (K,) buffer; the only other temporary is the (4, K) difference.
     """
     if table.n_rows == 0:
         raise ValueError("reference table is empty")
     s_obs = _as_summary_array(s_obs)
-    if scales is None:
-        scales = table.scales
-    scales = np.asarray(scales, dtype=float)
+    scales = table.scales  # before z: a first computation of the scales does not overlap it
     z = np.subtract(table.columns, s_obs[:, None])
     z /= scales[:, None]
     np.square(z, out=z)
@@ -315,13 +317,10 @@ def abc_reject(table, s_obs, epsilon):
     """
     if not (0.0 < epsilon <= 1.0):
         raise ValueError(f"epsilon must be in (0, 1], got {epsilon}")
-    if table.n_rows == 0:
-        raise ValueError("reference table is empty")
     s_obs = _as_summary_array(s_obs)
     if not np.all(np.isfinite(s_obs)):
         raise ValueError(f"observed summaries must be finite, got {s_obs}")
-    scales = table.scales
-    distances = standardized_distances(table, s_obs, scales)
+    distances = standardized_distances(table, s_obs)
     n_accept = int(np.ceil(epsilon * table.n_rows))
     accepted = _closest(distances, n_accept)
     return WeightedPosterior(
@@ -333,7 +332,7 @@ def abc_reject(table, s_obs, epsilon):
         summaries=table.summaries[accepted],
         distances=distances[accepted],
         indices=accepted.copy(),
-        scales=scales,
+        scales=table.scales,
         prior=table.prior,
     )
 

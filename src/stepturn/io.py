@@ -7,10 +7,9 @@ one field per column in each row, and raises SchemaError, naming the
 file, on any fault. Each CSV gets a JSON sidecar (same stem, ``.json``)
 carrying the full producing configuration; the table and posterior
 readers also raise SchemaError when the sidecar is missing, is not a JSON
-object or lacks a key they read, and the table reader when a setting it
-reads has the wrong type. An append-only ``manifest.jsonl`` in the output
-directory records path, content digest, command, config digest and
-wall-clock duration.
+object, lacks a key they read or holds a value of the wrong kind there.
+An append-only ``manifest.jsonl`` in the output directory records path,
+content digest, command, config digest and wall-clock duration.
 
 A reference table CSV is parsed once per content: the first read saves the
 parsed float64 rows as a binary twin beside the CSV,
@@ -43,6 +42,7 @@ import numpy as np
 from .errors import SchemaError
 from .experiments import ReplicateRecord, RScanRecord
 from .inference import (
+    METHODS,
     SIMULATOR_VERSION,
     PriorSpec,
     ReferenceTable,
@@ -93,33 +93,37 @@ INTEGER = ("an integer", _is_integer)
 NUMBER = ("a finite number", _is_number)
 RANGE = ("a list of two finite numbers",
          lambda value: isinstance(value, list) and len(value) == 2 and all(map(_is_number, value)))
+METHOD = (f"one of {', '.join(METHODS)}", lambda value: value in METHODS)
+SHARD_RECORDS = ("an object of records with a string sha256",  # shards.json's "shards"
+                 lambda value: isinstance(value, dict) and all(
+                     isinstance(record, dict) and isinstance(record.get("sha256"), str)
+                     for record in value.values()))
 
 
-def read_sidecar(path, *keys, kinds=None):
-    """The JSON sidecar of ``path``; raises ValueError naming the sidecar when
-    it is missing, is not a JSON object or lacks one of ``keys`` or of the keys
-    of ``kinds``, each a dotted path such as ``"config.seed"``. ``kinds`` maps
-    a key to the kind (``INTEGER``, ``NUMBER`` or ``RANGE``) its value must
-    have."""
-    kinds = kinds or {}
+def read_sidecar(path, kinds=None):
+    """The JSON sidecar of ``path``; raises SchemaError naming the sidecar when
+    it is missing, is not a JSON object, lacks one of the keys of ``kinds``,
+    each a dotted path such as ``"config.seed"``, or holds a value of another
+    kind than the one (``INTEGER``, ``NUMBER``, ``RANGE``, ...) that ``kinds``
+    maps its key to."""
     sidecar = Path(path).with_suffix(".json")
     try:
         payload = json.loads(sidecar.read_text())
     except FileNotFoundError:
-        raise ValueError(f"sidecar {sidecar} is missing") from None
+        raise SchemaError(f"sidecar {sidecar} is missing") from None
     except json.JSONDecodeError as exc:
-        raise ValueError(f"sidecar {sidecar} is not valid JSON: {exc}") from None
+        raise SchemaError(f"sidecar {sidecar} is not valid JSON: {exc}") from None
     if not isinstance(payload, dict):
-        raise ValueError(f"sidecar {sidecar} is not a JSON object")
-    for key in (*keys, *kinds):
+        raise SchemaError(f"sidecar {sidecar} is not a JSON object")
+    for key, (kind, check) in (kinds or {}).items():
         node = payload
         for part in key.split("."):
             if not isinstance(node, dict) or part not in node:
-                raise ValueError(f"sidecar {sidecar} lacks the key {key!r}")
+                raise SchemaError(f"sidecar {sidecar} lacks the key {key!r}")
             node = node[part]
-        if key in kinds and not kinds[key][1](node):
-            raise ValueError(f"sidecar {sidecar} key {key!r} must be {kinds[key][0]}, "
-                             f"found {node!r}")
+        if not check(node):
+            raise SchemaError(f"sidecar {sidecar} key {key!r} must be {kind}, "
+                              f"found {node!r}")
     return payload
 
 
@@ -248,9 +252,13 @@ def write_latent_csv(path, latent):
 @_reader
 def read_latent_csv(path):
     rows = _read_csv(path, LATENT_HEADER, dtype=str)
-    headings, durations, turns = (_finite(column[column != ""]) for column in rows[:, 3:].T)
-    return LatentPath(positions=_finite(rows[:, 1:3]), headings=headings,
-                      durations=durations, turns=turns)
+    empty = np.zeros((len(rows), 3), dtype=bool)
+    empty[-1] = empty[0, 2] = True
+    if not np.array_equal(rows[:, 3:] == "", empty):
+        raise ValueError("phi and t_dur must be empty on the last row only, "
+                         "omega on the first and last rows only")
+    return LatentPath(positions=_finite(rows[:, 1:3]), headings=_finite(rows[:-1, 3]),
+                      durations=_finite(rows[:-1, 4]), turns=_finite(rows[1:-1, 5]))
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +353,7 @@ def read_reference_table(path, sha256=None):
     else:  # the twin spares the parse, not the header check
         with open(path, newline="") as handle:
             _check_header(handle, TABLE_HEADER)
-    sidecar = read_sidecar(path, kinds={
+    sidecar = read_sidecar(path, {
         "config.seed": INTEGER, "config.prior.kappa_range": RANGE,
         "config.prior.lambda_range": RANGE, "config.sim.dt": NUMBER, "config.sim.min_obs": INTEGER,
     })
@@ -382,7 +390,7 @@ def write_posterior(path, posterior, command="fit", config=None):
 @_reader
 def read_posterior(path):
     rows = _read_csv(path, POSTERIOR_HEADER)
-    meta = read_sidecar(path, "method", "epsilon", "delta")
+    meta = read_sidecar(path, {"method": METHOD, "epsilon": NUMBER, "delta": NUMBER})
     return WeightedPosterior(
         draws=rows[:, :2],
         weights=rows[:, 2],

@@ -187,16 +187,14 @@ def latent_from_steps(durations, turns):
             f"expected {len(durations) - 1} turning angles for "
             f"{len(durations)} durations, got {len(turns)}"
         )
-    if not np.all(durations > 0):
-        raise ValueError("all durations must be strictly positive")
-    turns = np.atleast_1d(wrap_angle(turns))
+    turns = wrap_angle(turns)
     heads_raw = np.concatenate(([0.0], np.cumsum(turns)))
     positions = np.zeros((len(durations) + 1, 2))
     np.cumsum(durations * np.cos(heads_raw), out=positions[1:, 0])
     np.cumsum(durations * np.sin(heads_raw), out=positions[1:, 1])
     return LatentPath(
         positions=positions,
-        headings=np.atleast_1d(wrap_angle(heads_raw)),
+        headings=wrap_angle(heads_raw),
         durations=durations,
         turns=turns,
     )
@@ -212,10 +210,7 @@ def simulate_latent(params, n_steps, rng):
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
     rng = as_generator(rng)
     durations = sample_exponential(params.lam, rng, size=n_steps)
-    if n_steps > 1:
-        turns = sample_von_mises(params.kappa, rng, size=n_steps - 1)
-    else:
-        turns = np.empty(0)
+    turns = sample_von_mises(params.kappa, rng, size=len(durations) - 1)  # none for one step
     return latent_from_steps(durations, turns)
 
 
@@ -241,10 +236,7 @@ def simulate_until(params, total_time, rng):
     cumsum = np.cumsum(durations)
     n = int(np.searchsorted(cumsum, total_time, side="left")) + 1
     durations = durations[:n]
-    if n > 1:
-        turns = sample_von_mises(params.kappa, rng, size=n - 1)
-    else:
-        turns = np.empty(0)
+    turns = sample_von_mises(params.kappa, rng, size=len(durations) - 1)  # none for one step
     return latent_from_steps(durations, turns)
 
 

@@ -74,8 +74,8 @@ def decompose(track):
         )
     deltas = np.diff(positions, axis=0)
     step_lengths = np.hypot(deltas[:, 0], deltas[:, 1])
-    headings = np.atleast_1d(wrap_angle(np.arctan2(deltas[:, 1], deltas[:, 0])))
-    turn_angles = np.atleast_1d(wrap_angle(np.diff(headings)))
+    headings = wrap_angle(np.arctan2(deltas[:, 1], deltas[:, 0]))
+    turn_angles = wrap_angle(np.diff(headings))
     return ObservedDecomposition(step_lengths, headings, turn_angles)
 
 
@@ -161,7 +161,7 @@ def summarize(track):
     TrackTooShortError
         Fewer than 2 turning angles (i.e. fewer than 4 positions).
     DegenerateTrackError
-        All observed steps have zero length.
+        All observed steps have zero length, or a summary is not finite.
     """
     dec = decompose(track)
     if len(dec.turn_angles) < 2:
@@ -171,9 +171,12 @@ def summarize(track):
     mean_len = float(np.mean(dec.step_lengths))
     if mean_len == 0.0:
         raise DegenerateTrackError("all observed steps have zero length")
-    return SummaryVector(
+    summary = SummaryVector(
         s1=1.0 / mean_len,
         s2=kappa_estimate(float(np.mean(np.cos(dec.turn_angles)))),
         s3=float(np.std(dec.turn_angles, ddof=1)),
         s4=float(np.std(dec.step_lengths, ddof=1)),
     )
+    if not np.all(np.isfinite(summary.as_array())):
+        raise DegenerateTrackError("a summary is not finite")
+    return summary

@@ -5,6 +5,7 @@ import pytest
 from scipy.stats import median_abs_deviation
 
 from stepturn import (
+    DegenerateTrackError,
     MovementParams,
     NetConfig,
     PriorSpec,
@@ -108,6 +109,29 @@ class TestGenerateReferenceTable:
                               SMALL_SIM.min_obs * SMALL_SIM.dt, rng)
         s = summarize(observe(path, SMALL_SIM.dt, SMALL_SIM.min_obs)).as_array()
         assert row == (kappa, lam, *s, 1)
+
+    def test_undefined_summaries_resampled(self, monkeypatch):
+        calls = []
+
+        def degenerate_once(track):
+            calls.append(track)
+            if len(calls) == 1:
+                raise DegenerateTrackError("a summary is not finite")
+            return summarize(track)
+
+        monkeypatch.setattr(inference, "summarize", degenerate_once)
+        row = inference._reference_row(PriorSpec(), SMALL_SIM, 7, 3)
+        rng = stream(7, 3, bump=1)
+        kappa, lam = rng.uniform(0.0, 100.0), rng.uniform(0.0, 50.0)
+        s = inference.simulated_summaries(MovementParams(kappa=kappa, lam=lam), SMALL_SIM, rng)
+        assert row == (kappa, lam, *s, 1)
+
+    def test_simulated_summaries_chain(self):
+        params = MovementParams(kappa=12.0, lam=3.0)
+        path = simulate_until(params, SMALL_SIM.min_obs * SMALL_SIM.dt, stream(4, 2))
+        expected = summarize(observe(path, SMALL_SIM.dt, SMALL_SIM.min_obs)).as_array()
+        np.testing.assert_array_equal(
+            inference.simulated_summaries(params, SMALL_SIM, stream(4, 2)), expected)
 
     def test_value_error_in_row_propagates(self, monkeypatch):
         def broken_observe(*args):
@@ -260,10 +284,12 @@ class TestScaledTable:
 
     def test_distances_leave_scales_and_columns_unchanged(self):
         table = synthetic_table(500, seed=46)
-        scales = np.array([0.5, 2.0, 0.25, 3.0])
-        before = (scales.tobytes(), table.columns.tobytes(), table.summaries.tobytes())
-        standardized_distances(table, table.summaries[9] + 0.1, scales=scales)
-        assert (scales.tobytes(), table.columns.tobytes(), table.summaries.tobytes()) == before
+        cached = (table.scales, table.columns)
+        before = (table.scales.tobytes(), table.columns.tobytes(), table.summaries.tobytes())
+        standardized_distances(table, table.summaries[9] + 0.1)
+        assert (table.scales, table.columns) == cached  # the same arrays, not new ones
+        assert (table.scales.tobytes(), table.columns.tobytes(),
+                table.summaries.tobytes()) == before
 
 
 class TestStableOrder:
@@ -287,6 +313,11 @@ class TestAbcReject:
         post = abc_reject(table, table.summaries[0], 1.0)
         assert post.n_draws == 40
         np.testing.assert_allclose(post.weights, 1.0 / 40)
+
+    def test_empty_table_refused(self):
+        table = synthetic_table(1, seed=9).without_row(0)
+        with pytest.raises(ValueError, match="reference table is empty"):
+            abc_reject(table, np.zeros(4), 0.5)
 
     def test_nearest_row_recovery(self):
         table = synthetic_table(50, seed=10)

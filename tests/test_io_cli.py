@@ -37,6 +37,35 @@ def simulate_track(seed=3, n_obs=200):
     return path, observe(path, 0.5, n_obs)
 
 
+def write_track(path, xs):
+    """A track CSV along the x axis with one change per interval."""
+    path.write_text("j,x,y,nj\n" + "".join(
+        f"{j},{x},0,{j - 1}\n" for j, x in enumerate(xs)))
+    return path
+
+
+# (fault, x of each position, the error after the file's name)
+UNDEFINED_TRACKS = [
+    ("overflowing steps", [0, 1e308, -1e308, 1e308, -1e308], "a summary is not finite"),
+    ("three positions", [0, 1, 2], "need at least 2 turning angles, got 1"),
+    ("zero-length steps", [0, 0, 0, 0], "all observed steps have zero length"),
+]
+
+
+class TestCliSummarize:
+    @pytest.mark.parametrize("fault,rows,message", UNDEFINED_TRACKS,
+                             ids=[fault for fault, _, _ in UNDEFINED_TRACKS])
+    def test_undefined_track_summaries_exit_1(self, fault, rows, message, tmp_path, capsys):
+        track = write_track(tmp_path / "track.csv", rows)
+        out = tmp_path / "out"
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = cli.main(["summarize", "--track", str(track), "--out", str(out)])
+        assert code == cli.EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {track}: {message}\n"
+        assert captured.out == "" and not out.exists()  # no summary line, no nan
+
+
 class TestRoundTrips:
     def test_latent_csv(self, tmp_path):
         path, _ = simulate_track()
@@ -364,6 +393,23 @@ class TestCliReftable:
         assert (f"built by simulator version {recorded}, this is version {SIMULATOR_VERSION}"
                 in capsys.readouterr().err)
 
+    @pytest.mark.parametrize("fault,text", [
+        ("a JSON list", lambda state: "[]"),
+        ("no sha256", lambda state: json.dumps(
+            {**state, "shards": {"shard_00000.npz": {"rows": 20}}})),
+        ("invalid JSON", lambda state: '{"config": '),
+    ])
+    def test_resume_refuses_malformed_shards_json(self, fault, text, tmp_path, capsys):
+        base = ["reftable", "--n-sims", "40", "--min-obs", "40", "--shard-size", "20",
+                "--seed", "9", "--out", str(tmp_path)]
+        assert cli.main(base) == 0
+        state_file = tmp_path / "shards" / "shards.json"
+        state_file.write_text(text(json.loads(state_file.read_text())))
+        capsys.readouterr()
+        assert cli.main(base) == cli.EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: sidecar {state_file} ") and "Traceback" not in err
+
     def test_resume_progress_counts_missing_shards_once(self, tmp_path, capsys):
         base = ["reftable", "--n-sims", "60", "--min-obs", "40", "--shard-size", "20",
                 "--seed", "9", "--out", str(tmp_path)]
@@ -419,6 +465,19 @@ class TestCliFit:
                          "--method", method, "--out", str(out)]) == cli.EXIT_VALIDATION
         err = capsys.readouterr().err
         assert err == f"error: {summary}: numeric cells must hold finite numbers\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("fault,rows,message", UNDEFINED_TRACKS,
+                             ids=[fault for fault, _, _ in UNDEFINED_TRACKS])
+    def test_undefined_track_summaries_exit_1(self, fault, rows, message, small_table,
+                                              tmp_path, capsys):
+        track = write_track(tmp_path / "track.csv", rows)
+        out = tmp_path / "out"
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = cli.main(["fit", "--table", str(small_table[1]), "--track", str(track),
+                             "--out", str(out)])
+        assert code == cli.EXIT_VALIDATION
+        assert capsys.readouterr().err.endswith(f"error: {track}: {message}\n")
         assert not out.exists()
 
     def test_track_and_summary_mutually_exclusive(self, small_table, tmp_path):

@@ -176,6 +176,28 @@ def test_valid_files_read(tmp_path):
         READERS[schema](write_lines(tmp_path / f"{schema}.csv", VALID[schema]))
 
 
+# cells of VALID["latent"] to toggle: each filled one emptied, each empty one filled
+LATENT_TOGGLES = [[(0, "phi")], [(1, "t_dur")], [(2, "phi")], [(0, "omega")], [(1, "omega")],
+                  [(2, "omega")], [(0, "phi"), (2, "phi")]]  # the last: every heading shifted
+
+
+@pytest.mark.parametrize("toggles", LATENT_TOGGLES, ids=map(str, LATENT_TOGGLES))
+def test_latent_cells_empty_where_the_writer_leaves_them(toggles, tmp_path, capsys):
+    # the writer leaves phi and t_dur empty on the last row, omega on the first and last
+    header, *rows = VALID["latent"]
+    cells = [line.split(",") for line in rows]
+    for row, column in toggles:
+        index = header.split(",").index(column)
+        cells[row][index] = "" if cells[row][index] else "0.5"
+    path = write_lines(tmp_path / "latent.csv", [header, *map(",".join, cells)])
+    message = "phi and t_dur must be empty on the last row only"
+    with pytest.raises(SchemaError, match=f"{path}: {message}"):
+        st_io.read_latent_csv(path)
+    assert cli.main(["observe", "--latent", str(path), "--n-obs", "2",
+                     "--out", str(tmp_path / "out")]) == cli.EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith(f"error: {path}: {message}")
+
+
 def test_fractional_change_count_rejected(tmp_path):
     path = write_lines(tmp_path / "track.csv", ["j,x,y,nj", "0,0,0,-1", "1,0.5,0.25,0.5"])
     with pytest.raises(SchemaError, match="nj must hold integers"):
@@ -239,15 +261,20 @@ def _set_key(payload, dotted, value):
     return json.dumps(payload)
 
 
-# a table setting of the wrong type: (key, value, expected message)
+# a sidecar value of the wrong kind: (file, key, value, expected message)
 MISTYPED = [
-    ("config.sim.dt", "0.5", "must be a finite number"),
-    ("config.sim.dt", float("nan"), "must be a finite number"),
-    ("config.sim.min_obs", 1500.0, "must be an integer"),
-    ("config.seed", "11", "must be an integer"),
-    ("config.seed", True, "must be an integer"),
-    ("config.prior.kappa_range", [0, "100"], "must be a list of two finite numbers"),
-    ("config.prior.lambda_range", [0.0], "must be a list of two finite numbers"),
+    ("table", "config.sim.dt", "0.5", "must be a finite number"),
+    ("table", "config.sim.dt", float("nan"), "must be a finite number"),
+    ("table", "config.sim.min_obs", 1500.0, "must be an integer"),
+    ("table", "config.seed", "11", "must be an integer"),
+    ("table", "config.seed", True, "must be an integer"),
+    ("table", "config.prior.kappa_range", [0, "100"], "must be a list of two finite numbers"),
+    ("table", "config.prior.lambda_range", [0.0], "must be a list of two finite numbers"),
+    ("posterior", "method", 7, "must be one of rejection, loclinear, neuralnet"),
+    ("posterior", "method", "lasso", "must be one of rejection, loclinear, neuralnet"),
+    ("posterior", "epsilon", "x", "must be a finite number"),
+    ("posterior", "epsilon", float("inf"), "must be a finite number"),
+    ("posterior", "delta", None, "must be a finite number"),
 ]
 
 # (file, fault, the broken sidecar's text from the written payload or None to
@@ -262,9 +289,9 @@ SIDECAR_FAULTS = [
                   "config.sim.min_obs")),
     *(("posterior", f"no {key}", lambda payload, key=key: _drop_key(payload, key), f"key '{key}")
       for key in ("method", "epsilon", "delta")),
-    *(("table", f"{key} {value!r}",
+    *((name, f"{key} {value!r}",
        lambda payload, key=key, value=value: _set_key(payload, key, value),
-       f"key '{key}' {message}") for key, value, message in MISTYPED),
+       f"key '{key}' {message}") for name, key, value, message in MISTYPED),
 ]
 
 

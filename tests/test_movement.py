@@ -280,6 +280,18 @@ class TestSimulateUntil:
         cumsum = np.cumsum(path.durations)
         assert len(cumsum) == 1 or cumsum[-2] < 100.0  # minimal covering count
 
+    @pytest.mark.parametrize("simulate", ["latent", "until"])
+    def test_one_step_draws_no_turn(self, simulate):
+        params = MovementParams(kappa=1.0, lam=1e-4)
+        rng = np.random.default_rng(19)
+        path = (simulate_latent(params, 1, rng) if simulate == "latent"
+                else simulate_until(params, 10.0, rng))
+        assert path.n_steps == 1 and path.turns.dtype == float and path.turns.shape == (0,)
+        # the generator moved only by the duration draws (16: simulate_until's first chunk)
+        replay = np.random.default_rng(19)
+        sample_exponential(params.lam, replay, size=1 if simulate == "latent" else 16)
+        assert replay.bit_generator.state == rng.bit_generator.state
+
     def test_tiny_rate_single_step(self):
         params = MovementParams(kappa=1.0, lam=1e-4)
         path = simulate_until(params, 10.0, np.random.default_rng(17))

@@ -127,6 +127,13 @@ class TestSummarize:
         with pytest.raises(DegenerateTrackError):
             summarize(track_from([(0, 0)] * 5))
 
+    def test_overflowing_steps_are_degenerate(self):
+        # finite positions whose steps overflow: s4 would be NaN
+        huge = [(0, 0), (1e308, 0), (-1e308, 0), (1e308, 0), (-1e308, 0)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DegenerateTrackError, match="a summary is not finite$"):
+                summarize(track_from(huge))
+
     def test_too_few_turns(self):
         with pytest.raises(TrackTooShortError):
             summarize(track_from([(0, 0), (1, 0), (1, 1)]))  # only one turn angle

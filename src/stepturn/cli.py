@@ -32,6 +32,7 @@ import numpy as np
 from . import densities, io
 from .errors import DegenerateTrackError, SchemaError, StepturnError, TrackTooShortError
 from .experiments import (
+    INTERVAL_MASS,
     coverage_report,
     cross_validate,
     direct_fit,
@@ -453,12 +454,12 @@ def cmd_fit(args):
     posterior = fit(table, s_obs, resolved["method"], resolved["epsilon"],
                     transform=resolved["transform"])
     _emit(resolved, "posterior.csv",
-          lambda p: io.write_posterior(p, posterior, "fit", _recorded_config(resolved)),
+          lambda p: io.write_posterior(p, posterior, _recorded_config(resolved)),
           sidecar=False)
     for name in ("kappa", "lambda"):
         median = weighted_quantile(posterior, name, 0.5)
-        lo, hi = hpd_interval(posterior, name, 0.95)
-        print(f"{name}: median {median:.6g}, 95% HPD [{lo:.6g}, {hi:.6g}]")
+        lo, hi = hpd_interval(posterior, name, INTERVAL_MASS)
+        print(f"{name}: median {median:.6g}, {INTERVAL_MASS:.0%} HPD [{lo:.6g}, {hi:.6g}]")
     return EXIT_OK
 
 

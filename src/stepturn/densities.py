@@ -339,7 +339,6 @@ MIN_MC_DRAWS = 1000  # fewest draws density_mc_check accepts
 class MCCheckResult:
     ks_distance: float
     critical: float
-    n_draws: int
 
     @property
     def passed(self):
@@ -368,7 +367,6 @@ def density_mc_check(grid, sampler, n_draws, rng=0):
     return MCCheckResult(
         ks_distance=ks,
         critical=KS_COEFF_1PCT / np.sqrt(n_draws),
-        n_draws=n_draws,
     )
 
 

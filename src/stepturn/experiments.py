@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import warnings
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -21,6 +21,7 @@ from scipy.stats import gamma, kstest
 
 from .densities import trapezoid_cdf
 from .inference import (
+    METHODS,
     PARAM_NAMES,
     _param_index,
     abc_reject,
@@ -36,6 +37,7 @@ from .summaries import kappa_estimate
 
 DEFAULT_CONSTRAINT = (70.0, 25.0)  # kappa_max, lambda_max for pseudo-observations
 KAPPA_GRID_POINTS = 4001  # nodes of direct_fit's concentration grid
+INTERVAL_MASS = 0.95  # mass of every posterior interval, as in the paper
 
 
 def _paired(true_values, medians):
@@ -106,7 +108,6 @@ class CrossValReport:
     records: list[ReplicateRecord]
     methods: tuple[str, ...]
     epsilons: tuple[float, ...]
-    alpha: float
 
     @cached_property
     def cells(self):
@@ -131,13 +132,13 @@ def _fits(table, s_obs, methods, epsilons):
 
 def _crossval_replicate(context, task):
     rep, row = task
-    table, methods, epsilons, alpha = context
+    table, methods, epsilons = context
     truth = table.params[row]
     s_obs = table.summaries[row]
     records = []
     for method, epsilon, post in _fits(table.without_row(row), s_obs, methods, epsilons):
         for k, name in enumerate(PARAM_NAMES):
-            hpd_lo, hpd_hi = hpd_interval(post, k, alpha)
+            hpd_lo, hpd_hi = hpd_interval(post, k, INTERVAL_MASS)
             records.append(
                 ReplicateRecord(
                     method=method,
@@ -156,12 +157,11 @@ def _crossval_replicate(context, task):
 
 def cross_validate(
     table,
-    methods=("rejection", "loclinear", "neuralnet"),
+    methods=METHODS,
     epsilons=(0.1, 0.01, 0.005, 0.001),
     n_rep=100,
     constraint=DEFAULT_CONSTRAINT,
     seed=0,
-    alpha=0.95,
     workers=1,
 ):
     """Leave-one-out assessment over pseudo-observations from the table.
@@ -196,14 +196,13 @@ def cross_validate(
     rng = np.random.default_rng(seed)
     chosen = rng.choice(eligible, size=n_rep, replace=False)
     tasks = [(rep, int(row)) for rep, row in enumerate(chosen)]
-    context = (table, tuple(methods), tuple(epsilons), alpha)
+    context = (table, tuple(methods), tuple(epsilons))
     results = ordered_map(_crossval_replicate, context, tasks, workers)
     records = [record for sub in results for record in sub]
     return CrossValReport(
         records=records,
         methods=tuple(methods),
         epsilons=tuple(float(e) for e in epsilons),
-        alpha=alpha,
     )
 
 
@@ -218,14 +217,12 @@ class CoverageReport:
     ks_statistic: dict
     ks_pvalue: dict
     histogram: dict
-    alpha: float
 
 
 def coverage_report(crossval):
     """The coverage diagnostics of each of ``crossval.cells``: the fraction of
-    truths inside the recorded HPD, and the KS test of the coverage p-values
-    against U(0, 1). The report's ``alpha`` is the HPD mass the records were
-    computed at."""
+    truths inside the recorded ``INTERVAL_MASS`` HPD, and the KS test of the
+    coverage p-values against U(0, 1)."""
     coverage, p_values, ks_stat, ks_p, histogram = {}, {}, {}, {}, {}
     for key, recs in crossval.cells.items():
         coverage[key] = sum(r.hpd_lo <= r.truth <= r.hpd_hi for r in recs) / len(recs)
@@ -239,7 +236,6 @@ def coverage_report(crossval):
         ks_statistic=ks_stat,
         ks_pvalue=ks_p,
         histogram=histogram,
-        alpha=crossval.alpha,
     )
 
 
@@ -261,7 +257,6 @@ class RScanRecord:
 @dataclass(frozen=True)
 class RScanReport:
     records: list[RScanRecord]
-    skipped: list[tuple[float, float, str]]  # (R, kappa, reason)
 
     @cached_property
     def cells(self):
@@ -302,7 +297,7 @@ def r_scan(
     r_values,
     kappa_values,
     n_per_cell=50,
-    methods=("rejection", "loclinear", "neuralnet"),
+    methods=METHODS,
     epsilon=0.001,
     seed=0,
     workers=1,
@@ -313,30 +308,27 @@ def r_scan(
     lam = R / dt, summarizes each as the table's rows were
     (:func:`~stepturn.inference.simulated_summaries`), and fits them
     against the table. Cells whose implied parameters fall outside the
-    table's prior support are skipped with a warning record.
+    table's prior support are skipped with a warning.
     """
     if n_per_cell < 1:
         raise ValueError(f"n_per_cell must be >= 1, got {n_per_cell}")
-    skipped = []
     cells = []
     cell_index = 0
     for r_value in r_values:
         for kappa_true in kappa_values:
             lam_true = r_value / table.config.dt
             if not table.prior.contains(kappa_true, lam_true):
-                reason = (
-                    f"implied lambda={lam_true:g} or kappa={kappa_true:g} "
-                    "outside prior support"
+                warnings.warn(
+                    f"skipping cell R={r_value:g}, kappa={kappa_true:g}: implied "
+                    f"lambda={lam_true:g} or kappa={kappa_true:g} outside prior support"
                 )
-                warnings.warn(f"skipping cell R={r_value:g}, kappa={kappa_true:g}: {reason}")
-                skipped.append((float(r_value), float(kappa_true), reason))
             else:
                 cells.append((cell_index, float(r_value), float(kappa_true)))
             cell_index += 1
     context = (table, tuple(methods), float(epsilon), n_per_cell, seed)
     results = ordered_map(_rscan_cell, context, cells, workers)
     records = [record for sub in results for record in sub]
-    return RScanReport(records=records, skipped=skipped)
+    return RScanReport(records=records)
 
 
 # ---------------------------------------------------------------------------
@@ -353,12 +345,10 @@ class DirectFitResult:
     kappa_median: float
     kappa_interval: tuple[float, float]
     kappa_point: float
-    kappa_grid: np.ndarray = field(repr=False)
-    kappa_density: np.ndarray = field(repr=False)
     at_grid_bound: bool = False
 
 
-def direct_fit(durations, turns, a0=1.0, b0=0.0, kappa_grid_max=200.0, alpha=0.95):
+def direct_fit(durations, turns, a0=1.0, b0=0.0, kappa_grid_max=200.0):
     """Fit (lambda, kappa) from known step durations and turning angles.
 
     The rate posterior is the conjugate Gamma(n + a0, sum(t) + b0) with a
@@ -366,7 +356,7 @@ def direct_fit(durations, turns, a0=1.0, b0=0.0, kappa_grid_max=200.0, alpha=0.9
     1-d grid posterior under the von Mises likelihood with a uniform prior
     on [0, kappa_grid_max], plus the point estimate of summary s2
     (:func:`~stepturn.summaries.kappa_estimate`).
-    Intervals are central (equal-tailed) at mass ``alpha``.
+    Intervals are central (equal-tailed) at mass ``INTERVAL_MASS``.
     """
     durations = np.asarray(durations, dtype=float)
     turns = np.asarray(turns, dtype=float)
@@ -376,7 +366,7 @@ def direct_fit(durations, turns, a0=1.0, b0=0.0, kappa_grid_max=200.0, alpha=0.9
         raise ValueError("durations must be strictly positive")
     n_dur = len(durations)
     rate_post = gamma(a=n_dur + a0, scale=1.0 / (float(durations.sum()) + b0))
-    lo = (1.0 - alpha) / 2.0
+    lo = (1.0 - INTERVAL_MASS) / 2.0
     lambda_interval = (float(rate_post.ppf(lo)), float(rate_post.ppf(1.0 - lo)))
 
     mean_cos = float(np.mean(np.cos(turns)))
@@ -399,7 +389,5 @@ def direct_fit(durations, turns, a0=1.0, b0=0.0, kappa_grid_max=200.0, alpha=0.9
         kappa_median=kappa_median,
         kappa_interval=kappa_interval,
         kappa_point=kappa_estimate(mean_cos),
-        kappa_grid=grid,
-        kappa_density=density,
         at_grid_bound=at_bound,
     )

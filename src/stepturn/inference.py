@@ -24,6 +24,7 @@ PARAM_NAMES = ("kappa", "lambda")
 SUMMARY_NAMES = ("s1", "s2", "s3", "s4")
 METHODS = ("rejection", "loclinear", "neuralnet")
 MIN_OBS = 4  # fewest observations per row: the summaries need two turning angles
+CHUNK_ROWS = 256  # rows per task of generate_reference_table
 
 
 @dataclass(frozen=True)
@@ -129,8 +130,9 @@ class WeightedPosterior:
     """Weighted parameter draws from an ABC fit.
 
     ``delta`` is the realized distance threshold of the rejection step.
-    The accepted rows' summaries, distances and table indices are carried
-    along so regression corrections can run on the same accepted set.
+    :func:`abc_reject` also sets the accepted rows' summaries, distances and
+    table indices and the table's scales and prior: a regression correction
+    runs on that accepted set and refuses a posterior without it.
     """
 
     draws: np.ndarray  # (m, 2) columns kappa, lambda
@@ -239,19 +241,15 @@ def _chunk_rows(context, bounds):
     return reference_rows(prior, config, seed, lo, hi)
 
 
-def generate_reference_table(
-    prior, n_sims, config=None, seed=0, workers=1, chunk_size=256
-):
-    """Simulate ``n_sims`` prior-predictive rows.
+def generate_reference_table(prior, n_sims, config, seed=0, workers=1):
+    """Simulate ``n_sims`` prior-predictive rows, ``CHUNK_ROWS`` per task.
 
     Row i draws its parameters and trajectory from the stream
     ``seed XOR i``, so the table is bit-identical for any worker count.
     """
     if n_sims < 1:
         raise ValueError(f"n_sims must be >= 1, got {n_sims}")
-    prior = prior or PriorSpec()
-    config = config or SimConfig()
-    bounds = chunk_bounds(n_sims, chunk_size)
+    bounds = chunk_bounds(n_sims, CHUNK_ROWS)
     chunks = list(reference_chunks(prior, config, seed, bounds, workers))
     rows = np.vstack([r for r, _ in chunks])
     return ReferenceTable.from_rows(rows, prior, config, seed, int(sum(c for _, c in chunks)))
@@ -368,10 +366,11 @@ _DESIGN_NAMES = ("intercept",) + SUMMARY_NAMES
 
 
 def _kernel_weights(distances, delta):
-    """Epanechnikov weights 1 - (d/delta)^2; all ones when delta is 0."""
-    if delta <= 0.0:
-        return np.ones_like(distances)
-    return np.clip(1.0 - (distances / delta) ** 2, 0.0, None)
+    """Epanechnikov weights 1 - (d/delta)^2; unit weights when no accepted row
+    lies strictly inside delta (delta is 0, or every distance equals it)."""
+    if delta > 0.0 and np.any(distances < delta):
+        return np.clip(1.0 - (distances / delta) ** 2, 0.0, None)
+    return np.ones_like(distances)
 
 
 def _collinear_columns(weighted_design):
@@ -384,8 +383,10 @@ def _collinear_columns(weighted_design):
 
 def _prepare_regression(accepted, s_obs, transform):
     s_obs = _as_summary_array(s_obs)
-    if accepted.summaries is None or accepted.distances is None:
-        raise ValueError("posterior lacks accepted summaries; run abc_reject first")
+    missing = [name for name in ("summaries", "distances", "scales", "prior")
+               if getattr(accepted, name) is None]
+    if missing:
+        raise ValueError(f"posterior lacks the accepted {', '.join(missing)}; run abc_reject first")
     m, n_cols = accepted.summaries.shape
     if m <= n_cols + 1:
         raise ValueError(
@@ -398,8 +399,7 @@ def _prepare_regression(accepted, s_obs, transform):
         if np.any(theta <= 0):
             raise ValueError("log transform requires strictly positive draws")
         theta = np.log(theta)
-    scales = accepted.scales if accepted.scales is not None else np.ones(n_cols)
-    z = (accepted.summaries - s_obs) / scales
+    z = (accepted.summaries - s_obs) / accepted.scales
     w = _kernel_weights(accepted.distances, accepted.delta)
     return z, theta, w
 
@@ -407,18 +407,13 @@ def _prepare_regression(accepted, s_obs, transform):
 def _finalize_posterior(accepted, corrected, w, transform, method):
     if transform == "log":
         corrected = np.exp(corrected)
-    n_projected = 0
-    if accepted.prior is not None:
-        bounds = accepted.prior.bounds
-        clipped = np.clip(corrected, bounds[:, 0], bounds[:, 1])
-        n_projected = int(np.sum(np.any(clipped != corrected, axis=1)))
-        corrected = clipped
-    wsum = float(np.sum(w))
-    weights = w / wsum if wsum > 0 else np.full(len(w), 1.0 / len(w))
+    bounds = accepted.prior.bounds
+    clipped = np.clip(corrected, bounds[:, 0], bounds[:, 1])
+    n_projected = int(np.sum(np.any(clipped != corrected, axis=1)))
     return replace(
         accepted,
-        draws=corrected,
-        weights=weights,
+        draws=clipped,
+        weights=w / float(np.sum(w)),
         method=method,
         n_projected=n_projected,
     )
@@ -431,7 +426,7 @@ def loclinear_adjust(accepted, s_obs, transform="none"):
     standardized summaries and moves every accepted draw by the fitted
     shift: corrected_i = m(s_obs) + residual_i. Output weights are the
     (normalized) kernel weights; corrected draws outside the prior support
-    are projected to its boundary.
+    are projected to its boundary. ``accepted`` must come from :func:`abc_reject`.
 
     Raises
     ------
@@ -464,8 +459,7 @@ def neuralnet_adjust(accepted, s_obs, net_config=None, transform="none"):
             f"need at least {10 * config.n_hidden} accepted rows for "
             f"{config.n_hidden} hidden units, got {len(z)}"
         )
-    wsum = float(np.sum(w))
-    w_norm = w / wsum if wsum > 0 else np.full(len(w), 1.0 / len(w))
+    w_norm = w / float(np.sum(w))
     center = w_norm @ theta
     spread = np.sqrt(w_norm @ (theta - center) ** 2)
     spread[spread == 0.0] = 1.0

@@ -289,7 +289,7 @@ def reference_table_config(table):
     }
 
 
-def write_reference_table(path, table, command="reftable"):
+def write_reference_table(path, table):
     """Table as ``kappa,lambda,s1,s2,s3,s4`` plus a JSON sidecar holding the
     simulation config and base seed, the resample count and the
     ``SIMULATOR_VERSION`` of the writing package."""
@@ -297,7 +297,7 @@ def write_reference_table(path, table, command="reftable"):
     _write_csv(path, TABLE_HEADER, (row.tolist() for row in rows))
     write_sidecar(
         path,
-        command,
+        "reftable",
         reference_table_config(table),
         extra={"n_resampled": table.n_resampled, "simulator_version": SIMULATOR_VERSION},
     )
@@ -370,13 +370,13 @@ def read_reference_table(path, sha256=None):
     return table
 
 
-def write_posterior(path, posterior, command="fit", config=None):
+def write_posterior(path, posterior, config=None):
     """Posterior as ``kappa,lambda,weight`` plus JSON metadata."""
     rows = np.column_stack([posterior.draws, posterior.weights])
     _write_csv(path, POSTERIOR_HEADER, (row.tolist() for row in rows))
     write_sidecar(
         path,
-        command,
+        "fit",
         config or {},
         extra={
             "method": posterior.method,
@@ -390,14 +390,15 @@ def write_posterior(path, posterior, command="fit", config=None):
 @_reader
 def read_posterior(path):
     rows = _read_csv(path, POSTERIOR_HEADER)
-    meta = read_sidecar(path, {"method": METHOD, "epsilon": NUMBER, "delta": NUMBER})
+    meta = read_sidecar(path, {"method": METHOD, "epsilon": NUMBER, "delta": NUMBER,
+                               "n_projected": INTEGER})
     return WeightedPosterior(
         draws=rows[:, :2],
         weights=rows[:, 2],
         method=meta["method"],
         epsilon=meta["epsilon"],
         delta=meta["delta"],
-        n_projected=meta.get("n_projected", 0),
+        n_projected=meta["n_projected"],
     )
 
 

@@ -134,10 +134,8 @@ class ObservedTrack:
         return len(self.positions) - 1
 
 
-def sample_exponential(lam, rng, size=None):
-    """Draw exponential step duration(s) with rate ``lam``.
-
-    Returns a strictly positive float when ``size`` is None, otherwise an
+def sample_exponential(lam, rng, size):
+    """Draw ``size`` exponential step durations with rate ``lam``, as an
     array of strictly positive floats.
     """
     if lam <= 0:
@@ -145,10 +143,6 @@ def sample_exponential(lam, rng, size=None):
     rng = as_generator(rng)
     draws = rng.exponential(scale=1.0 / lam, size=size)
     # guard against the (measure-zero) exact 0.0 draw
-    if size is None:
-        while draws <= 0.0:
-            draws = rng.exponential(scale=1.0 / lam)
-        return float(draws)
     while True:
         bad = draws <= 0.0
         if not bad.any():
@@ -156,8 +150,8 @@ def sample_exponential(lam, rng, size=None):
         draws[bad] = rng.exponential(scale=1.0 / lam, size=int(bad.sum()))
 
 
-def sample_von_mises(kappa, rng, size=None):
-    """Draw turning angle(s) from vM(0, kappa), wrapped to (-pi, pi].
+def sample_von_mises(kappa, rng, size):
+    """Draw ``size`` turning angles from vM(0, kappa), wrapped to (-pi, pi].
 
     kappa = 0 degenerates to the uniform distribution on the circle. The
     underlying sampler is the Best-Fisher rejection scheme with a wrapped

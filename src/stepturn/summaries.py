@@ -148,6 +148,7 @@ def kappa_estimate(mean_cos):
     return bessel_ratio_inverse(min(max(mean_cos, 0.0), 1.0 - MEANCOS_CLAMP))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite summary raises below
 def summarize(track):
     """Compute the four summary statistics of an observed track.
 

@@ -24,7 +24,14 @@ from stepturn import (
     weighted_quantile,
 )
 from stepturn import inference
-from stepturn.inference import WeightedPosterior, adjust, fit, summary_scales
+from stepturn.inference import (
+    WeightedPosterior,
+    adjust,
+    chunk_bounds,
+    fit,
+    reference_chunks,
+    summary_scales,
+)
 from stepturn.streams import stream
 
 from oracles import hpd_exhaustive, hpd_two_pointer, mad_by_hand, weighted_quantile_scan
@@ -62,11 +69,12 @@ class TestPriorSpec:
 
 class TestGenerateReferenceTable:
     def test_worker_count_invariance(self):
-        kwargs = dict(n_sims=24, config=SMALL_SIM, seed=5, chunk_size=4)
-        a = generate_reference_table(PriorSpec(), workers=1, **kwargs)
-        b = generate_reference_table(PriorSpec(), workers=4, **kwargs)
-        assert np.array_equal(a.params, b.params)
-        assert np.array_equal(a.summaries, b.summaries)
+        bounds = chunk_bounds(24, 4)  # six chunks: every one of 4 workers gets one
+        a, b = (list(reference_chunks(PriorSpec(), SMALL_SIM, 5, bounds, workers))
+                for workers in (1, 4))
+        assert len(a) == len(b) == 6
+        for (rows_a, resamples_a), (rows_b, resamples_b) in zip(a, b):
+            assert np.array_equal(rows_a, rows_b) and resamples_a == resamples_b
 
     def test_prior_marginal_ks(self):
         table = generate_reference_table(
@@ -560,6 +568,41 @@ class TestNeuralnetAdjust:
                 lo, hi = hpd_interval(converged, k)
                 gap = abs(weighted_quantile(capped, k, 0.5) - weighted_quantile(converged, k, 0.5))
                 assert gap <= 1e-2 * (hi - lo), (row, k, gap, hi - lo)
+
+
+def at_delta_posterior():
+    """60 accepted rows whose distances all equal delta = 1: no row lies
+    strictly inside delta, so every Epanechnikov weight is 0."""
+    accepted, s_obs, _, _ = affine_posterior(seed=40, m=60, noise=1.0)
+    return replace(accepted, distances=np.ones(60), delta=1.0), s_obs
+
+
+class TestAcceptedSet:
+    def test_loclinear_at_delta_is_unweighted(self):
+        accepted, s_obs = at_delta_posterior()
+        post = loclinear_adjust(accepted, s_obs)
+        assert np.array_equal(post.weights, np.full(60, 1 / 60))
+        # delta = 0 gives unit kernel weights too
+        unweighted = loclinear_adjust(replace(accepted, delta=0.0), s_obs)
+        assert np.array_equal(post.draws, unweighted.draws)
+
+    def test_neuralnet_at_delta_is_unweighted(self):
+        # pinned from the fit that treated the zero weight sum as uniform weights
+        accepted, s_obs = at_delta_posterior()
+        post = neuralnet_adjust(accepted, s_obs, NetConfig(n_iter=200))
+        assert np.array_equal(post.weights, np.full(60, 1 / 60))
+        np.testing.assert_allclose(post.draws[0], [51.651801141094985, 24.496217405078742],
+                                   rtol=1e-9)
+        np.testing.assert_allclose(post.draws.sum(axis=0),
+                                   [2986.1836803719934, 1496.3145054143365], rtol=1e-9)
+
+    @pytest.mark.parametrize("missing", ["summaries", "distances", "scales", "prior"])
+    @pytest.mark.parametrize("correct", [loclinear_adjust, neuralnet_adjust],
+                             ids=["loclinear", "neuralnet"])
+    def test_correction_needs_the_rejection_set(self, correct, missing):
+        accepted, s_obs, _, _ = affine_posterior(seed=41, m=60)
+        with pytest.raises(ValueError, match=f"lacks the accepted {missing}; run abc_reject"):
+            correct(replace(accepted, **{missing: None}), s_obs)
 
 
 class TestAdjust:

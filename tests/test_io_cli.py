@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -58,12 +62,24 @@ class TestCliSummarize:
     def test_undefined_track_summaries_exit_1(self, fault, rows, message, tmp_path, capsys):
         track = write_track(tmp_path / "track.csv", rows)
         out = tmp_path / "out"
-        with np.errstate(over="ignore", invalid="ignore"):
-            code = cli.main(["summarize", "--track", str(track), "--out", str(out)])
+        code = cli.main(["summarize", "--track", str(track), "--out", str(out)])
         assert code == cli.EXIT_VALIDATION
         captured = capsys.readouterr()
         assert captured.err == f"error: {track}: {message}\n"
         assert captured.out == "" and not out.exists()  # no summary line, no nan
+
+    @pytest.mark.parametrize("command", ["summarize", "fit"])
+    def test_overflowing_track_prints_only_the_error(self, command, small_table, tmp_path):
+        # in a process of its own, where no test harness catches numpy's warnings
+        track = write_track(tmp_path / "track.csv", UNDEFINED_TRACKS[0][1])
+        table = ["--table", str(small_table[1])] if command == "fit" else []
+        done = subprocess.run(
+            [sys.executable, "-m", "stepturn.cli", command, "--track", str(track), *table,
+             "--out", str(tmp_path / "out")],
+            env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
+            capture_output=True, text=True, timeout=120)
+        assert done.returncode == cli.EXIT_VALIDATION
+        assert done.stderr == f"error: {track}: a summary is not finite\n"
 
 
 class TestRoundTrips:
@@ -588,8 +604,7 @@ class TestCliExperiments:
                 ReplicateRecord("rejection", 0.1, i, "kappa", 50.0, 1.0, 0.0, 2.0, 0.9)
                 for i in range(5)
             ]
-            return CrossValReport(records=records, methods=("rejection",),
-                                  epsilons=(0.1,), alpha=0.95)
+            return CrossValReport(records=records, methods=("rejection",), epsilons=(0.1,))
 
         monkeypatch.setattr(cli, "cross_validate", fake_cross_validate)
         code = cli.main(["coverage", "--table", str(table_path), "--methods", "rejection",
@@ -611,7 +626,7 @@ class TestCliExperiments:
         assert len(rows) == 2 * 6 * 2  # methods x reps x params
         summary = json.loads((out / "coverage_summary.json").read_text())
         coverage = coverage_report(
-            CrossValReport(rows, ("rejection", "loclinear"), (0.3,), 0.95)).coverage
+            CrossValReport(rows, ("rejection", "loclinear"), (0.3,))).coverage
         assert len(coverage) == len(summary) == 4
         for (method, epsilon, param), value in coverage.items():
             entry = summary[f"{method}:eps={epsilon:g}:{param}"]

@@ -275,6 +275,9 @@ MISTYPED = [
     ("posterior", "epsilon", "x", "must be a finite number"),
     ("posterior", "epsilon", float("inf"), "must be a finite number"),
     ("posterior", "delta", None, "must be a finite number"),
+    ("posterior", "n_projected", "x", "must be an integer"),
+    ("posterior", "n_projected", 1.5, "must be an integer"),
+    ("posterior", "n_projected", None, "must be an integer"),
 ]
 
 # (file, fault, the broken sidecar's text from the written payload or None to
@@ -288,7 +291,7 @@ SIDECAR_FAULTS = [
       for key in ("config.seed", "config.prior", "config.prior.lambda_range", "config.sim",
                   "config.sim.min_obs")),
     *(("posterior", f"no {key}", lambda payload, key=key: _drop_key(payload, key), f"key '{key}")
-      for key in ("method", "epsilon", "delta")),
+      for key in ("method", "epsilon", "delta", "n_projected")),
     *((name, f"{key} {value!r}",
        lambda payload, key=key, value=value: _set_key(payload, key, value),
        f"key '{key}' {message}") for name, key, value, message in MISTYPED),

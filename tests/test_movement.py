@@ -51,9 +51,9 @@ class TestSampleExponential:
 
     def test_domain(self):
         with pytest.raises(ValueError):
-            sample_exponential(0.0, np.random.default_rng(0))
+            sample_exponential(0.0, np.random.default_rng(0), size=1)
         with pytest.raises(ValueError):
-            sample_exponential(-1.0, np.random.default_rng(0))
+            sample_exponential(-1.0, np.random.default_rng(0), size=1)
 
 
 class TestSampleVonMises:
@@ -86,7 +86,7 @@ class TestSampleVonMises:
         draws = sample_von_mises(0.7, rng, size=50_000)
         assert np.all(draws > -np.pi) and np.all(draws <= np.pi)
         with pytest.raises(ValueError):
-            sample_von_mises(-0.1, rng)
+            sample_von_mises(-0.1, rng, size=1)
 
     def test_kappa_limit(self):
         # kappa -> inf: turning angles collapse to 0

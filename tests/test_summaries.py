@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -129,8 +131,10 @@ class TestSummarize:
 
     def test_overflowing_steps_are_degenerate(self):
         # finite positions whose steps overflow: s4 would be NaN
+        # and numpy warns of no overflow: the error reports it
         huge = [(0, 0), (1e308, 0), (-1e308, 0), (1e308, 0), (-1e308, 0)]
-        with np.errstate(over="ignore", invalid="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             with pytest.raises(DegenerateTrackError, match="a summary is not finite$"):
                 summarize(track_from(huge))
 

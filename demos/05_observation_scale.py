@@ -28,7 +28,7 @@ print(f"{'R':>5} {'lambda':>7} | {'rejection':>10} {'loclinear':>10}")
 for r_value in (0.25, 1.0, 2.0, 4.5):
     line = f"{r_value:5.2f} {r_value / sim.dt:7.1f} |"
     for method in ("rejection", "loclinear"):
-        line += f" {scan.mean_error_at(method, r_value, 'lambda'):10.3f}"
+        line += f" {scan.prediction_error(method, r_value, 'lambda'):10.3f}"
     print(line)
 
 print("\nerrors grow with R for every method: coarser observation relative")

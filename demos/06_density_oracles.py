@@ -35,7 +35,7 @@ checks = [
     ("f_S", f_s_grid(5.0, 2.0, 3, 4.0), cos_vm_shifted_gamma_sampler(5.0, 2.0, 3, 4.0)),
 ]
 for name, grid, sampler in checks:
-    result = density_mc_check(grid, sampler, 100_000, rng=1)
+    result = density_mc_check(grid, sampler, 100_000, np.random.default_rng(1))
     verdict = "pass" if result.passed else "FAIL"
     print(f"  {name}: KS = {result.ks_distance:.5f} vs {result.critical:.5f} -> {verdict}")
 

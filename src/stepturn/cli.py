@@ -219,13 +219,18 @@ def _parse(argv):
 
 
 def _check_counts(resolved):
-    """Refuse a count below its floor, or a --dt that is not positive."""
+    """Refuse a count below its floor, a --dt that is not positive, or an
+    --epsilon or --epsilons value outside (0, 1]."""
     for key, floor in COUNT_FLAGS.items():
         if resolved.get(key, floor) < floor:
             raise ValidationError(
                 f"--{key.replace('_', '-')} must be >= {floor}, got {resolved[key]}")
     if not resolved.get("dt", 1.0) > 0:  # also refuses NaN
         raise ValidationError(f"--dt must be > 0, got {resolved['dt']}")
+    for key in ("epsilon", "epsilons"):
+        for value in np.atleast_1d(resolved.get(key, 1.0)):
+            if not 0 < value <= 1:  # also refuses NaN
+                raise ValidationError(f"--{key} must be in (0, 1], got {value}")
 
 
 def _config_tokens(subparser, config):
@@ -572,7 +577,7 @@ def cmd_rscan(args):
             if r_value not in scanned:
                 print(f"{method}: R={r_value:g} skipped, every cell lies outside the prior")
                 continue
-            err = report.mean_error_at(method, r_value, "lambda")
+            err = report.prediction_error(method, r_value, "lambda")
             print(f"{method}: R={r_value:g} lambda error {err:.4g}")
     if resolved["gnuplot"]:
         _emit(resolved, "rscan.gp", io.gnuplot_rscan("rscan.csv"))
@@ -583,8 +588,8 @@ def cmd_rscan(args):
                 raise CheckFailure(
                     f"no records at R={r_value:g}: every cell lies outside the prior")
         for method in resolved["methods"]:
-            low = report.mean_error_at(method, r_lo, "lambda")
-            high = report.mean_error_at(method, r_hi, "lambda")
+            low = report.prediction_error(method, r_lo, "lambda")
+            high = report.prediction_error(method, r_hi, "lambda")
             if not high > low:
                 raise CheckFailure(
                     f"{method}: lambda error at R={r_hi:g} ({high:.4g}) does not exceed "
@@ -642,28 +647,29 @@ def cmd_oracle_check(args):
     n_draws = resolved["n_draws"]
     failures = []
     results = {}
-    for name, settings in ORACLE_SETTINGS.items():
+    settings = [(name, index, setting) for name, group in ORACLE_SETTINGS.items()
+                for index, setting in enumerate(group)]
+    for task, (name, index, setting) in enumerate(settings):  # one stream per setting
         grid_of, sampler_of, normalization_of, norm_tol = ORACLE_DENSITIES[name]
-        for index, setting in enumerate(settings):
-            grid = grid_of(**setting)
-            norm = normalization_of(**setting)
-            check = densities.density_mc_check(
-                grid, sampler_of(**setting), n_draws, rng=stream(resolved["seed"], index))
-            label = f"{name}[{index}]"
-            ok = check.passed and abs(norm - 1.0) <= norm_tol
-            results[label] = {
-                "setting": setting,
-                "normalization": norm,
-                "ks_distance": check.ks_distance,
-                "ks_critical": check.critical,
-                "passed": ok,
-            }
-            _emit(resolved, f"density_{name.lower()}_{index}.csv",
-                  lambda p: io.write_density_grid_csv(p, grid), sidecar=False)
-            print(f"{label}: normalization {norm:.8f}, KS {check.ks_distance:.5f} "
-                  f"(crit {check.critical:.5f}) -> {'pass' if ok else 'FAIL'}")
-            if not ok:
-                failures.append(label)
+        grid = grid_of(**setting)
+        norm = normalization_of(**setting)
+        check = densities.density_mc_check(
+            grid, sampler_of(**setting), n_draws, stream(resolved["seed"], task))
+        label = f"{name}[{index}]"
+        ok = check.passed and abs(norm - 1.0) <= norm_tol
+        results[label] = {
+            "setting": setting,
+            "normalization": norm,
+            "ks_distance": check.ks_distance,
+            "ks_critical": check.critical,
+            "passed": ok,
+        }
+        _emit(resolved, f"density_{name.lower()}_{index}.csv",
+              lambda p: io.write_density_grid_csv(p, grid), sidecar=False)
+        print(f"{label}: normalization {norm:.8f}, KS {check.ks_distance:.5f} "
+              f"(crit {check.critical:.5f}) -> {'pass' if ok else 'FAIL'}")
+        if not ok:
+            failures.append(label)
     _emit(resolved, "oracle_check.json", _json(results))
     if failures:
         raise CheckFailure("density checks failed: " + ", ".join(failures))

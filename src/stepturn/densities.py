@@ -29,7 +29,6 @@ from scipy.special import gammaln, i0e
 from scipy.stats import gamma as gamma_dist
 
 from .errors import QuadratureError
-from .streams import as_generator
 
 #: asymptotic 1% critical value constant for the one-sample KS test
 KS_COEFF_1PCT = 1.63
@@ -263,7 +262,6 @@ class DensityGrid:
         cumulative = trapezoid_cdf(self.nodes, self.values)
 
         def sampler(rng, size):
-            rng = as_generator(rng)
             return np.interp(rng.uniform(size=size), cumulative, self.nodes)
 
         return sampler
@@ -345,12 +343,12 @@ class MCCheckResult:
         return self.ks_distance < self.critical
 
 
-def density_mc_check(grid, sampler, n_draws, rng=0):
+def density_mc_check(grid, sampler, n_draws, rng):
     """Kolmogorov-Smirnov comparison of a gridded density to simulation.
 
     ``sampler(rng, size)`` must draw from the distribution the grid claims
-    to describe. Passes when the KS distance is below the asymptotic 1%
-    critical value 1.63 / sqrt(n_draws).
+    to describe, using the Generator ``rng``. Passes when the KS distance is
+    below the asymptotic 1% critical value 1.63 / sqrt(n_draws).
     """
     if n_draws < MIN_MC_DRAWS:
         raise ValueError(f"need at least {MIN_MC_DRAWS} draws, got {n_draws}")
@@ -360,7 +358,7 @@ def density_mc_check(grid, sampler, n_draws, rng=0):
             f"grid is not normalized: trapezoid mass {mass:.6g} deviates from 1 "
             f"by more than {grid.quadrature_tol:g}"
         )
-    draws = np.sort(np.asarray(sampler(as_generator(rng), n_draws), dtype=float))
+    draws = np.sort(np.asarray(sampler(rng, n_draws), dtype=float))
     cdf = grid.cdf(draws)
     i = np.arange(1, n_draws + 1)
     ks = float(np.max(np.maximum(i / n_draws - cdf, cdf - (i - 1) / n_draws)))
@@ -377,7 +375,7 @@ def cos_vm_sampler(kappa):
     """Draws of V = cos(phi), phi ~ vM(0, kappa)."""
 
     def sampler(rng, size):
-        return np.cos(as_generator(rng).vonmises(0.0, kappa, size=size))
+        return np.cos(rng.vonmises(0.0, kappa, size=size))
 
     return sampler
 
@@ -386,7 +384,6 @@ def cos_vm_exp_sampler(kappa, lam):
     """Draws of Z = cos(phi) * t, t ~ Exp(lam)."""
 
     def sampler(rng, size):
-        rng = as_generator(rng)
         return np.cos(rng.vonmises(0.0, kappa, size=size)) * rng.exponential(
             1.0 / lam, size=size
         )
@@ -398,7 +395,6 @@ def cos_vm_shifted_gamma_sampler(kappa, lam, n, c):
     """Draws of S = cos(phi) * (c - W), W ~ Gamma(n, lam)."""
 
     def sampler(rng, size):
-        rng = as_generator(rng)
         w = rng.gamma(shape=n, scale=1.0 / lam, size=size)
         return np.cos(rng.vonmises(0.0, kappa, size=size)) * (c - w)
 

@@ -72,18 +72,32 @@ def coverage_pvalue(posterior, parameter, truth):
     return below + 0.5 * at
 
 
-def _by_cell(records, column):
-    """The records grouped by (method, ``column``, param), in sorted key order."""
-    if not records:
-        raise ValueError("no replicate records")
-    groups = defaultdict(list)
-    for r in records:
-        groups[(r.method, getattr(r, column), r.param)].append(r)
-    return {key: groups[key] for key in sorted(groups)}
-
-
 def _truths_and_medians(records):
     return [r.truth for r in records], [r.median for r in records]
+
+
+@dataclass(frozen=True)
+class _Report:
+    """Records keyed by (method, the value of the record column ``_column``,
+    param); ``cells`` groups them once, and each metric reads one cell."""
+
+    records: list
+
+    @cached_property
+    def cells(self):
+        """The records of each (method, ``_column`` value, param), in sorted key order."""
+        if not self.records:
+            raise ValueError("no replicate records")
+        groups = defaultdict(list)
+        for r in self.records:
+            groups[(r.method, getattr(r, self._column), r.param)].append(r)
+        return {key: groups[key] for key in sorted(groups)}
+
+    def prediction_error(self, method, value, param):
+        return prediction_error(*_truths_and_medians(self.cells[method, value, param]))
+
+    def md_index(self, method, value, param):
+        return md_index(*_truths_and_medians(self.cells[method, value, param]))
 
 
 # ---------------------------------------------------------------------------
@@ -104,21 +118,10 @@ class ReplicateRecord:
 
 
 @dataclass(frozen=True)
-class CrossValReport:
-    records: list[ReplicateRecord]
+class CrossValReport(_Report):
     methods: tuple[str, ...]
     epsilons: tuple[float, ...]
-
-    @cached_property
-    def cells(self):
-        """The records of each (method, epsilon, param), in sorted key order."""
-        return _by_cell(self.records, "epsilon")
-
-    def prediction_error(self, method, epsilon, param):
-        return prediction_error(*_truths_and_medians(self.cells[method, epsilon, param]))
-
-    def md_index(self, method, epsilon, param):
-        return md_index(*_truths_and_medians(self.cells[method, epsilon, param]))
+    _column = "epsilon"
 
 
 def _fits(table, s_obs, methods, epsilons):
@@ -193,8 +196,7 @@ def cross_validate(
         raise ValueError(
             f"only {len(eligible)} rows satisfy the constraint; need n_rep={n_rep}"
         )
-    rng = np.random.default_rng(seed)
-    chosen = rng.choice(eligible, size=n_rep, replace=False)
+    chosen = stream(seed, 0).choice(eligible, size=n_rep, replace=False)
     tasks = [(rep, int(row)) for rep, row in enumerate(chosen)]
     context = (table, tuple(methods), tuple(epsilons))
     results = ordered_map(_crossval_replicate, context, tasks, workers)
@@ -255,16 +257,8 @@ class RScanRecord:
 
 
 @dataclass(frozen=True)
-class RScanReport:
-    records: list[RScanRecord]
-
-    @cached_property
-    def cells(self):
-        """The records of each (method, R, param), in sorted key order."""
-        return _by_cell(self.records, "r_value")
-
-    def mean_error_at(self, method, r_value, param):
-        return prediction_error(*_truths_and_medians(self.cells[method, r_value, param]))
+class RScanReport(_Report):
+    _column = "r_value"
 
 
 def _rscan_cell(context, task):

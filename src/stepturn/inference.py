@@ -15,7 +15,7 @@ import numpy as np
 import scipy.linalg
 
 from . import nnet, parallel
-from .errors import DegenerateTrackError, SingularRegressionError
+from .errors import SingularRegressionError
 from .movement import MovementParams, observe, simulate_until
 from .streams import stream
 from .summaries import SummaryVector, summarize
@@ -186,19 +186,16 @@ def simulated_summaries(params, config, rng):
 
 
 def _reference_row(prior, config, base_seed, index):
-    """Simulate one table row; a draw of lambda exactly 0 or a track whose
-    summaries are undefined is resampled with a bumped sub-stream.
-    Returns (kappa, lambda, s1..s4, n_resamples)."""
+    """Simulate one table row, resampling a draw of lambda exactly 0 with a
+    bumped sub-stream (a simulated unit-speed track's summaries are always
+    defined). Returns (kappa, lambda, s1..s4, n_resamples)."""
     for attempt in range(1000):
         rng = stream(base_seed, index, bump=attempt)
         kappa = rng.uniform(*prior.kappa_range)
         lam = rng.uniform(*prior.lambda_range)
         if lam == 0.0:  # the walk needs a positive rate
             continue
-        try:
-            s = simulated_summaries(MovementParams(kappa=kappa, lam=lam), config, rng)
-        except DegenerateTrackError:
-            continue
+        s = simulated_summaries(MovementParams(kappa=kappa, lam=lam), config, rng)
         return kappa, lam, s[0], s[1], s[2], s[3], attempt
     raise RuntimeError(f"row {index}: exhausted resampling attempts")
 
@@ -444,7 +441,7 @@ def loclinear_adjust(accepted, s_obs, transform="none"):
     return _finalize_posterior(accepted, corrected, w, transform, "loclinear")
 
 
-def neuralnet_adjust(accepted, s_obs, net_config=None, transform="none"):
+def neuralnet_adjust(accepted, s_obs, net_config=nnet.NetConfig(), transform="none"):
     """Neural-network regression correction of accepted draws.
 
     Same correction scheme as :func:`loclinear_adjust` but with the
@@ -452,32 +449,31 @@ def neuralnet_adjust(accepted, s_obs, net_config=None, transform="none"):
     kernel-weighted data (targets standardized internally). Deterministic
     given the accepted set and the network config.
     """
-    config = net_config or nnet.NetConfig()
     z, theta, w = _prepare_regression(accepted, s_obs, transform)
-    if len(z) < 10 * config.n_hidden:
+    if len(z) < 10 * net_config.n_hidden:
         raise ValueError(
-            f"need at least {10 * config.n_hidden} accepted rows for "
-            f"{config.n_hidden} hidden units, got {len(z)}"
+            f"need at least {10 * net_config.n_hidden} accepted rows for "
+            f"{net_config.n_hidden} hidden units, got {len(z)}"
         )
     w_norm = w / float(np.sum(w))
     center = w_norm @ theta
     spread = np.sqrt(w_norm @ (theta - center) ** 2)
     spread[spread == 0.0] = 1.0
     y = (theta - center) / spread
-    flat, shapes = nnet.train(z, y, w, config)
+    flat, shapes = nnet.train(z, y, w, net_config)
     fitted = nnet.predict(flat, shapes, z)
     m_obs = nnet.predict(flat, shapes, np.zeros((1, z.shape[1])))[0]
     corrected = (m_obs + (y - fitted)) * spread + center
     return _finalize_posterior(accepted, corrected, w, transform, "neuralnet")
 
 
-def fit(table, s_obs, method, epsilon, net_config=None, transform="none"):
+def fit(table, s_obs, method, epsilon, transform="none"):
     """Run one ABC fit: rejection plus the requested correction."""
     _check_method(method)
-    return adjust(abc_reject(table, s_obs, epsilon), s_obs, method, net_config, transform)
+    return adjust(abc_reject(table, s_obs, epsilon), s_obs, method, transform)
 
 
-def adjust(accepted, s_obs, method, net_config=None, transform="none"):
+def adjust(accepted, s_obs, method, transform="none"):
     """Apply ``method``'s correction to a rejection posterior.
 
     One rejection pass can serve every method at its epsilon; "rejection"
@@ -487,7 +483,7 @@ def adjust(accepted, s_obs, method, net_config=None, transform="none"):
     if method == "loclinear":
         return loclinear_adjust(accepted, s_obs, transform=transform)
     if method == "neuralnet":
-        return neuralnet_adjust(accepted, s_obs, net_config=net_config, transform=transform)
+        return neuralnet_adjust(accepted, s_obs, transform=transform)
     return accepted
 
 

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientPathError
-from .streams import as_generator
 
 TWO_PI = 2.0 * np.pi
 
@@ -140,7 +139,6 @@ def sample_exponential(lam, rng, size):
     """
     if lam <= 0:
         raise ValueError(f"rate must be > 0, got {lam}")
-    rng = as_generator(rng)
     draws = rng.exponential(scale=1.0 / lam, size=size)
     # guard against the (measure-zero) exact 0.0 draw
     while True:
@@ -159,7 +157,6 @@ def sample_von_mises(kappa, rng, size):
     """
     if kappa < 0:
         raise ValueError(f"concentration must be >= 0, got {kappa}")
-    rng = as_generator(rng)
     draws = rng.vonmises(0.0, kappa, size=size)
     return wrap_angle(draws)
 
@@ -197,12 +194,11 @@ def latent_from_steps(durations, turns):
 def simulate_latent(params, n_steps, rng):
     """Simulate a latent path with ``n_steps`` segments.
 
-    Deterministic given (params, n_steps, seed): durations are drawn first,
-    then turning angles.
+    Deterministic given (params, n_steps) and the state of ``rng``:
+    durations are drawn first, then turning angles.
     """
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
-    rng = as_generator(rng)
     durations = sample_exponential(params.lam, rng, size=n_steps)
     turns = sample_von_mises(params.kappa, rng, size=len(durations) - 1)  # none for one step
     return latent_from_steps(durations, turns)
@@ -214,11 +210,10 @@ def simulate_until(params, total_time, rng):
     Durations are drawn in deterministic chunks until their cumulative sum
     reaches ``total_time``, truncated to the minimal covering step count;
     turning angles are drawn afterwards. Deterministic given
-    (params, total_time, seed).
+    (params, total_time) and the state of ``rng``.
     """
     if total_time <= 0:
         raise ValueError(f"total_time must be > 0, got {total_time}")
-    rng = as_generator(rng)
     chunks = []
     covered = 0.0
     while covered < total_time:

@@ -37,6 +37,7 @@ import numpy as np
 from scipy.special import expit
 
 from .errors import TrainingDivergedError
+from .streams import stream
 
 STEPREDN = 0.2  # line-search step reduction
 ACCTOL = 1e-4  # sufficient decrease, relative to the step's first-order prediction
@@ -54,7 +55,7 @@ class NetConfig:
 
 def init_params(n_in, n_hidden, n_out, seed):
     """Flat parameter vector with N(0, 1/fan_in) weights and zero biases."""
-    rng = np.random.default_rng(seed)
+    rng = stream(seed, 0)
     w1 = rng.normal(size=(n_hidden, n_in)) / np.sqrt(n_in)
     b1 = np.zeros(n_hidden)
     w2 = rng.normal(size=(n_out, n_hidden)) / np.sqrt(n_hidden)
@@ -192,7 +193,7 @@ def vmmin(objective, start, maxit):
             return x, iteration, "reltol" if small else "stalled"
 
 
-def train(x, y, sample_weight, config=None):
+def train(x, y, sample_weight, config):
     """Fit the network by :func:`vmmin` on :func:`loss_and_grad`, from the
     fixed-seed start, for at most ``config.n_iter`` iterations.
     Deterministic given the data and config.
@@ -205,7 +206,6 @@ def train(x, y, sample_weight, config=None):
         If a loss or a gradient is non-finite. Its ``iteration`` counts
         from 1; the start is evaluated in iteration 1.
     """
-    config = config or NetConfig()
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if y.ndim == 1:

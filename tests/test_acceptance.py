@@ -141,8 +141,8 @@ class TestCriterion3:
         details = []
         passed = True
         for method in ("rejection", "loclinear", "neuralnet"):
-            low = scan.mean_error_at(method, 0.25, "lambda")
-            high = scan.mean_error_at(method, 4.5, "lambda")
+            low = scan.prediction_error(method, 0.25, "lambda")
+            high = scan.prediction_error(method, 4.5, "lambda")
             passed &= high > low
             details.append(f"{method}: lambda err {low:.3f} @R=0.25 < {high:.3f} @R=4.5")
         for method in ("loclinear", "neuralnet"):

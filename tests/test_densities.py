@@ -40,7 +40,7 @@ class TestFV:
 
     def test_mc_oracle(self):
         grid = f_v_grid(2.0)
-        result = density_mc_check(grid, cos_vm_sampler(2.0), 100_000, rng=1)
+        result = density_mc_check(grid, cos_vm_sampler(2.0), 100_000, np.random.default_rng(1))
         assert result.passed
 
     def test_domain(self):
@@ -63,7 +63,8 @@ class TestFZ:
 
     def test_mc_oracle(self):
         grid = f_z_grid(5.0, 2.0)
-        result = density_mc_check(grid, cos_vm_exp_sampler(5.0, 2.0), 100_000, rng=2)
+        result = density_mc_check(grid, cos_vm_exp_sampler(5.0, 2.0), 100_000,
+                                  np.random.default_rng(2))
         assert result.passed
 
     def test_quadrature_self_convergence(self):
@@ -105,7 +106,7 @@ class TestFS:
     def test_mc_oracle(self):
         grid = f_s_grid(5.0, 2.0, 3, 4.0)
         sampler = cos_vm_shifted_gamma_sampler(5.0, 2.0, 3, 4.0)
-        result = density_mc_check(grid, sampler, 100_000, rng=3)
+        result = density_mc_check(grid, sampler, 100_000, np.random.default_rng(3))
         assert result.passed
 
     def test_domain(self):
@@ -173,7 +174,8 @@ class TestDensityGrid:
 class TestMcCheck:
     def test_self_consistency_with_inverse_cdf_sampler(self):
         grid = f_v_grid(3.0)
-        result = density_mc_check(grid, grid.inverse_cdf_sampler(), 50_000, rng=4)
+        result = density_mc_check(grid, grid.inverse_cdf_sampler(), 50_000,
+                                  np.random.default_rng(4))
         assert result.passed
         assert result.ks_distance < 2.0 / np.sqrt(50_000) * 3
 
@@ -183,7 +185,7 @@ class TestMcCheck:
         def shifted(rng, size):
             return np.clip(np.cos(rng.vonmises(0.0, 3.0, size=size)) - 0.15, -0.999, 0.999)
 
-        result = density_mc_check(grid, shifted, 50_000, rng=5)
+        result = density_mc_check(grid, shifted, 50_000, np.random.default_rng(5))
         assert not result.passed
 
     def test_unnormalized_grid_rejected(self):
@@ -191,8 +193,8 @@ class TestMcCheck:
         broken = DensityGrid(support=grid.support, nodes=grid.nodes,
                              values=2.0 * grid.values, quadrature_tol=grid.quadrature_tol)
         with pytest.raises(ValueError, match="not normalized"):
-            density_mc_check(broken, cos_vm_sampler(2.0), 10_000)
+            density_mc_check(broken, cos_vm_sampler(2.0), 10_000, np.random.default_rng(0))
 
     def test_min_draws(self):
         with pytest.raises(ValueError):
-            density_mc_check(f_v_grid(2.0), cos_vm_sampler(2.0), 500)
+            density_mc_check(f_v_grid(2.0), cos_vm_sampler(2.0), 500, np.random.default_rng(0))

@@ -353,8 +353,10 @@ class TestRScan:
         assert all(r.truth == 2.0 for r in lam_records)  # R / dt = 1 / 0.5
         assert list(report.cells) == [("rejection", 1.0, "kappa"), ("rejection", 1.0, "lambda")]
         assert report.cells["rejection", 1.0, "lambda"] == lam_records
-        assert report.mean_error_at("rejection", 1.0, "lambda") == prediction_error(
-            [r.truth for r in lam_records], [r.median for r in lam_records])
+        truths, medians = [r.truth for r in lam_records], [r.median for r in lam_records]
+        assert report.prediction_error("rejection", 1.0, "lambda") == prediction_error(
+            truths, medians)
+        assert report.md_index("rejection", 1.0, "lambda") == md_index(truths, medians)
 
     def test_n_per_cell_below_one(self):
         with pytest.raises(ValueError, match="n_per_cell must be >= 1, got 0"):

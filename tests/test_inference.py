@@ -5,7 +5,6 @@ import pytest
 from scipy.stats import median_abs_deviation
 
 from stepturn import (
-    DegenerateTrackError,
     MovementParams,
     NetConfig,
     PriorSpec,
@@ -116,22 +115,6 @@ class TestGenerateReferenceTable:
         path = simulate_until(MovementParams(kappa=kappa, lam=lam),
                               SMALL_SIM.min_obs * SMALL_SIM.dt, rng)
         s = summarize(observe(path, SMALL_SIM.dt, SMALL_SIM.min_obs)).as_array()
-        assert row == (kappa, lam, *s, 1)
-
-    def test_undefined_summaries_resampled(self, monkeypatch):
-        calls = []
-
-        def degenerate_once(track):
-            calls.append(track)
-            if len(calls) == 1:
-                raise DegenerateTrackError("a summary is not finite")
-            return summarize(track)
-
-        monkeypatch.setattr(inference, "summarize", degenerate_once)
-        row = inference._reference_row(PriorSpec(), SMALL_SIM, 7, 3)
-        rng = stream(7, 3, bump=1)
-        kappa, lam = rng.uniform(0.0, 100.0), rng.uniform(0.0, 50.0)
-        s = inference.simulated_summaries(MovementParams(kappa=kappa, lam=lam), SMALL_SIM, rng)
         assert row == (kappa, lam, *s, 1)
 
     def test_simulated_summaries_chain(self):
@@ -610,10 +593,9 @@ class TestAdjust:
         table = synthetic_table(2000, seed=32)
         s_obs = np.random.default_rng(33).normal(size=4)
         accepted = abc_reject(table, s_obs, 0.05)
-        config = NetConfig(n_iter=300)
         for method in ("rejection", "loclinear", "neuralnet"):
-            shared = adjust(accepted, s_obs, method, net_config=config)
-            alone = fit(table, s_obs, method, 0.05, net_config=config)
+            shared = adjust(accepted, s_obs, method)
+            alone = fit(table, s_obs, method, 0.05)
             assert np.array_equal(shared.draws, alone.draws)
             assert np.array_equal(shared.weights, alone.weights)
             assert shared.method == method
@@ -769,8 +751,8 @@ class TestPipelineDeterminism:
         table = generate_reference_table(PriorSpec(), 300, SMALL_SIM, seed=30, workers=2)
         s_obs = table.summaries[7]
         for method in ("rejection", "loclinear", "neuralnet"):
-            a = fit(table, s_obs, method, 0.5, net_config=NetConfig(n_iter=300))
-            b = fit(table, s_obs, method, 0.5, net_config=NetConfig(n_iter=300))
+            a = fit(table, s_obs, method, 0.5)
+            b = fit(table, s_obs, method, 0.5)
             assert np.array_equal(a.draws, b.draws)
             assert np.array_equal(a.weights, b.weights)
             assert a.delta == b.delta

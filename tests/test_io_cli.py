@@ -23,6 +23,7 @@ from stepturn import (
     summarize,
 )
 from stepturn.experiments import ReplicateRecord, RScanRecord
+from stepturn.streams import stream
 
 SMALL_SIM = SimConfig(dt=0.5, min_obs=60)
 
@@ -679,6 +680,22 @@ class TestCliExperiments:
         report = json.loads((tmp_path / "oracle_check.json").read_text())
         assert report["f_V[0]"]["passed"]
 
+    def test_oracle_check_gives_each_setting_its_own_stream(self, tmp_path, monkeypatch):
+        grid = densities.f_v_grid(2.0)  # one cheap density stands in for all three
+        monkeypatch.setattr(cli, "ORACLE_DENSITIES", {
+            name: (lambda **_: grid, lambda **_: densities.cos_vm_sampler(2.0),
+                   lambda **_: 1.0, 1e-6) for name in cli.ORACLE_SETTINGS})
+        drawn = []
+
+        def recording_stream(seed, index, bump=0):
+            drawn.append((seed, index, bump))
+            return stream(seed, index, bump)
+
+        monkeypatch.setattr(cli, "stream", recording_stream)
+        argv = ["oracle-check", "--n-draws", "1000", "--seed", "5", "--out", str(tmp_path)]
+        assert cli.main(argv) == 0
+        assert drawn == [(5, index, 0) for index in range(9)]
+
 
 # the commands that take --workers, with arguments that keep a run small
 POOLED = {"reftable": ["--n-sims", "4", "--min-obs", "40"], "crossval": [], "coverage": [],
@@ -787,6 +804,12 @@ class TestCliFlags:
         (["reftable", "--min-obs", "3"], "--min-obs must be >= 4, got 3"),
         (["reftable", "--dt", "-1"], "--dt must be > 0, got -1.0"),
         (["oracle-check", "--n-draws", "0"], "--n-draws must be >= 1000, got 0"),
+        (["fit", "--epsilon", "0"], "--epsilon must be in (0, 1], got 0.0"),
+        (["fit", "--epsilon", "1.5"], "--epsilon must be in (0, 1], got 1.5"),
+        (["fit", "--epsilon", "nan"], "--epsilon must be in (0, 1], got nan"),
+        (["crossval", "--epsilons", "0.5", "0"], "--epsilons must be in (0, 1], got 0.0"),
+        (["coverage", "--epsilons", "-1"], "--epsilons must be in (0, 1], got -1.0"),
+        (["rscan", "--epsilon", "2"], "--epsilon must be in (0, 1], got 2.0"),
     ])
     def test_numeric_flags_below_their_floor_exit_1(self, argv, message, tmp_path, capsys):
         # refused when parsed, before --out is made or any input is read
@@ -800,7 +823,8 @@ class TestCliFlags:
             SimConfig(min_obs=cli.COUNT_FLAGS["min_obs"] - 1)
         SimConfig(min_obs=cli.COUNT_FLAGS["min_obs"])
         with pytest.raises(ValueError, match="at least 1000 draws"):
-            densities.density_mc_check(None, None, cli.COUNT_FLAGS["n_draws"] - 1)
+            densities.density_mc_check(None, None, cli.COUNT_FLAGS["n_draws"] - 1,
+                                       np.random.default_rng(0))
 
     @pytest.mark.parametrize("argv", [
         ["fit", "--table", "{dir}"], ["fit", "--table", "{table}", "--track", "{dir}"],

@@ -117,8 +117,8 @@ class TestTrain:
         x = 0.05 * rng.normal(size=(100, 4))
         y = 20.0 * x @ rng.normal(size=(4, 2)) + rng.normal(size=(100, 2))
         w = np.clip(1.0 - np.sum((x / 0.05) ** 2, axis=1) / 16.0, 0.0, None)
-        a, shapes = train(x, y, w)
-        b, _ = train(x, y, w)
+        a, shapes = train(x, y, w, NetConfig())
+        b, _ = train(x, y, w, NetConfig())
         train(x, y, w, NetConfig(n_iter=5000))
         assert NetConfig().n_iter == 700
         assert [run[1:] for run in runs] == [(700, "maxit"), (700, "maxit"), (901, "reltol")]

@@ -511,7 +511,7 @@ def weighted_quantile(posterior, parameter, q):
     return float(values[order[min(position, len(order) - 1)]])
 
 
-def hpd_interval(posterior, parameter, alpha=0.95):
+def hpd_interval(posterior, parameter, alpha):
     """Shortest interval between draws containing at least ``alpha`` mass.
 
     Ties in width resolve to the smallest lower endpoint. Mass comparisons

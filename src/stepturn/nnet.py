@@ -10,22 +10,16 @@ data term alone would let the decay pin the output weights at zero.
 Training is deterministic: fixed-seed initialisation scaled by
 1/sqrt(fan-in), then :func:`vmmin`, which draws nothing.
 
-:func:`vmmin` keeps R's constants: a backtracking line search that cuts
-the step by ``STEPREDN`` until the ``ACCTOL`` sufficient decrease holds,
-``RELTEST`` to tell a step that changes no coordinate, and ``nnet``'s
-``reltol``. It stops once a step from a fresh restart lowers the loss by
-less than ``RELTOL`` relative, or after ``NetConfig.n_iter`` iterations.
-``nnet``'s ``abstol`` is left out: it bounds a criterion not divided by
-the weight sum, which a standardized fit does not get near.
+:func:`vmmin` keeps R's constants and stop rules. ``nnet``'s ``abstol`` is
+left out: it bounds a criterion not divided by the weight sum, which a
+standardized fit does not get near.
 
 The default cap is 700, not R ``abc``'s ``maxit = 500``. On the desk
 table at ε 0.001, eight held-out rows' posterior medians must stay within
 1e-2 of the converged fit's 95% HPD width. Seven fits meet ``RELTOL``
-within 311 iterations; row 2641 needs 870, and its gap is 0.078 of the
-width when stopped at 500, 0.034 at 600, 0.0090 at 650 and 0.0022 at 700.
-700 is the smallest multiple of 50 that keeps that gap under half the
-bound (650 passes at 0.90 of it, which a change in summation order along
-a 650-step path could undo).
+within 312 iterations; row 2641 needs 826, and its gap is 0.077 of the
+width when stopped at 500, 0.033 at 600, 0.013 at 650 (over the bound)
+and 0.0012 at 700, the smallest multiple of 50 under half the bound.
 """
 
 from __future__ import annotations
@@ -34,7 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import TrainingDivergedError
 from .streams import stream
@@ -57,10 +50,8 @@ def init_params(n_in, n_hidden, n_out, seed):
     """Flat parameter vector with N(0, 1/fan_in) weights and zero biases."""
     rng = stream(seed, 0)
     w1 = rng.normal(size=(n_hidden, n_in)) / np.sqrt(n_in)
-    b1 = np.zeros(n_hidden)
     w2 = rng.normal(size=(n_out, n_hidden)) / np.sqrt(n_hidden)
-    b2 = np.zeros(n_out)
-    return pack(w1, b1, w2, b2), (n_in, n_hidden, n_out)
+    return pack(w1, np.zeros(n_hidden), w2, np.zeros(n_out)), (n_in, n_hidden, n_out)
 
 
 def pack(w1, b1, w2, b2):
@@ -69,21 +60,29 @@ def pack(w1, b1, w2, b2):
 
 def unpack(flat, shapes):
     n_in, n_hidden, n_out = shapes
-    i = 0
-    w1 = flat[i : i + n_hidden * n_in].reshape(n_hidden, n_in)
-    i += n_hidden * n_in
-    b1 = flat[i : i + n_hidden]
-    i += n_hidden
-    w2 = flat[i : i + n_out * n_hidden].reshape(n_out, n_hidden)
-    i += n_out * n_hidden
-    b2 = flat[i : i + n_out]
-    return w1, b1, w2, b2
+    i = n_hidden * n_in
+    j, k = i + n_hidden, i + n_hidden + n_out * n_hidden
+    w1, b1, w2, b2 = flat[:i], flat[i:j], flat[j:k], flat[k : k + n_out]
+    return w1.reshape(n_hidden, n_in), b1, w2.reshape(n_out, n_hidden), b2
+
+
+def _forward(flat, shapes, xt):
+    """Hidden layer (n_hidden, m) and outputs (n_out, m) of inputs xt (n_in, m).
+    The logistic 1 / (1 + exp(-a)) runs in place; it is 0 where exp overflows."""
+    w1, b1, w2, b2 = unpack(flat, shapes)
+    a = w1 @ xt
+    a += b1[:, None]
+    with np.errstate(over="ignore"):
+        np.exp(np.negative(a, out=a), out=a)
+    a += 1.0
+    hidden = np.reciprocal(a, out=a)
+    out = w2 @ hidden
+    out += b2[:, None]
+    return hidden, out
 
 
 def predict(flat, shapes, x):
-    w1, b1, w2, b2 = unpack(flat, shapes)
-    hidden = expit(x @ w1.T + b1)
-    return hidden @ w2.T + b2
+    return _forward(flat, shapes, np.ascontiguousarray(x.T))[1].T
 
 
 def loss_and_grad(flat, shapes, x, y, sample_weight, l2):
@@ -92,21 +91,29 @@ def loss_and_grad(flat, shapes, x, y, sample_weight, l2):
 
     loss = [sum_i w_i ||y_i - f(x_i)||^2 / 2 + l2/2 * ||params||^2] / sum w
 
-    All-zero weights count as unit weights.
+    All-zero weights count as unit weights. The work runs on ``x.T`` and
+    ``y.T``, contiguous for the Fortran-ordered ``x`` and ``y`` of :func:`train`.
     """
     wsum = float(np.sum(sample_weight))
     if wsum <= 0:
-        sample_weight = np.ones(len(x))
-        wsum = float(len(x))
-    weight = sample_weight[:, None]
-    w1, b1, w2, b2 = unpack(flat, shapes)
-    hidden = expit(x @ w1.T + b1)
-    err = hidden @ w2.T + b2 - y
-    loss = 0.5 * (float((weight * err**2).sum()) + l2 * float((flat**2).sum())) / wsum
-    d_out = weight * err / wsum
-    d_hidden = (d_out @ w2) * hidden * (1.0 - hidden)
-    grad = pack(d_hidden.T @ x, d_hidden.sum(axis=0), d_out.T @ hidden, d_out.sum(axis=0))
-    return loss, grad + (l2 / wsum) * flat
+        sample_weight, wsum = np.ones(len(x)), float(len(x))
+    xt = np.ascontiguousarray(x.T)
+    hidden, err = _forward(flat, shapes, xt)
+    err -= y.T
+    d_out = err * sample_weight
+    loss = 0.5 * (float(np.vdot(d_out, err)) + l2 * float(flat @ flat)) / wsum
+    d_out /= wsum
+    grad = np.empty_like(flat)
+    g_w1, g_b1, g_w2, g_b2 = unpack(grad, shapes)
+    np.matmul(d_out, hidden.T, out=g_w2)
+    np.sum(d_out, axis=1, out=g_b2)
+    d_hidden = unpack(flat, shapes)[2].T @ d_out
+    d_hidden *= hidden
+    d_hidden *= np.subtract(1.0, hidden, out=hidden)
+    np.matmul(d_hidden, xt.T, out=g_w1)
+    np.sum(d_hidden, axis=1, out=g_b1)
+    grad += (l2 / wsum) * flat
+    return loss, grad
 
 
 def vmmin(objective, start, maxit):
@@ -157,7 +164,7 @@ def vmmin(objective, start, maxit):
             anchor = RELTEST + x_prev
             while True:
                 x = x_prev + step * t
-                moved = not np.array_equal(RELTEST + x, anchor)
+                moved = not (RELTEST + x == anchor).all()
                 if not moved:
                     break
                 f, g_new = evaluate(x)
@@ -176,8 +183,9 @@ def vmmin(objective, start, maxit):
                 d1 = float(s @ y)
                 if d1 > 0.0:
                     by = b @ y
-                    d2 = 1.0 + float(by @ y) / d1
-                    b += (d2 * np.outer(s, s) - (np.outer(by, s) + np.outer(s, by))) / d1
+                    v = ((1.0 + float(by @ y) / d1) * s - by) / d1
+                    b += s[:, None] * v
+                    b -= (by / d1)[:, None] * s
                 else:
                     restarted = gradcount
             elif restarted < gradcount:  # retry from the identity
@@ -195,21 +203,13 @@ def vmmin(objective, start, maxit):
 
 def train(x, y, sample_weight, config):
     """Fit the network by :func:`vmmin` on :func:`loss_and_grad`, from the
-    fixed-seed start, for at most ``config.n_iter`` iterations.
-    Deterministic given the data and config.
-
-    Returns (flat_params, shapes).
-
-    Raises
-    ------
-    TrainingDivergedError
-        If a loss or a gradient is non-finite. Its ``iteration`` counts
-        from 1; the start is evaluated in iteration 1.
+    fixed-seed start, for at most ``config.n_iter`` iterations, with ``x``
+    and ``y`` in Fortran order. Deterministic given the data and config.
+    Returns (flat_params, shapes); raises :func:`vmmin`'s
+    ``TrainingDivergedError`` on a non-finite loss or gradient.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if y.ndim == 1:
-        y = y[:, None]
+    x = np.asarray(x, dtype=float, order="F")
+    y = np.asfortranarray(np.asarray(y, dtype=float).reshape(len(x), -1))
     start, shapes = init_params(x.shape[1], config.n_hidden, y.shape[1], config.seed)
 
     def objective(flat):

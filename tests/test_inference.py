@@ -23,6 +23,7 @@ from stepturn import (
     weighted_quantile,
 )
 from stepturn import inference
+from stepturn.experiments import INTERVAL_MASS
 from stepturn.inference import (
     WeightedPosterior,
     adjust,
@@ -540,15 +541,16 @@ class TestNeuralnetAdjust:
     def test_default_stop_matches_converged_fit(self, desk_table):
         # the default stops vmmin at 700 iterations; on these rows at eps
         # 0.001 (100 accepted rows) seven fits meet RELTOL first and one
-        # (row 2641) hits the cap. Each median stays within 1e-2 of the
-        # converged 95% HPD width (measured gap at most 2.2e-3, row 2641)
+        # (row 2641, 826 iterations to RELTOL) hits the cap. Each median
+        # stays within 1e-2 of the converged 95% HPD width (measured gap at
+        # most 1.2e-3, row 2641; stopped at 650 it would be 1.3e-2)
         for row in (63986, 83105, 2641, 46724, 79051, 85175, 36545, 7982):
             s_obs = desk_table.summaries[row]
             accepted = abc_reject(desk_table.without_row(row), s_obs, 0.001)
             capped = neuralnet_adjust(accepted, s_obs)
             converged = neuralnet_adjust(accepted, s_obs, NetConfig(n_iter=20_000))
             for k in (0, 1):
-                lo, hi = hpd_interval(converged, k)
+                lo, hi = hpd_interval(converged, k, INTERVAL_MASS)
                 gap = abs(weighted_quantile(capped, k, 0.5) - weighted_quantile(converged, k, 0.5))
                 assert gap <= 1e-2 * (hi - lo), (row, k, gap, hi - lo)
 

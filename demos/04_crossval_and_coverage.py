@@ -9,26 +9,25 @@ but only for truths drawn from the whole prior, so the coverage table
 comes from a second, unconstrained run.
 """
 
-import numpy as np
-
 from stepturn import PriorSpec, SimConfig, coverage_report, cross_validate, generate_reference_table
 
 sim = SimConfig(dt=0.5, min_obs=300)
 print("building a 3000-row reference table...")
 table = generate_reference_table(PriorSpec(), 3000, sim, seed=9, workers=2)
 
+methods, epsilons = ("rejection", "loclinear"), (0.1, 0.01)
 report = cross_validate(
     table,
-    methods=("rejection", "loclinear"),
-    epsilons=(0.1, 0.01),
+    methods=methods,
+    epsilons=epsilons,
     n_rep=40,
     seed=17,
     workers=2,
 )
 
 print(f"\n{'method':>10} {'eps':>6} {'param':>7} {'pred err':>9} {'MD':>7}")
-for method in report.methods:
-    for epsilon in report.epsilons:
+for method in methods:
+    for epsilon in epsilons:
         for param in ("kappa", "lambda"):
             print(f"{method:>10} {epsilon:6.3g} {param:>7} "
                   f"{report.prediction_error(method, epsilon, param):9.3f} "
@@ -36,8 +35,8 @@ for method in report.methods:
 
 prior_drawn = cross_validate(
     table,
-    methods=("rejection", "loclinear"),
-    epsilons=(0.1, 0.01),
+    methods=methods,
+    epsilons=epsilons,
     n_rep=40,
     constraint=None,
     seed=17,
@@ -45,12 +44,11 @@ prior_drawn = cross_validate(
 )
 coverage = coverage_report(prior_drawn)
 print(f"\n{'method':>10} {'eps':>6} {'param':>7} {'coverage':>9} {'mean p':>7} {'KS p':>8}")
-for key in sorted(coverage.coverage):
-    method, epsilon, param = key
+for (method, epsilon, param), entry in coverage.items():
     print(f"{method:>10} {epsilon:6.3g} {param:>7} "
-          f"{coverage.coverage[key]:9.2f} "
-          f"{float(np.mean(coverage.p_values[key])):7.3f} "
-          f"{coverage.ks_pvalue[key]:8.3g}")
+          f"{entry['empirical_coverage']:9.2f} "
+          f"{entry['mean_p']:7.3f} "
+          f"{entry['ks_pvalue']:8.3g}")
 
 print("\nsmaller epsilon shrinks the rejection error; the local-linear")
 print("correction does better still. On truths drawn from the prior every")

@@ -2,10 +2,11 @@
 observation-scale scans, and a direct conjugate/grid fit on decomposed
 steps and turns.
 
-Cross-validation and the r-scan return flat records, one per (method,
-epsilon or R, replicate, parameter). Their reports group the records once,
+Cross-validation and the r-scan return reports that hold only their flat
+records, one per (method, epsilon or R, replicate, parameter), grouped once
 into ``cells`` keyed by (method, epsilon or R, parameter); the prediction
-error, the MD index and the coverage diagnostics each read one cell.
+error, the MD index and each ``coverage_report`` entry, the one
+``coverage_summary.json`` holds, read one cell.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import warnings
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import product
 
 import numpy as np
 from scipy.special import i0e
@@ -119,8 +121,6 @@ class ReplicateRecord:
 
 @dataclass(frozen=True)
 class CrossValReport(_Report):
-    methods: tuple[str, ...]
-    epsilons: tuple[float, ...]
     _column = "epsilon"
 
 
@@ -185,11 +185,8 @@ def cross_validate(
     """
     if n_rep < 1:
         raise ValueError(f"n_rep must be >= 1, got {n_rep}")
-    if constraint is not None:
-        kappa_max, lambda_max = constraint
-        eligible = np.flatnonzero(
-            (table.params[:, 0] <= kappa_max) & (table.params[:, 1] <= lambda_max)
-        )
+    if constraint is not None:  # (kappa_max, lambda_max), compared column by column
+        eligible = np.flatnonzero(np.all(table.params <= np.asarray(constraint), axis=1))
     else:
         eligible = np.arange(table.n_rows)
     if len(eligible) < n_rep:
@@ -201,44 +198,26 @@ def cross_validate(
     context = (table, tuple(methods), tuple(epsilons))
     results = ordered_map(_crossval_replicate, context, tasks, workers)
     records = [record for sub in results for record in sub]
-    return CrossValReport(
-        records=records,
-        methods=tuple(methods),
-        epsilons=tuple(float(e) for e in epsilons),
-    )
-
-
-@dataclass(frozen=True)
-class CoverageReport:
-    """Per (method, epsilon, parameter): empirical coverage, the coverage
-    p-values, their KS uniformity test and their 20-bin histogram over
-    [0, 1]."""
-
-    coverage: dict
-    p_values: dict
-    ks_statistic: dict
-    ks_pvalue: dict
-    histogram: dict
+    return CrossValReport(records=records)
 
 
 def coverage_report(crossval):
-    """The coverage diagnostics of each of ``crossval.cells``: the fraction of
-    truths inside the recorded ``INTERVAL_MASS`` HPD, and the KS test of the
-    coverage p-values against U(0, 1)."""
-    coverage, p_values, ks_stat, ks_p, histogram = {}, {}, {}, {}, {}
+    """``{cell key: entry}`` in ``crossval.cells`` order, each the entry of
+    ``coverage_summary.json``: the fraction of truths inside the recorded
+    ``INTERVAL_MASS`` HPD, the KS test of the coverage p-values against
+    U(0, 1), their mean and their 20-bin histogram over [0, 1]."""
+    report = {}
     for key, recs in crossval.cells.items():
-        coverage[key] = sum(r.hpd_lo <= r.truth <= r.hpd_hi for r in recs) / len(recs)
-        p_values[key] = np.array([r.p for r in recs])
-        ks = kstest(p_values[key], "uniform")
-        ks_stat[key], ks_p[key] = float(ks.statistic), float(ks.pvalue)
-        histogram[key], _ = np.histogram(p_values[key], bins=20, range=(0.0, 1.0))
-    return CoverageReport(
-        coverage=coverage,
-        p_values=p_values,
-        ks_statistic=ks_stat,
-        ks_pvalue=ks_p,
-        histogram=histogram,
-    )
+        p_values = np.array([r.p for r in recs])
+        ks = kstest(p_values, "uniform")
+        report[key] = {
+            "empirical_coverage": sum(r.hpd_lo <= r.truth <= r.hpd_hi for r in recs) / len(recs),
+            "ks_statistic": float(ks.statistic),
+            "ks_pvalue": float(ks.pvalue),
+            "mean_p": float(np.mean(p_values)),
+            "histogram": np.histogram(p_values, bins=20, range=(0.0, 1.0))[0].tolist(),
+        }
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -307,18 +286,15 @@ def r_scan(
     if n_per_cell < 1:
         raise ValueError(f"n_per_cell must be >= 1, got {n_per_cell}")
     cells = []
-    cell_index = 0
-    for r_value in r_values:
-        for kappa_true in kappa_values:
-            lam_true = r_value / table.config.dt
-            if not table.prior.contains(kappa_true, lam_true):
-                warnings.warn(
-                    f"skipping cell R={r_value:g}, kappa={kappa_true:g}: implied "
-                    f"lambda={lam_true:g} or kappa={kappa_true:g} outside prior support"
-                )
-            else:
-                cells.append((cell_index, float(r_value), float(kappa_true)))
-            cell_index += 1
+    for cell_index, (r_value, kappa_true) in enumerate(product(r_values, kappa_values)):
+        lam_true = r_value / table.config.dt
+        if not table.prior.contains(kappa_true, lam_true):
+            warnings.warn(
+                f"skipping cell R={r_value:g}, kappa={kappa_true:g}: implied "
+                f"lambda={lam_true:g} or kappa={kappa_true:g} outside prior support"
+            )
+        else:
+            cells.append((cell_index, float(r_value), float(kappa_true)))
     context = (table, tuple(methods), float(epsilon), n_per_cell, seed)
     results = ordered_map(_rscan_cell, context, cells, workers)
     records = [record for sub in results for record in sub]

@@ -23,6 +23,7 @@ from .summaries import SummaryVector, summarize
 PARAM_NAMES = ("kappa", "lambda")
 SUMMARY_NAMES = ("s1", "s2", "s3", "s4")
 METHODS = ("rejection", "loclinear", "neuralnet")
+TRANSFORMS = ("none", "log")  # parameter transforms of the regression corrections
 MIN_OBS = 4  # fewest observations per row: the summaries need two turning angles
 CHUNK_ROWS = 256  # rows per task of generate_reference_table
 
@@ -389,8 +390,8 @@ def _prepare_regression(accepted, s_obs, transform):
         raise ValueError(
             f"need more than {n_cols + 1} accepted rows for a regression, got {m}"
         )
-    if transform not in ("none", "log"):
-        raise ValueError(f"transform must be 'none' or 'log', got {transform!r}")
+    if transform not in TRANSFORMS:
+        raise ValueError(f"transform must be one of {TRANSFORMS}, got {transform!r}")
     theta = accepted.draws
     if transform == "log":
         if np.any(theta <= 0):

@@ -3,8 +3,9 @@
 Floats are written with 17 significant digits so every file round-trips
 bit-exactly. Every CSV is written by ``_write_csv`` and read by
 ``_read_csv``: a reader accepts only the exact header of its schema and
-one field per column in each row, and raises SchemaError, naming the
-file, on any fault. Each CSV gets a JSON sidecar (same stem, ``.json``)
+one field per column in each row (a track or latent path also only an index
+column counting 0, 1, ... in file order), and raises SchemaError, naming
+the file, on any fault. Each CSV gets a JSON sidecar (same stem, ``.json``)
 carrying the full producing configuration; the table and posterior
 readers also raise SchemaError when the sidecar is missing, is not a JSON
 object, lacks a key they read or holds a value of the wrong kind there.
@@ -198,6 +199,12 @@ def _finite(cells):
     return values
 
 
+def _check_index(column, name):
+    """Raise ValueError unless the index column ``column`` counts 0, 1, ..."""
+    if not np.array_equal(_finite(column), np.arange(len(column))):
+        raise ValueError(f"{name} must count 0, 1, ..., {len(column) - 1} in file order")
+
+
 def _reader(read):
     """Re-raise a ValueError of ``read(path, ...)`` as a SchemaError naming ``path``."""
     @functools.wraps(read)
@@ -233,6 +240,9 @@ def write_track_csv(path, track):
 @_reader
 def read_track_csv(path, dt):
     rows = _read_csv(path, TRACK_HEADER)
+    _check_index(rows[:, 0], "j")
+    if rows[0, 3] != -1:
+        raise ValueError(f"nj must be -1 on the j = 0 row, found {rows[0, 3]:g}")
     counts = rows[1:, 3]
     if not np.all(counts == np.trunc(counts)):
         raise ValueError("nj must hold integers")
@@ -252,6 +262,7 @@ def write_latent_csv(path, latent):
 @_reader
 def read_latent_csv(path):
     rows = _read_csv(path, LATENT_HEADER, dtype=str)
+    _check_index(rows[:, 0], "i")
     empty = np.zeros((len(rows), 3), dtype=bool)
     empty[-1] = empty[0, 2] = True
     if not np.array_equal(rows[:, 3:] == "", empty):

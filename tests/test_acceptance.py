@@ -34,7 +34,6 @@ from stepturn import (
     fit,
     hpd_interval,
     loclinear_adjust,
-    md_index,
     neuralnet_adjust,
     observe,
     r_scan,
@@ -100,7 +99,7 @@ def coverage_runs(desk_table):
         n_rep=N_REP_CONSTRAINED, constraint=DEFAULT_CONSTRAINT,
         seed=SEED_CV_COVERAGE, workers=2,
     )
-    return coverage_report(fine), coverage_report(coarse)
+    return fine, coarse
 
 
 class TestCriterion1:
@@ -146,9 +145,7 @@ class TestCriterion3:
             passed &= high > low
             details.append(f"{method}: lambda err {low:.3f} @R=0.25 < {high:.3f} @R=4.5")
         for method in ("loclinear", "neuralnet"):
-            recs = [r for r in scan.records
-                    if r.method == method and r.r_value == 1.0 and r.param == "lambda"]
-            md = md_index([r.truth for r in recs], [r.median for r in recs])
+            md = scan.md_index(method, 1.0, "lambda")
             passed &= md < 0.5
             details.append(f"{method} MD @R=1: {md:.3f} < 0.5")
         report("3 (observation-scale trend)", passed, "; ".join(details))
@@ -157,13 +154,14 @@ class TestCriterion3:
 class TestCriterion4:
     def test_corrected_coverage(self, coverage_runs):
         fine, _ = coverage_runs
+        coverage = coverage_report(fine)
         details = []
         passed = True
         for method in ("loclinear", "neuralnet"):
             for param in ("kappa", "lambda"):
                 key = (method, 0.001, param)
-                cov = fine.coverage[key]
-                se = np.sqrt(cov * (1.0 - cov) / len(fine.p_values[key]))
+                cov = coverage[key]["empirical_coverage"]
+                se = np.sqrt(cov * (1.0 - cov) / len(fine.cells[key]))
                 passed &= cov >= 0.90
                 details.append(f"{method} {param}: {cov:.3f} (se {se:.3f})")
         report(
@@ -176,14 +174,10 @@ class TestCriterion4:
 class TestCriterion5:
     def test_coverage_test_direction(self, coverage_runs):
         fine, coarse = coverage_runs
-        rej_p = np.concatenate([
-            coarse.p_values[("rejection", 0.1, "kappa")],
-            coarse.p_values[("rejection", 0.1, "lambda")],
-        ])
-        ll_p = np.concatenate([
-            fine.p_values[("loclinear", 0.001, "kappa")],
-            fine.p_values[("loclinear", 0.001, "lambda")],
-        ])
+        rej_p = [r.p for param in ("kappa", "lambda")
+                 for r in coarse.cells["rejection", 0.1, param]]
+        ll_p = [r.p for param in ("kappa", "lambda")
+                for r in fine.cells["loclinear", 0.001, param]]
         rej_mean = float(np.mean(rej_p))
         ll_mean = float(np.mean(ll_p))
         # p is the posterior mass below the truth: more than 55% of the mass

@@ -7,7 +7,6 @@ import pytest
 
 from stepturn import (
     MovementParams,
-    PriorSpec,
     ReferenceTable,
     SimConfig,
     WeightedPosterior,
@@ -22,22 +21,7 @@ from stepturn import (
 )
 from stepturn.experiments import CrossValReport, ReplicateRecord
 
-SMALL_SIM = SimConfig(dt=0.5, min_obs=120)
-
-
-def synthetic_table(n_rows, seed=0, prior=None, summary_fn=None):
-    prior = prior or PriorSpec()
-    rng = np.random.default_rng(seed)
-    params = np.column_stack([
-        rng.uniform(*prior.kappa_range, size=n_rows),
-        rng.uniform(*prior.lambda_range, size=n_rows),
-    ])
-    if summary_fn is None:
-        summaries = rng.normal(size=(n_rows, 4))
-    else:
-        summaries = np.array([summary_fn(k, l) for k, l in params])
-    return ReferenceTable(params=params, summaries=summaries, prior=prior,
-                          config=SMALL_SIM, seed=seed)
+from _synthetic import synthetic_table
 
 
 def uniform_posterior(draws_1d, weights=None):
@@ -50,9 +34,8 @@ def uniform_posterior(draws_1d, weights=None):
 
 
 def coverage_of(records):
-    """coverage_report over ``records``, which hold one method and epsilon."""
-    return coverage_report(CrossValReport(records, (records[0].method,),
-                                          (records[0].epsilon,)))
+    """coverage_report over ``records``."""
+    return coverage_report(CrossValReport(records))
 
 
 def pvalue_records(posteriors, truths):
@@ -137,15 +120,16 @@ class TestCoveragePvalues:
         for _ in range(100):
             truths = rng.uniform(size=100)
             result = coverage_of(pvalue_records(posteriors, truths))
-            accepted += result.ks_pvalue[("rejection", 1.0, "kappa")] > 0.01
+            accepted += result[("rejection", 1.0, "kappa")]["ks_pvalue"] > 0.01
         assert accepted >= 98
 
     def test_coverage_test_histogram(self):
         posts = [uniform_posterior(np.linspace(0, 1, 101))] * 10
         truths = np.linspace(0.05, 0.95, 10)
-        result = coverage_of(pvalue_records(posts, truths))
-        assert result.histogram[("rejection", 1.0, "kappa")].sum() == 10
-        assert len(result.p_values[("rejection", 1.0, "kappa")]) == 10
+        records = pvalue_records(posts, truths)
+        entry = coverage_of(records)[("rejection", 1.0, "kappa")]
+        assert len(entry["histogram"]) == 20 and sum(entry["histogram"]) == 10
+        assert entry["mean_p"] == float(np.mean([r.p for r in records]))
 
 
 class TestEmpiricalCoverage:
@@ -154,9 +138,9 @@ class TestEmpiricalCoverage:
                   for i in range(10)]
         outside = [ReplicateRecord("rejection", 0.1, i, "lambda", 9.0, 5.0, 4.0, 6.0, 0.5)
                    for i in range(10)]
-        cov = coverage_of(inside + outside).coverage
-        assert cov[("rejection", 0.1, "kappa")] == 1.0
-        assert cov[("rejection", 0.1, "lambda")] == 0.0
+        report = coverage_of(inside + outside)
+        assert report[("rejection", 0.1, "kappa")]["empirical_coverage"] == 1.0
+        assert report[("rejection", 0.1, "lambda")]["empirical_coverage"] == 0.0
 
     def test_synthetic_calibration(self):
         # uniform posteriors with uniform truths: the 95% HPD window covers
@@ -172,7 +156,7 @@ class TestEmpiricalCoverage:
             records.append(
                 ReplicateRecord("rejection", 1.0, i, "kappa", truth, 0.5, lo, hi, 0.5)
             )
-        cov = coverage_of(records).coverage[("rejection", 1.0, "kappa")]
+        cov = coverage_of(records)[("rejection", 1.0, "kappa")]["empirical_coverage"]
         se = math.sqrt(0.95 * 0.05 / n_rep)
         assert abs(cov - 0.95) < max(3 * se, hi - lo - 0.95 + 3 * se)
 
@@ -191,16 +175,15 @@ class TestEmpiricalCoverage:
         ]
         rng.shuffle(records)
         keys = sorted({(r.method, r.epsilon, r.param) for r in records})
-        report = coverage_report(CrossValReport(records, ("neuralnet", "rejection"),
-                                                (0.1, 0.001)))
-        assert list(report.coverage) == list(report.p_values) == keys
+        report = coverage_report(CrossValReport(records))
+        assert list(report) == keys
         for key in keys:
             recs = [r for r in records if (r.method, r.epsilon, r.param) == key]
             hits = sum(1 for r in recs if r.hpd_lo <= r.truth <= r.hpd_hi)
-            assert report.coverage[key] == hits / len(recs)
-            assert np.array_equal(report.p_values[key], [r.p for r in recs])
+            assert report[key]["empirical_coverage"] == hits / len(recs)
+            assert report[key]["mean_p"] == float(np.mean([r.p for r in recs]))
         with pytest.raises(ValueError, match="no replicate records"):
-            coverage_report(CrossValReport([], ("rejection",), (0.1,)))
+            coverage_report(CrossValReport([]))
 
 
 class TestCrossValidate:
@@ -338,7 +321,7 @@ class TestCrossValidate:
                                 n_rep=100, constraint=None, seed=19)
         cov = coverage_report(report)
         for param in ("kappa", "lambda"):
-            assert cov.ks_pvalue[("rejection", 1.0, param)] > 0.01
+            assert cov[("rejection", 1.0, param)]["ks_pvalue"] > 0.01
 
 
 class TestRScan:

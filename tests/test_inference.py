@@ -34,25 +34,8 @@ from stepturn.inference import (
 )
 from stepturn.streams import stream
 
+from _synthetic import SMALL_SIM, synthetic_table
 from oracles import hpd_exhaustive, hpd_two_pointer, mad_by_hand, weighted_quantile_scan
-
-SMALL_SIM = SimConfig(dt=0.5, min_obs=120)
-
-
-def synthetic_table(n_rows, seed=0, prior=None, summary_fn=None):
-    """Reference table with synthetic rows (no simulation)."""
-    prior = prior or PriorSpec()
-    rng = np.random.default_rng(seed)
-    kappa = rng.uniform(*prior.kappa_range, size=n_rows)
-    lam = rng.uniform(*prior.lambda_range, size=n_rows)
-    params = np.column_stack([kappa, lam])
-    if summary_fn is None:
-        summaries = rng.normal(size=(n_rows, 4))
-    else:
-        summaries = np.array([summary_fn(k, l) for k, l in params])
-    return ReferenceTable(
-        params=params, summaries=summaries, prior=prior, config=SMALL_SIM, seed=seed
-    )
 
 
 class TestPriorSpec:

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -497,6 +498,35 @@ class TestCliFit:
         assert capsys.readouterr().err.endswith(f"error: {track}: {message}\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("n_obs,dt", [(59, 0.5), (61, 0.5), (200, 0.5), (60, 1.0)])
+    def test_track_of_another_design_exits_1(self, n_obs, dt, small_table, tmp_path, capsys):
+        # the table's rows hold 60 observations every 0.5
+        latent, _ = simulate_track(n_obs=200)
+        observed = observe(latent, dt, n_obs)
+        track = tmp_path / "track.csv"
+        st_io.write_track_csv(track, observed)
+        out = tmp_path / "out"
+        assert cli.main(["fit", "--table", str(small_table[1]), "--track", str(track),
+                         "--out", str(out)]) == cli.EXIT_VALIDATION
+        longest = float(np.max(np.hypot(*np.diff(observed.positions, axis=0).T)))
+        assert capsys.readouterr().err == (f"error: {track}: {n_obs} observations, steps up "
+                                           f"to {longest}; the table's rows: 60, dt 0.5\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("excess,code", [(0.0, cli.EXIT_OK), (1e-10, cli.EXIT_OK),
+                                             (1e-8, cli.EXIT_VALIDATION)])
+    def test_step_bound_is_relative_1e_9(self, excess, code, small_table, tmp_path):
+        # the track scaled so that its longest step is dt * (1 + excess)
+        _, observed = simulate_track(n_obs=60)
+        steps = np.hypot(*np.diff(observed.positions, axis=0).T)
+        scaled = replace(observed, positions=observed.positions * (0.5 * (1 + excess)
+                                                                   / steps.max()))
+        track = tmp_path / "track.csv"
+        st_io.write_track_csv(track, scaled)
+        assert cli.main(["fit", "--table", str(small_table[1]), "--track", str(track),
+                         "--method", "rejection", "--epsilon", "0.25",
+                         "--out", str(tmp_path / "out")]) == code
+
     def test_track_and_summary_mutually_exclusive(self, small_table, tmp_path):
         _, table_path = small_table
         assert cli.main(["fit", "--table", str(table_path), "--out", str(tmp_path)]) == \
@@ -605,7 +635,7 @@ class TestCliExperiments:
                 ReplicateRecord("rejection", 0.1, i, "kappa", 50.0, 1.0, 0.0, 2.0, 0.9)
                 for i in range(5)
             ]
-            return CrossValReport(records=records, methods=("rejection",), epsilons=(0.1,))
+            return CrossValReport(records=records)
 
         monkeypatch.setattr(cli, "cross_validate", fake_cross_validate)
         code = cli.main(["coverage", "--table", str(table_path), "--methods", "rejection",
@@ -626,14 +656,11 @@ class TestCliExperiments:
         rows = st_io.read_crossval_csv(out / "coverage.csv")
         assert len(rows) == 2 * 6 * 2  # methods x reps x params
         summary = json.loads((out / "coverage_summary.json").read_text())
-        coverage = coverage_report(
-            CrossValReport(rows, ("rejection", "loclinear"), (0.3,))).coverage
-        assert len(coverage) == len(summary) == 4
-        for (method, epsilon, param), value in coverage.items():
-            entry = summary[f"{method}:eps={epsilon:g}:{param}"]
-            assert entry["empirical_coverage"] == value
-            p = [r.p for r in rows if (r.method, r.epsilon, r.param) == (method, epsilon, param)]
-            assert entry["mean_p"] == float(np.mean(p))
+        coverage = coverage_report(CrossValReport(rows))
+        labels = [f"{method}:eps={epsilon:g}:{param}" for method, epsilon, param in coverage]
+        assert len(labels) == 4 and list(summary) == labels  # in cell order
+        for label, entry in zip(labels, coverage.values()):
+            assert list(summary[label].items()) == list(entry.items())  # keys in order too
 
     def test_config_file_defaults_and_flag_override(self, tmp_path):
         config = {"kappa": 15.0, "lam": 2.0, "n_obs": 50, "seed": 3}
@@ -891,7 +918,8 @@ def run_on_fixed_inputs(command, tmp_path, monkeypatch):
     """Run ``command`` with its CLI_RUNS arguments; returns its --out directory."""
     table = generate_reference_table(PriorSpec(), 80, SMALL_SIM, seed=2)
     st_io.write_reference_table(tmp_path / "table.csv", table)
-    latent, track = simulate_track()
+    latent, _ = simulate_track()
+    track = observe(latent, SMALL_SIM.dt, SMALL_SIM.min_obs)  # the table's design, for fit
     st_io.write_latent_csv(tmp_path / "latent.csv", latent)
     st_io.write_track_csv(tmp_path / "track.csv", track)
     monkeypatch.chdir(tmp_path)

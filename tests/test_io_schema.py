@@ -141,10 +141,10 @@ def test_reader_raises_schema_error(schema, fault, lines, tmp_path):
 
 
 def _numeric_columns(schema):
-    """The columns its reader parses as numbers (the latent reader skips ``i``)."""
+    """The columns its reader parses as numbers."""
     header = VALID[schema][0]
-    text = {"method", "param"} | ({"i"} if schema == "latent" else set())
-    return [index for index, name in enumerate(header.split(",")) if name not in text]
+    return [index for index, name in enumerate(header.split(","))
+            if name not in ("method", "param")]
 
 
 # one NaN per numeric column; "nan cell" and "inf cell" in bad_variants cover column 1
@@ -202,6 +202,38 @@ def test_fractional_change_count_rejected(tmp_path):
     path = write_lines(tmp_path / "track.csv", ["j,x,y,nj", "0,0,0,-1", "1,0.5,0.25,0.5"])
     with pytest.raises(SchemaError, match="nj must hold integers"):
         st_io.read_track_csv(path, 0.5)
+
+
+# (schema, fault, data rows, message): index columns that do not count 0, 1, ...
+# in file order, and a track whose first nj is not -1
+INDEX_FAULTS = [
+    ("track", "j out of order",
+     ["0,0,0,-1", "2,0.5,0,1", "1,0.5,0.5,0", "3,1,0.5,2", "4,1,1,3"],
+     "j must count 0, 1, ..., 4 in file order"),
+    ("track", "j from 1", ["1,0,0,-1", "2,0.5,0.25,0"], "j must count 0, 1, ..., 1 in file order"),
+    ("track", "j repeated", ["0,0,0,-1", "0,0.5,0.25,0"], "j must count 0, 1, ..., 1 in file order"),
+    ("track", "first nj 7", ["0,0,0,7", "1,0.5,0.25,0"], "nj must be -1 on the j = 0 row, found 7"),
+    ("track", "first nj 0", ["0,0,0,0", "1,0.5,0.25,0"], "nj must be -1 on the j = 0 row, found 0"),
+    ("latent", "i out of order",
+     ["1,0,0,0.5,0.25,", "0,0.25,0.1,0.1,0.5,0.3", "2,0.5,0.2,,,"],
+     "i must count 0, 1, ..., 2 in file order"),
+    ("latent", "i skips", ["0,0,0,0.5,0.25,", "2,0.5,0.2,,,"],
+     "i must count 0, 1, ..., 1 in file order"),
+]
+INDEX_COMMANDS = {"track": ["summarize", "--track"], "latent": ["directfit", "--latent"]}
+
+
+@pytest.mark.parametrize("schema,fault,rows,message", INDEX_FAULTS,
+                         ids=[f"{schema}-{fault}" for schema, fault, _, _ in INDEX_FAULTS])
+def test_index_column_faults_exit_1(schema, fault, rows, message, tmp_path, capsys):
+    path = write_lines(tmp_path / f"{schema}.csv", [VALID[schema][0], *rows])
+    with pytest.raises(SchemaError, match=f"{path}: {message}"):
+        READERS[schema](path)
+    out = tmp_path / "out"
+    assert cli.main([*INDEX_COMMANDS[schema], str(path), "--out", str(out)]) == \
+        cli.EXIT_VALIDATION
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+    assert not out.exists()
 
 
 @pytest.fixture(scope="module")

@@ -30,7 +30,13 @@ from pathlib import Path
 import numpy as np
 
 from . import densities, io
-from .errors import DegenerateTrackError, SchemaError, StepturnError, TrackTooShortError
+from .errors import (
+    DegenerateTrackError,
+    InsufficientPathError,
+    SchemaError,
+    StepturnError,
+    TrackTooShortError,
+)
 from .experiments import (
     DEFAULT_CONSTRAINT,
     INTERVAL_MASS,
@@ -354,10 +360,12 @@ def cmd_simulate(args):
 
 def cmd_observe(args):
     resolved = vars(args)
-    latent_path = _input(resolved, "latent")
+    path = _input(resolved, "latent")
+    try:
+        track = observe(io.read_latent_csv(path), resolved["dt"], resolved["n_obs"])
+    except InsufficientPathError as exc:
+        raise SchemaError(f"{path}: {exc}") from exc
     out = _out_dir(resolved)
-    latent = io.read_latent_csv(latent_path)
-    track = observe(latent, resolved["dt"], resolved["n_obs"])
     _emit(resolved, "track.csv", lambda p: io.write_track_csv(p, track))
     print(f"wrote {out / 'track.csv'} ({track.n_obs} observations)")
     return EXIT_OK
@@ -490,6 +498,7 @@ def cmd_fit(args):
 
 def _holdout_run(resolved):
     """The held-out fits of crossval and coverage; an unset bound is no bound."""
+    _check_labels(resolved["epsilons"])
     workers = _workers(resolved)
     table = _table(resolved)
     _out_dir(resolved)
@@ -537,6 +546,18 @@ def cmd_crossval(args):
 def _cell_label(method, epsilon, param):
     """A cell's key in ``crossval_metrics.json`` and ``coverage_summary.json``."""
     return f"{method}:eps={epsilon:g}:{param}"
+
+
+def _check_labels(epsilons):
+    """Refuse two --epsilons that one ``_cell_label`` names: the later cell's
+    JSON entry would overwrite the earlier's."""
+    named = {}
+    for value in epsilons:
+        label = f"{value:g}"
+        if label in named:
+            raise ValidationError(
+                f"--epsilons {named[label]!r} and {value!r} share the label eps={label}")
+        named[label] = value
 
 
 def _check_distinct(resolved, key):

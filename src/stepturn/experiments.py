@@ -29,6 +29,7 @@ from .inference import (
     abc_reject,
     adjust,
     hpd_interval,
+    narrow,
     simulated_summaries,
     weighted_quantile,
 )
@@ -126,8 +127,9 @@ class CrossValReport(_Report):
 
 def _fits(table, s_obs, methods, epsilons):
     """Yield ``(method, epsilon, posterior)`` for every pair, fitted against
-    ``table``; the methods share one rejection pass per epsilon."""
-    accepted = [abc_reject(table, s_obs, epsilon) for epsilon in epsilons]
+    ``table``; one rejection pass, at the widest epsilon, serves them all."""
+    widest = abc_reject(table, s_obs, max(epsilons))
+    accepted = [narrow(widest, epsilon, table.n_rows) for epsilon in epsilons]
     for method in methods:
         for epsilon, sample in zip(epsilons, accepted):
             yield method, epsilon, adjust(sample, s_obs, method)
@@ -171,7 +173,8 @@ def cross_validate(
 
     Each replicate removes one constrained row, treats its summaries as
     the observation, and fits every (method, epsilon) combination against
-    the remaining rows; the methods share one rejection pass per epsilon.
+    the remaining rows; all of them share one rejection pass, at the
+    widest epsilon.
     ``constraint = (kappa_max, lambda_max)`` keeps pseudo-observations
     away from the upper prior limits; pass None to sample from the whole
     table.

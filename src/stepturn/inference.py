@@ -134,6 +134,12 @@ class WeightedPosterior:
     :func:`abc_reject` also sets the accepted rows' summaries, distances and
     table indices and the table's scales and prior: a regression correction
     runs on that accepted set and refuses a posterior without it.
+
+    Like a table's arrays, ``draws`` are treated as immutable: the stable
+    ascending order of each draw column (:attr:`orders`), which
+    :func:`weighted_quantile` and :func:`hpd_interval` share, is computed on
+    first use and cached on the instance. ``dataclasses.replace``, and so
+    every correction, returns a new instance, which starts with a fresh cache.
     """
 
     draws: np.ndarray  # (m, 2) columns kappa, lambda
@@ -159,6 +165,11 @@ class WeightedPosterior:
     @property
     def n_draws(self):
         return len(self.draws)
+
+    @cached_property
+    def orders(self):
+        """The :func:`_stable_order` of each draw column, computed once."""
+        return tuple(_stable_order(column) for column in self.draws.T)
 
 
 def _param_index(parameter):
@@ -262,17 +273,36 @@ def summary_scales(table):
 
     Median absolute deviation of each summary column; falls back to the
     sample standard deviation when the MAD is zero, and to 1 when both
-    vanish.
+    vanish. Both medians of a column are :func:`_partition_median`, equal
+    to ``np.median`` bit for bit at a fraction of its cost: a table's rows
+    are finite, so ``np.median``'s NaN probe, a second partition index,
+    buys nothing.
     """
-    columns = table.columns  # contiguous: faster medians
-    center = np.median(columns, axis=1)
-    scales = np.median(np.abs(columns - center[:, None]), axis=1)
-    for k in range(len(scales)):
+    columns = table.columns
+    work = np.empty(columns.shape[1])  # one column's scratch, partitioned by each median
+    scales = np.empty(len(columns))
+    for k, column in enumerate(columns):
+        work[:] = column
+        center = _partition_median(work)
+        scales[k] = _partition_median(np.abs(np.subtract(column, center, out=work), out=work))
         if scales[k] == 0.0:
-            scales[k] = float(np.std(columns[k], ddof=1))
+            scales[k] = float(np.std(column, ddof=1))
         if scales[k] == 0.0 or not np.isfinite(scales[k]):
             scales[k] = 1.0
     return scales
+
+
+def _partition_median(values):
+    """``np.median`` of a finite 1-d array, which it partitions in place at
+    one index: the upper middle. For an even count the lower middle is the
+    largest entry left of it. The middles are summed from 0.0 and halved as
+    ``np.median``'s mean does, so a median is never -0.0."""
+    half = len(values) // 2
+    values.partition(half)
+    total = 0.0 + values[half]
+    if len(values) % 2:
+        return total
+    return (values[:half].max() + total) / 2
 
 
 def standardized_distances(table, s_obs):
@@ -311,13 +341,11 @@ def abc_reject(table, s_obs, epsilon):
     accepted draws carry uniform weights and the realized distance
     threshold delta.
     """
-    if not (0.0 < epsilon <= 1.0):
-        raise ValueError(f"epsilon must be in (0, 1], got {epsilon}")
+    n_accept = _n_accept(epsilon, table.n_rows)
     s_obs = _as_summary_array(s_obs)
     if not np.all(np.isfinite(s_obs)):
         raise ValueError(f"observed summaries must be finite, got {s_obs}")
     distances = standardized_distances(table, s_obs)
-    n_accept = int(np.ceil(epsilon * table.n_rows))
     accepted = _closest(distances, n_accept)
     return WeightedPosterior(
         draws=table.params[accepted],
@@ -331,6 +359,37 @@ def abc_reject(table, s_obs, epsilon):
         scales=table.scales,
         prior=table.prior,
     )
+
+
+def narrow(accepted, epsilon, n_rows):
+    """:func:`abc_reject` at ``epsilon`` from its result ``accepted`` at a
+    wider epsilon, against the same ``n_rows``-row table and observation.
+
+    Both accept a prefix of one stable order of the same distances, so the
+    narrower posterior is the first ceil(epsilon * n_rows) accepted rows,
+    with their own uniform weights and delta. Its row arrays are views of
+    ``accepted``'s, which are treated as immutable.
+    """
+    n_accept = _n_accept(epsilon, n_rows)
+    if n_accept > accepted.n_draws:
+        raise ValueError(f"epsilon {epsilon} accepts more than the {accepted.n_draws} rows "
+                         f"accepted at {accepted.epsilon}")
+    return replace(
+        accepted,
+        draws=accepted.draws[:n_accept],
+        weights=np.full(n_accept, 1.0 / n_accept),
+        epsilon=float(epsilon),
+        delta=float(accepted.distances[n_accept - 1]),
+        summaries=accepted.summaries[:n_accept],
+        distances=accepted.distances[:n_accept],
+        indices=accepted.indices[:n_accept],
+    )
+
+
+def _n_accept(epsilon, n_rows):
+    if not (0.0 < epsilon <= 1.0):
+        raise ValueError(f"epsilon must be in (0, 1], got {epsilon}")
+    return int(np.ceil(epsilon * n_rows))
 
 
 def _closest(distances, n):
@@ -505,7 +564,7 @@ def weighted_quantile(posterior, parameter, q):
         raise ValueError("posterior is empty")
     index = _param_index(parameter)
     values = posterior.draws[:, index]
-    order = _stable_order(values)
+    order = posterior.orders[index]
     cumulative = np.cumsum(posterior.weights[order])
     cumulative /= cumulative[-1]
     position = int(np.searchsorted(cumulative, q, side="left"))
@@ -536,7 +595,7 @@ def hpd_interval(posterior, parameter, alpha):
     if posterior.n_draws == 0:
         raise ValueError("posterior is empty")
     index = _param_index(parameter)
-    order = _stable_order(posterior.draws[:, index])
+    order = posterior.orders[index]
     values = posterior.draws[order, index]
     weights = posterior.weights[order] / float(np.sum(posterior.weights))
     cumulative = np.concatenate(([0.0], np.cumsum(weights)))

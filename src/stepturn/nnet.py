@@ -66,10 +66,9 @@ def unpack(flat, shapes):
     return w1.reshape(n_hidden, n_in), b1, w2.reshape(n_out, n_hidden), b2
 
 
-def _forward(flat, shapes, xt):
+def _forward(w1, b1, w2, b2, xt):
     """Hidden layer (n_hidden, m) and outputs (n_out, m) of inputs xt (n_in, m).
     The logistic 1 / (1 + exp(-a)) runs in place; it is 0 where exp overflows."""
-    w1, b1, w2, b2 = unpack(flat, shapes)
     a = w1 @ xt
     a += b1[:, None]
     with np.errstate(over="ignore"):
@@ -82,7 +81,7 @@ def _forward(flat, shapes, xt):
 
 
 def predict(flat, shapes, x):
-    return _forward(flat, shapes, np.ascontiguousarray(x.T))[1].T
+    return _forward(*unpack(flat, shapes), np.ascontiguousarray(x.T))[1].T
 
 
 def loss_and_grad(flat, shapes, x, y, sample_weight, l2):
@@ -93,12 +92,16 @@ def loss_and_grad(flat, shapes, x, y, sample_weight, l2):
 
     All-zero weights count as unit weights. The work runs on ``x.T`` and
     ``y.T``, contiguous for the Fortran-ordered ``x`` and ``y`` of :func:`train`.
+    Every :func:`vmmin` evaluation runs this once, so it unpacks ``flat``
+    once and calls the sums' ufunc reductions without ``np.sum``'s wrapper:
+    the same reductions, in the same order.
     """
-    wsum = float(np.sum(sample_weight))
+    wsum = float(np.add.reduce(sample_weight))
     if wsum <= 0:
         sample_weight, wsum = np.ones(len(x)), float(len(x))
+    w1, b1, w2, b2 = unpack(flat, shapes)
     xt = np.ascontiguousarray(x.T)
-    hidden, err = _forward(flat, shapes, xt)
+    hidden, err = _forward(w1, b1, w2, b2, xt)
     err -= y.T
     d_out = err * sample_weight
     loss = 0.5 * (float(np.vdot(d_out, err)) + l2 * float(flat @ flat)) / wsum
@@ -106,12 +109,12 @@ def loss_and_grad(flat, shapes, x, y, sample_weight, l2):
     grad = np.empty_like(flat)
     g_w1, g_b1, g_w2, g_b2 = unpack(grad, shapes)
     np.matmul(d_out, hidden.T, out=g_w2)
-    np.sum(d_out, axis=1, out=g_b2)
-    d_hidden = unpack(flat, shapes)[2].T @ d_out
+    np.add.reduce(d_out, axis=1, out=g_b2)
+    d_hidden = w2.T @ d_out
     d_hidden *= hidden
     d_hidden *= np.subtract(1.0, hidden, out=hidden)
     np.matmul(d_hidden, xt.T, out=g_w1)
-    np.sum(d_hidden, axis=1, out=g_b1)
+    np.add.reduce(d_hidden, axis=1, out=g_b1)
     grad += (l2 / wsum) * flat
     return loss, grad
 

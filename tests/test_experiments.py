@@ -1,6 +1,6 @@
 import math
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -256,8 +256,9 @@ class TestCrossValidate:
         assert one.records == two.records == rerun.records
 
     def test_shared_scales_match_fresh_tables(self, monkeypatch):
-        # each leave-one-out table computes its scales once for all of its
-        # epsilons; records must equal rejections on fresh, uncached copies
+        # each leave-one-out table runs one rejection pass, at the widest
+        # epsilon, for all of its epsilons; records must equal rejections on
+        # fresh, uncached copies
         from stepturn import experiments
         from stepturn.inference import abc_reject
 
@@ -275,8 +276,26 @@ class TestCrossValidate:
 
         monkeypatch.setattr(experiments, "abc_reject", reject_on_fresh_copy)
         fresh = cross_validate(table, **kwargs)
-        assert len(copies) == 6 * 3
+        assert len(copies) == 6
         assert fresh.records == shared.records
+
+    def test_fits_equal_their_own_rejections(self):
+        # epsilons in any order, one repeated; every acceptance boundary falls
+        # inside a block of tied distances
+        from stepturn.experiments import _fits
+        from stepturn.inference import abc_reject
+
+        table = synthetic_table(400, seed=32)
+        table = replace(table, summaries=np.tile(table.summaries[:8], (50, 1)))
+        s_obs = np.random.default_rng(33).normal(size=4)
+        epsilons = (0.05, 0.3, 0.01, 0.3, 0.1)
+        fits = list(_fits(table, s_obs, ("rejection",), epsilons))
+        assert [eps for _, eps, _ in fits] == list(epsilons)
+        for _, eps, post in fits:
+            alone = abc_reject(table, s_obs, eps)
+            for field in fields(alone):
+                a, b = getattr(post, field.name), getattr(alone, field.name)
+                assert np.array_equal(a, b) if isinstance(b, np.ndarray) else a == b
 
     def test_constraint_filters_rows(self):
         table = synthetic_table(200, seed=14)

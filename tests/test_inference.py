@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -29,6 +29,7 @@ from stepturn.inference import (
     adjust,
     chunk_bounds,
     fit,
+    narrow,
     reference_chunks,
     summary_scales,
 )
@@ -183,6 +184,39 @@ class TestStandardizedDistances:
                                prior=table.prior, config=table.config, seed=0)
         assert summary_scales(table)[3] == 1.0
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 999, 1000])
+    @pytest.mark.parametrize("kind", ["normal", "constant", "ties", "signed zeros"])
+    def test_partition_median_equals_np_median(self, n, kind):
+        rng = np.random.default_rng(n)
+        for scale in (1.0, 1e-3, 1e6):
+            values = {
+                "normal": rng.normal(size=n) * scale,
+                "constant": np.full(n, -2.5 * scale),
+                "ties": rng.integers(0, 3, size=n) * 0.1 * scale,
+                "signed zeros": rng.choice([-0.0, 0.0, scale], size=n),
+            }[kind]
+            median = inference._partition_median(values.copy())
+            assert np.float64(median).tobytes() == np.median(values).tobytes()
+
+    def test_scales_equal_np_median_formula_on_leave_one_out_tables(self):
+        def median_formula(table):
+            columns = table.summaries.T
+            center = np.median(columns, axis=1)
+            scales = np.median(np.abs(columns - center[:, None]), axis=1)
+            for k in np.flatnonzero(scales == 0.0):
+                scales[k] = np.std(columns[k], ddof=1) or 1.0
+            return scales
+
+        for n_rows in (1000, 1001):
+            table = synthetic_table(n_rows, seed=48)
+            summaries = table.summaries.copy()
+            summaries[: n_rows // 3, 2] = summaries[0, 2]  # a tie block at the median
+            summaries[:, 1] = np.round(summaries[:, 1], 1)  # ties everywhere
+            table = replace(table, summaries=summaries)
+            for row in (0, 1, n_rows // 2, n_rows - 1):
+                sub = table.without_row(row)
+                assert summary_scales(sub).tobytes() == median_formula(sub).tobytes()
+
 
 def row_wise_distances(summaries, s_obs, scales):
     """The distance formula on the row-major (K, 4) summaries."""
@@ -323,6 +357,29 @@ class TestAbcReject:
             post = abc_reject(table, s_obs, eps)
             n = int(np.ceil(eps * 300))
             np.testing.assert_array_equal(post.indices, np.argsort(d, kind="stable")[:n])
+
+    def test_narrowed_posterior_is_its_own_rejection(self):
+        # as in test_ties_break_by_row_index, every boundary falls in a tie block
+        table = synthetic_table(300, seed=36)
+        table = replace(table, summaries=np.tile(table.summaries[:10], (30, 1)))
+        s_obs = np.random.default_rng(37).normal(size=4)
+        widest = abc_reject(table, s_obs, 0.31)
+        for eps in (0.31, 0.2, 0.1, 0.05, 0.01, 1 / 300):
+            narrowed, alone = narrow(widest, eps, table.n_rows), abc_reject(table, s_obs, eps)
+            for field in fields(alone):
+                a, b = getattr(narrowed, field.name), getattr(alone, field.name)
+                if isinstance(b, np.ndarray):
+                    assert a.dtype == b.dtype and np.array_equal(a, b), field.name
+                else:
+                    assert type(a) is type(b) and a == b, field.name
+
+    def test_narrow_refuses_a_wider_epsilon(self):
+        table = synthetic_table(100, seed=38)
+        accepted = abc_reject(table, table.summaries[0], 0.1)
+        with pytest.raises(ValueError, match="accepts more than the 10 rows"):
+            narrow(accepted, 0.11, table.n_rows)
+        with pytest.raises(ValueError, match="epsilon must be in"):
+            narrow(accepted, 0.0, table.n_rows)
 
     def test_nesting(self):
         table = synthetic_table(300, seed=13)
@@ -590,6 +647,56 @@ class TestAdjust:
         accepted = abc_reject(table, table.summaries[0], 0.5)
         with pytest.raises(ValueError, match="unknown method"):
             adjust(accepted, table.summaries[0], "kernel")
+
+
+class TestCachedOrder:
+    def test_one_stable_order_per_column(self, monkeypatch):
+        table = synthetic_table(2000, seed=49)
+        post = abc_reject(table, table.summaries[3], 0.1)
+        sorted_columns = []
+
+        def counting(values):
+            sorted_columns.append(values)
+            return stable_order(values)
+
+        stable_order = inference._stable_order
+        monkeypatch.setattr(inference, "_stable_order", counting)
+        for _ in range(2):
+            for k in (1, 0):
+                weighted_quantile(post, k, 0.5)
+                hpd_interval(post, k, INTERVAL_MASS)
+                weighted_quantile(post, k, 0.1)
+        assert len(sorted_columns) == 2
+        for k, values in enumerate(sorted_columns):
+            np.testing.assert_array_equal(values, post.draws[:, k])
+
+    def test_corrections_sort_their_own_draws(self):
+        table = synthetic_table(2000, seed=50)
+        s_obs = table.summaries[5]
+        accepted = abc_reject(table, s_obs, 0.05)
+        rejection_orders = accepted.orders
+        for method in ("loclinear", "neuralnet"):
+            corrected = adjust(accepted, s_obs, method)
+            assert corrected.orders is not rejection_orders
+            for k in (0, 1):
+                np.testing.assert_array_equal(
+                    corrected.orders[k], np.argsort(corrected.draws[:, k], kind="stable"))
+        assert accepted.orders is rejection_orders
+
+    def test_cached_results_equal_fresh_ones_on_ties(self):
+        rng = np.random.default_rng(51)
+        draws = rng.integers(0, 12, size=(400, 2)) * 0.25  # many ties
+        weights = rng.uniform(size=400)
+        post = WeightedPosterior(draws=draws, weights=weights / weights.sum(),
+                                 method="loclinear", epsilon=0.1, delta=1.0)
+        for k in (0, 1):
+            for q in (0.0, 0.05, 0.5, 0.95, 1.0):
+                fresh = replace(post)  # a new instance sorts again
+                assert weighted_quantile(post, k, q) == weighted_quantile(fresh, k, q) \
+                    == weighted_quantile_scan(draws[:, k], post.weights, q)
+            for alpha in (0.5, INTERVAL_MASS):
+                assert hpd_interval(post, k, alpha) == hpd_interval(replace(post), k, alpha) \
+                    == hpd_two_pointer(draws[:, k], post.weights, alpha)
 
 
 class TestWeightedQuantile:

@@ -305,6 +305,26 @@ class TestTableTwin:
         assert twins(tmp_path) == []
 
 
+class TestCliObserve:
+    @pytest.mark.parametrize("fault", ["none", "index out of order", "path too short"])
+    def test_latent_faults_exit_1_before_out_is_made(self, fault, tmp_path, capsys):
+        path, _ = simulate_track(seed=5, n_obs=40)  # a path of at least 20 time units
+        latent = tmp_path / "latent.csv"
+        st_io.write_latent_csv(latent, path)
+        n_obs = "400" if fault == "path too short" else "40"
+        if fault == "index out of order":  # the i column reads 1, 0, 2, ...
+            header, first, second, *rest = latent.read_text().splitlines(keepends=True)
+            latent.write_text("".join([header, "1" + first[1:], "0" + second[1:], *rest]))
+        out = tmp_path / "out"
+        code = cli.main(["observe", "--latent", str(latent), "--n-obs", n_obs, "--out", str(out)])
+        if fault == "none":
+            assert code == cli.EXIT_OK and (out / "track.csv").exists()
+            return
+        assert code == cli.EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith(f"error: {latent}: ")
+        assert not out.exists()
+
+
 class TestCliSimulate:
     def test_rerun_digest_equality(self, tmp_path):
         args = ["simulate", "--kappa", "20", "--lambda", "2", "--dt", "0.5",
@@ -844,6 +864,23 @@ class TestCliFlags:
         assert cli.main([*argv, "--out", str(out)]) == cli.EXIT_VALIDATION
         assert f"error: {message}" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["crossval", "coverage"])
+    @pytest.mark.parametrize("epsilons,message", [
+        (["0.1", "0.1000001"], "--epsilons 0.1 and 0.1000001 share the label eps=0.1"),
+        (["0.5", "0.2", "0.5"], "--epsilons 0.5 and 0.5 share the label eps=0.5"),
+    ])
+    def test_epsilons_sharing_a_label_exit_1(self, command, epsilons, message, small_table,
+                                            tmp_path, capsys):
+        # one JSON entry per cell label: the later cell would overwrite the earlier
+        def run(values, out):
+            return cli.main([command, "--table", str(small_table[1]), "--methods", "rejection",
+                             "--epsilons", *values, "--n-rep", "3", "--out", str(out)])
+
+        assert run(epsilons, tmp_path / "out") == cli.EXIT_VALIDATION
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        assert run([*epsilons[:-1], "0.25"], tmp_path / "distinct") == cli.EXIT_OK
 
     def test_floors_are_the_library_floors(self):
         with pytest.raises(ValueError, match="min_obs must be >= 4"):

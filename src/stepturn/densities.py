@@ -24,9 +24,13 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
-from scipy.special import gammaln, i0e
-from scipy.stats import gamma as gamma_dist
+from scipy.special import gammaincc, gammaincinv, gammaln, i0e
+
+# scipy.integrate is imported inside the three functions that integrate (of
+# the commands, only oracle-check reaches them): it loads scipy.optimize, scipy.linalg and
+# scipy.sparse, about half the start-up of every process. The Gamma tail and
+# quantile call the scipy.special functions scipy.stats.gamma wraps, so f_S's
+# support needs no scipy.stats either, wherever it runs.
 
 from .errors import QuadratureError
 
@@ -39,6 +43,8 @@ def _quad_checked(func, a, b, epsabs, points=None):
     """quad with quadpack chatter converted into the achieved-error
     contract: returns (value, abserr) and leaves judging the error to the
     caller."""
+    from scipy.integrate import IntegrationWarning, quad
+
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", IntegrationWarning)
         return quad(func, a, b, points=points, epsabs=epsabs, epsrel=1e-10, limit=300)
@@ -65,12 +71,14 @@ def _z_max(kappa, lam):
 def _s_max(kappa, lam, n, c):
     """Half-width of f_S's truncated support (checked parameters)."""
     _check(kappa, lam, n, c)
-    w_max = float(gamma_dist(a=n, scale=1.0 / lam).ppf(1.0 - F_S_TAIL))
+    w_max = float(gammaincinv(n, 1.0 - F_S_TAIL) * (1.0 / lam))
     return max(c, abs(c - w_max)) + 1e-9
 
 
 def _normalization(density, half_width, points):
     """Integral over (-half_width, half_width) of ``density``, singular at 0."""
+    from scipy.integrate import quad
+
     tol = 1e-6
     value, err = quad(lambda x: 0.0 if x == 0.0 else density(x), -half_width, half_width,
                       points=points, epsabs=tol / 10.0, epsrel=tol / 10.0, limit=400)
@@ -96,6 +104,8 @@ def f_v_density(v, kappa):
 def f_v_normalization(kappa):
     """Integral of f_V over (-1, 1) via the singularity-removing
     substitution v = sin(u)."""
+    from scipy.integrate import quad
+
     _check(kappa)
     tol = 1e-9
     value, err = quad(lambda u: np.exp(kappa * (np.sin(u) - 1.0)) / (np.pi * i0e(kappa)),
@@ -161,6 +171,12 @@ def f_s_density(s, kappa, lam, n, c, epsabs=1e-11):
     return np.array([_f_s_scalar(float(x), kappa, lam, int(n), c, epsabs) for x in arr])
 
 
+def _gamma_tail(n, lam, w):
+    """P(W > w) for W ~ Gamma(shape n, rate lam), as scipy.stats.gamma(a=n,
+    scale=1 / lam).sf(w) computes it."""
+    return gammaincc(n, w / (1.0 / lam))
+
+
 def _log_f_w(w, lam, n):
     return n * np.log(lam) + (n - 1) * np.log(w) - lam * w - gammaln(n)
 
@@ -202,7 +218,7 @@ def _f_s_scalar(s, kappa, lam, n, c, epsabs):
     # endpoint (w = lower + u^2); skipped when the Gamma tail beyond it
     # carries no measurable mass
     lower = c + abs(s)
-    if gamma_dist(a=n, scale=1.0 / lam).sf(lower) > 1e-18:
+    if _gamma_tail(n, lam, lower) > 1e-18:
         w_max = lower + max(80.0, 8.0 * n) / lam
         pts = decay_points(lower, w_max)
         u_pts = sorted(np.sqrt(p - lower) for p in pts) if pts else None

@@ -18,8 +18,7 @@ from functools import cached_property
 from itertools import product
 
 import numpy as np
-from scipy.special import i0e
-from scipy.stats import gamma, kstest
+from scipy.special import gammaincinv, i0e
 
 from .densities import trapezoid_cdf
 from .inference import (
@@ -209,6 +208,13 @@ def coverage_report(crossval):
     ``coverage_summary.json``: the fraction of truths inside the recorded
     ``INTERVAL_MASS`` HPD, the KS test of the coverage p-values against
     U(0, 1), their mean and their 20-bin histogram over [0, 1]."""
+    # imported here, in the pool's parent: scipy.stats loads scipy.optimize,
+    # scipy.linalg and scipy.sparse, about half the start-up of every command
+    # that never calls it (all but coverage). Code that fork-pool workers run
+    # must not import it at all, or each worker loads it anew; so direct_fit,
+    # which may run inside an r-scan cell, calls scipy.special instead.
+    from scipy.stats import kstest
+
     report = {}
     for key, recs in crossval.cells.items():
         p_values = np.array([r.p for r in recs])
@@ -338,9 +344,12 @@ def direct_fit(durations, turns, a0=1.0, b0=0.0, kappa_grid_max=200.0):
     if np.any(durations <= 0):
         raise ValueError("durations must be strictly positive")
     n_dur = len(durations)
-    rate_post = gamma(a=n_dur + a0, scale=1.0 / (float(durations.sum()) + b0))
+    # the rate posterior's quantiles as scipy.stats.gamma(a, scale=scale).ppf
+    # computes them, NaN where it gives NaN (an improper posterior, scale < 0)
+    scale = 1.0 / (float(durations.sum()) + b0)
     lo = (1.0 - INTERVAL_MASS) / 2.0
-    lambda_interval = (float(rate_post.ppf(lo)), float(rate_post.ppf(1.0 - lo)))
+    lambda_lo, lambda_median, lambda_hi = (
+        gammaincinv(n_dur + a0, (lo, 0.5, 1.0 - lo)) * (scale if scale > 0 else np.nan))
 
     mean_cos = float(np.mean(np.cos(turns)))
     grid = np.linspace(0.0, kappa_grid_max, KAPPA_GRID_POINTS)
@@ -356,8 +365,8 @@ def direct_fit(durations, turns, a0=1.0, b0=0.0, kappa_grid_max=200.0):
     kappa_median = float(np.interp(0.5, cdf, grid))
     kappa_interval = (float(np.interp(lo, cdf, grid)), float(np.interp(1.0 - lo, cdf, grid)))
     return DirectFitResult(
-        lambda_median=float(rate_post.median()),
-        lambda_interval=lambda_interval,
+        lambda_median=float(lambda_median),
+        lambda_interval=(float(lambda_lo), float(lambda_hi)),
         lambda_point=float(n_dur / durations.sum()),
         kappa_median=kappa_median,
         kappa_interval=kappa_interval,

@@ -12,7 +12,6 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from . import nnet, parallel
 from .errors import SingularRegressionError
@@ -77,8 +76,9 @@ class ReferenceTable:
     the distance scales (:attr:`scales`) and the column-major copy of the
     summaries (:attr:`columns`) are computed on first use and cached on the
     instance, so writing into ``params`` or ``summaries`` afterwards leaves
-    them stale. ``dataclasses.replace`` and :meth:`without_row` return a
-    new instance, which starts with a fresh cache.
+    them stale. ``dataclasses.replace`` returns a new instance, which starts
+    with a fresh cache; :meth:`without_row` cuts its copy's :attr:`columns`
+    from this table's.
     """
 
     params: np.ndarray  # (K, 2) columns kappa, lambda
@@ -119,11 +119,15 @@ class ReferenceTable:
 
     def without_row(self, index):
         """Copy of the table with one row removed (for leave-one-out fits)."""
-        return replace(
+        table = replace(
             self,
             params=np.delete(self.params, index, axis=0),
             summaries=np.delete(self.summaries, index, axis=0),
         )
+        columns = np.delete(self.columns, index, axis=1)
+        columns.flags.writeable = False
+        table.__dict__["columns"] = columns  # where cached_property keeps it
+        return table
 
 
 @dataclass(frozen=True)
@@ -431,6 +435,11 @@ def _kernel_weights(distances, delta):
 
 
 def _collinear_columns(weighted_design):
+    # imported here, not at start-up: only a singular regression reaches this,
+    # rarely enough that a pool worker importing scipy.linalg (about 60 ms)
+    # costs less than every process loading it
+    import scipy.linalg
+
     _, r, pivots = scipy.linalg.qr(weighted_design, mode="economic", pivoting=True)
     diag = np.abs(np.diag(r))
     tol = diag[0] * max(weighted_design.shape) * np.finfo(float).eps if diag[0] else 0.0

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.stats import gamma
 
 from stepturn import (
     DensityGrid,
@@ -150,6 +151,25 @@ def test_sinh_sin_nodes_keep_their_bits():
         mids = 0.5 * (edges[1:] + edges[:-1])
         expected = scale * np.sin(0.5 * np.pi * (np.sinh(6.0 * mids) / np.sinh(6.0)))
         assert _sinh_sin_nodes(scale, n).tobytes() == expected.tobytes()
+
+
+def bits(x):
+    return np.float64(x).tobytes()
+
+
+def test_gamma_calls_equal_scipy_stats_bit_for_bit():
+    # the Gamma quantile and tail of f_S, by scipy.special, against the
+    # scipy.stats.gamma object the module once built for them
+    from stepturn.densities import F_S_TAIL, _gamma_tail, _s_max
+    for n in (1, 2, 3, 5, 10, 31, 100, 316, 1000, 5000):
+        for lam in np.logspace(-3.0, 4.0, 15):
+            dist = gamma(a=n, scale=1.0 / lam)
+            for c in (0.3, 4.0):
+                expected = max(c, abs(c - float(dist.ppf(1.0 - F_S_TAIL)))) + 1e-9
+                assert bits(_s_max(5.0, lam, n, c)) == bits(expected)
+            for w in np.concatenate([(n / lam) * np.array([0.01, 0.5, 1.0, 2.0, 10.0]),
+                                     [0.3, 2.5, 4.0001, 7.0]]):
+                assert bits(_gamma_tail(n, lam, w)) == bits(dist.sf(w))
 
 
 class TestDensityGrid:

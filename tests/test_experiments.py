@@ -4,6 +4,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from scipy.stats import gamma
 
 from stepturn import (
     MovementParams,
@@ -19,7 +20,7 @@ from stepturn import (
     r_scan,
     simulate_latent,
 )
-from stepturn.experiments import CrossValReport, ReplicateRecord
+from stepturn.experiments import INTERVAL_MASS, CrossValReport, ReplicateRecord
 
 from _synthetic import synthetic_table
 
@@ -417,6 +418,24 @@ class TestDirectFit:
         assert abs(result.kappa_median - 20.0) / 20.0 < 0.05
         assert result.lambda_interval[0] < 2.0 < result.lambda_interval[1]
         assert result.kappa_interval[0] < 20.0 < result.kappa_interval[1]
+
+    def test_rate_posterior_equals_scipy_stats_bit_for_bit(self):
+        # the conjugate Gamma(n + a0, sum + b0) as the scipy.stats.gamma object
+        # direct_fit once built gives it; NaN where that gives NaN
+        turns = [0.4, -0.4]
+        lo = (1.0 - INTERVAL_MASS) / 2.0
+        for shape in (1.0, 2.0, 2.5, 3.0, 10.0, 31.0, 100.0, 316.0, 1000.0, 5000.0):
+            for rate in np.logspace(-3.0, 4.0, 15):
+                for b0 in (0.0, 0.5 / rate, -2.0 / rate):
+                    durations = np.array([0.3, 0.7]) / rate
+                    a0 = shape - len(durations)
+                    result = direct_fit(durations, turns, a0=a0, b0=b0)
+                    post = gamma(a=len(durations) + a0,
+                                 scale=1.0 / (float(durations.sum()) + b0))
+                    got = np.array([result.lambda_median, *result.lambda_interval])
+                    expected = np.array([post.median(), post.ppf(lo), post.ppf(1.0 - lo)])
+                    assert got.tobytes() == expected.tobytes()
+                    assert np.isnan(got).all() == (b0 < 0.0)
 
     def test_validation(self):
         with pytest.raises(ValueError):

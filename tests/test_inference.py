@@ -274,6 +274,25 @@ class TestScaledTable:
         assert sub.scales is not full
         np.testing.assert_array_equal(table.scales, full)
 
+    @pytest.mark.parametrize("cached_first", [False, True])
+    def test_without_row_equals_a_fresh_table(self, cached_first):
+        table = synthetic_table(1001, seed=47)
+        if cached_first:
+            _ = table.columns
+        s_obs = table.summaries[500] + 0.01
+        for row in (0, 1, 500, 1000):
+            sub = table.without_row(row)
+            fresh = ReferenceTable(
+                params=np.delete(table.params, row, axis=0),
+                summaries=np.delete(table.summaries, row, axis=0),
+                prior=table.prior, config=table.config, seed=table.seed,
+            )
+            assert sub.columns.tobytes() == fresh.columns.tobytes()
+            assert sub.columns.flags.c_contiguous and not sub.columns.flags.writeable
+            assert sub.scales.tobytes() == fresh.scales.tobytes()
+            assert (standardized_distances(sub, s_obs).tobytes()
+                    == standardized_distances(fresh, s_obs).tobytes())
+
     def test_replace_starts_fresh_cache(self):
         table = synthetic_table(50, seed=44)
         _ = table.scales, table.columns

@@ -84,6 +84,18 @@ class TestCliSummarize:
         assert done.stderr == f"error: {track}: a summary is not finite\n"
 
 
+def test_start_up_loads_no_heavy_scipy_module():
+    # a fresh interpreter: these are imported only by the functions that call them
+    heavy = ("scipy.stats", "scipy.integrate", "scipy.optimize", "scipy.linalg")
+    done = subprocess.run(
+        [sys.executable, "-c",
+         f"import sys, stepturn, stepturn.cli; print(*[m for m in {heavy} if m in sys.modules])"],
+        env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
+        capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "\n"
+
+
 class TestRoundTrips:
     def test_latent_csv(self, tmp_path):
         path, _ = simulate_track()

@@ -32,6 +32,7 @@ import numpy as np
 from . import densities, io
 from .errors import (
     DegenerateTrackError,
+    ImproperPosteriorError,
     InsufficientPathError,
     SchemaError,
     StepturnError,
@@ -79,6 +80,11 @@ UNRECORDED = {"command", "started", "out", "config", "workers", "check", "gnuplo
 # their floors: at least 1, or the library's own floor
 COUNT_FLAGS = {"n_sims": 1, "shard_size": 1, "n_rep": 1, "n_per_cell": 1, "n_obs": 1,
                "min_obs": MIN_OBS, "n_draws": densities.MIN_MC_DRAWS}
+
+# flags that set a walk's kappa or lambda, and the MovementParams field each
+# sets: an R of --r-values is lambda * dt, and every dt is > 0
+WALK_FLAGS = {"kappa": ("--kappa", "kappa"), "lam": ("--lambda", "lam"),
+              "kappa_values": ("--kappa-values", "kappa"), "r_values": ("--r-values", "lam")}
 
 
 class ValidationError(ValueError):
@@ -230,8 +236,10 @@ def _parse(argv):
 
 
 def _check_counts(resolved):
-    """Refuse a count below its floor, a --dt that is not positive, or an
-    --epsilon or --epsilons value outside (0, 1]."""
+    """Refuse a count below its floor, a --dt that is not positive, an
+    --epsilon or --epsilons value outside (0, 1], or a walk or prior value
+    that MovementParams or PriorSpec refuses, each checked with the other
+    fields valid."""
     for key, floor in COUNT_FLAGS.items():
         if resolved.get(key, floor) < floor:
             raise ValidationError(
@@ -242,6 +250,21 @@ def _check_counts(resolved):
         for value in np.atleast_1d(resolved.get(key, 1.0)):
             if not 0 < value <= 1:  # also refuses NaN
                 raise ValidationError(f"--{key} must be in (0, 1], got {value}")
+    for key, (flag, name) in WALK_FLAGS.items():
+        values = resolved.get(key)
+        for value in () if values is None else np.atleast_1d(values):
+            _owned(flag, MovementParams, **{"kappa": 0.0, "lam": 1.0, name: value})
+    for key in ("kappa_range", "lambda_range"):
+        if key in resolved:
+            _owned(f"--{key.replace('_', '-')}", PriorSpec, **{key: tuple(resolved[key])})
+
+
+def _owned(flag, owner, **fields):
+    """Build ``owner(**fields)``; its ValueError becomes a ValidationError naming ``flag``."""
+    try:
+        owner(**fields)
+    except ValueError as exc:
+        raise ValidationError(f"{flag}: {exc}") from None
 
 
 def _config_tokens(subparser, config):
@@ -635,11 +658,12 @@ def cmd_rscan(args):
 def cmd_directfit(args):
     resolved = vars(args)
     latent = io.read_latent_csv(_input(resolved, "latent"))
-    result = direct_fit(
-        latent.durations, latent.turns,
-        a0=resolved["a0"], b0=resolved["b0"],
-        kappa_grid_max=resolved["kappa_grid_max"],
-    )
+    try:
+        result = direct_fit(latent.durations, latent.turns, a0=resolved["a0"],
+                            b0=resolved["b0"], kappa_grid_max=resolved["kappa_grid_max"])
+    except ImproperPosteriorError as exc:
+        raise ValidationError(
+            f"--a0 {resolved['a0']!r} and --b0 {resolved['b0']!r}: {exc}") from None
     payload = {
         "lambda": {"median": result.lambda_median,
                    "interval": list(result.lambda_interval),

@@ -305,7 +305,7 @@ def _sinh_sin_nodes(scale, n_nodes):
     return scale * np.sin(0.5 * np.pi * _sinh_nodes(1.0, n_nodes))
 
 
-def f_v_grid(kappa, n_nodes=4000, quadrature_tol=1e-3):
+def f_v_grid(kappa, n_nodes=4000):
     """Grid of f_V on sin-spaced nodes that avoid the +-1 singularities."""
     edges = np.linspace(-np.pi / 2.0, np.pi / 2.0, n_nodes + 1)
     mids = 0.5 * (edges[1:] + edges[:-1])
@@ -314,12 +314,12 @@ def f_v_grid(kappa, n_nodes=4000, quadrature_tol=1e-3):
         support=(-1.0, 1.0),
         nodes=nodes,
         values=f_v_density(nodes, kappa),
-        quadrature_tol=quadrature_tol,
+        quadrature_tol=1e-3,
         meta={"density": "f_V", "kappa": kappa},
     )
 
 
-def f_z_grid(kappa, lam, n_nodes=800, quadrature_tol=1e-3):
+def f_z_grid(kappa, lam, n_nodes=800):
     """Grid of f_Z on sinh-spaced nodes that avoid the singularity at 0."""
     z_max = _z_max(kappa, lam)
     nodes = _sinh_nodes(z_max, n_nodes)
@@ -327,12 +327,12 @@ def f_z_grid(kappa, lam, n_nodes=800, quadrature_tol=1e-3):
         support=(-z_max, z_max),
         nodes=nodes,
         values=f_z_density(nodes, kappa, lam),
-        quadrature_tol=quadrature_tol,
+        quadrature_tol=1e-3,
         meta={"density": "f_Z", "kappa": kappa, "lambda": lam},
     )
 
 
-def f_s_grid(kappa, lam, n, c, n_nodes=1000, quadrature_tol=2e-3):
+def f_s_grid(kappa, lam, n, c, n_nodes=1000):
     """Grid of f_S on nodes clustered at the 0 singularity and at the
     support endpoints (near-singular when c - W concentrates at c)."""
     s_max = _s_max(kappa, lam, n, c)
@@ -341,7 +341,7 @@ def f_s_grid(kappa, lam, n, c, n_nodes=1000, quadrature_tol=2e-3):
         support=(-s_max, s_max),
         nodes=nodes,
         values=f_s_density(nodes, kappa, lam, n, c),
-        quadrature_tol=quadrature_tol,
+        quadrature_tol=2e-3,
         meta={"density": "f_S", "kappa": kappa, "lambda": lam, "n": n, "c": c},
     )
 

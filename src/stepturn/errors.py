@@ -30,6 +30,10 @@ class DegenerateTrackError(StepturnError, ValueError):
     """A track's summaries are undefined: all steps have zero length, or one is not finite."""
 
 
+class ImproperPosteriorError(StepturnError, ValueError):
+    """A conjugate prior leaves the rate posterior improper: its Gamma shape or rate is not > 0."""
+
+
 class SingularRegressionError(StepturnError, ValueError):
     """The local-linear design matrix is rank deficient.
 

@@ -21,6 +21,7 @@ import numpy as np
 from scipy.special import gammaincinv, i0e
 
 from .densities import trapezoid_cdf
+from .errors import ImproperPosteriorError
 from .inference import (
     METHODS,
     PARAM_NAMES,
@@ -344,12 +345,14 @@ def direct_fit(durations, turns, a0=1.0, b0=0.0, kappa_grid_max=200.0):
     if np.any(durations <= 0):
         raise ValueError("durations must be strictly positive")
     n_dur = len(durations)
-    # the rate posterior's quantiles as scipy.stats.gamma(a, scale=scale).ppf
-    # computes them, NaN where it gives NaN (an improper posterior, scale < 0)
-    scale = 1.0 / (float(durations.sum()) + b0)
+    shape, rate = n_dur + a0, float(durations.sum()) + b0
+    if not (shape > 0 and rate > 0):  # also refuses NaN
+        raise ImproperPosteriorError(
+            f"improper rate posterior: shape n + a0 = {shape} and rate "
+            f"sum(durations) + b0 = {rate} must both be > 0")
+    # the rate posterior's quantiles as scipy.stats.gamma(a, scale=scale).ppf computes them
     lo = (1.0 - INTERVAL_MASS) / 2.0
-    lambda_lo, lambda_median, lambda_hi = (
-        gammaincinv(n_dur + a0, (lo, 0.5, 1.0 - lo)) * (scale if scale > 0 else np.nan))
+    lambda_lo, lambda_median, lambda_hi = gammaincinv(shape, (lo, 0.5, 1.0 - lo)) * (1.0 / rate)
 
     mean_cos = float(np.mean(np.cos(turns)))
     grid = np.linspace(0.0, kappa_grid_max, KAPPA_GRID_POINTS)

@@ -72,23 +72,24 @@ class SimConfig:
 class ReferenceTable:
     """Paired (parameter, summary) rows from prior-predictive simulation.
 
-    A table's arrays are treated as immutable once it is fitted against:
-    the distance scales (:attr:`scales`) and the column-major copy of the
-    summaries (:attr:`columns`) are computed on first use and cached on the
-    instance, so writing into ``params`` or ``summaries`` afterwards leaves
-    them stale. ``dataclasses.replace`` returns a new instance, which starts
-    with a fresh cache; :meth:`without_row` cuts its copy's :attr:`columns`
-    from this table's.
+    The summaries are stored once, column-major, and :attr:`columns` is
+    their transpose, a view. A table's arrays are treated as immutable once
+    it is fitted against: the distance scales (:attr:`scales`), the table's
+    one cache, are computed on first use and kept on the instance, so
+    writing into ``params`` or ``summaries`` afterwards leaves them stale.
+    ``dataclasses.replace``, and so :meth:`without_row`, returns a new
+    instance, which starts with a fresh cache.
     """
 
     params: np.ndarray  # (K, 2) columns kappa, lambda
-    summaries: np.ndarray  # (K, 4) columns s1..s4
+    summaries: np.ndarray  # (K, 4) columns s1..s4, Fortran-ordered
     prior: PriorSpec
     config: SimConfig
     seed: int
     n_resampled: int = 0
 
     def __post_init__(self):
+        object.__setattr__(self, "summaries", np.asfortranarray(self.summaries))
         if len(self.params) != len(self.summaries):
             raise ValueError("params and summaries must have equal row counts")
         if not (np.all(np.isfinite(self.params)) and np.all(np.isfinite(self.summaries))):
@@ -96,19 +97,19 @@ class ReferenceTable:
 
     @classmethod
     def from_rows(cls, rows, prior, config, seed, n_resampled):
-        """Table from an (n, 6) array with columns kappa, lambda, s1..s4."""
-        return cls(rows[:, :2].copy(), rows[:, 2:].copy(), prior, config, seed, n_resampled)
+        """Table from an (n, 6) array with columns kappa, lambda, s1..s4; it
+        copies both blocks (a one-row block is already Fortran-ordered)."""
+        return cls(rows[:, :2].copy(), np.array(rows[:, 2:], order="F"),
+                   prior, config, seed, n_resampled)
 
     @property
     def n_rows(self):
         return len(self.params)
 
-    @cached_property
+    @property
     def columns(self):
-        """Read-only (4, K) contiguous copy of the summaries, one row per column."""
-        columns = np.ascontiguousarray(self.summaries.T)
-        columns.flags.writeable = False
-        return columns
+        """The summaries as a (4, K) C-contiguous view, one row per column."""
+        return self.summaries.T
 
     @cached_property
     def scales(self):
@@ -119,15 +120,8 @@ class ReferenceTable:
 
     def without_row(self, index):
         """Copy of the table with one row removed (for leave-one-out fits)."""
-        table = replace(
-            self,
-            params=np.delete(self.params, index, axis=0),
-            summaries=np.delete(self.summaries, index, axis=0),
-        )
-        columns = np.delete(self.columns, index, axis=1)
-        columns.flags.writeable = False
-        table.__dict__["columns"] = columns  # where cached_property keeps it
-        return table
+        return replace(self, params=np.delete(self.params, index, axis=0),
+                       summaries=np.delete(self.summaries, index, axis=0))
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ import pytest
 from scipy.stats import gamma
 
 from stepturn import (
+    ImproperPosteriorError,
     MovementParams,
     ReferenceTable,
     SimConfig,
@@ -421,21 +422,28 @@ class TestDirectFit:
 
     def test_rate_posterior_equals_scipy_stats_bit_for_bit(self):
         # the conjugate Gamma(n + a0, sum + b0) as the scipy.stats.gamma object
-        # direct_fit once built gives it; NaN where that gives NaN
+        # direct_fit once built gives it; an improper posterior is refused
         turns = [0.4, -0.4]
         lo = (1.0 - INTERVAL_MASS) / 2.0
         for shape in (1.0, 2.0, 2.5, 3.0, 10.0, 31.0, 100.0, 316.0, 1000.0, 5000.0):
             for rate in np.logspace(-3.0, 4.0, 15):
-                for b0 in (0.0, 0.5 / rate, -2.0 / rate):
-                    durations = np.array([0.3, 0.7]) / rate
-                    a0 = shape - len(durations)
+                durations = np.array([0.3, 0.7]) / rate
+                a0 = shape - len(durations)
+                for b0 in (0.0, 0.5 / rate):
                     result = direct_fit(durations, turns, a0=a0, b0=b0)
                     post = gamma(a=len(durations) + a0,
                                  scale=1.0 / (float(durations.sum()) + b0))
                     got = np.array([result.lambda_median, *result.lambda_interval])
                     expected = np.array([post.median(), post.ppf(lo), post.ppf(1.0 - lo)])
                     assert got.tobytes() == expected.tobytes()
-                    assert np.isnan(got).all() == (b0 < 0.0)
+                for a0_bad, b0_bad in ((a0, -2.0 / rate), (a0, -float(durations.sum())),
+                                       (-len(durations), 0.0), (np.nan, 0.0), (a0, np.nan)):
+                    shape_bad = len(durations) + a0_bad
+                    rate_bad = float(durations.sum()) + b0_bad
+                    with pytest.raises(ImproperPosteriorError) as excinfo:
+                        direct_fit(durations, turns, a0=a0_bad, b0=b0_bad)
+                    assert (f"shape n + a0 = {shape_bad} and rate sum(durations) + b0 = "
+                            f"{rate_bad} must both be > 0") in str(excinfo.value)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -278,7 +278,7 @@ class TestScaledTable:
     def test_without_row_equals_a_fresh_table(self, cached_first):
         table = synthetic_table(1001, seed=47)
         if cached_first:
-            _ = table.columns
+            _ = table.scales
         s_obs = table.summaries[500] + 0.01
         for row in (0, 1, 500, 1000):
             sub = table.without_row(row)
@@ -288,7 +288,8 @@ class TestScaledTable:
                 prior=table.prior, config=table.config, seed=table.seed,
             )
             assert sub.columns.tobytes() == fresh.columns.tobytes()
-            assert sub.columns.flags.c_contiguous and not sub.columns.flags.writeable
+            assert sub.columns.flags.c_contiguous and sub.summaries.flags.f_contiguous
+            assert np.shares_memory(sub.columns, sub.summaries)
             assert sub.scales.tobytes() == fresh.scales.tobytes()
             assert (standardized_distances(sub, s_obs).tobytes()
                     == standardized_distances(fresh, s_obs).tobytes())
@@ -302,22 +303,51 @@ class TestScaledTable:
 
     def test_cached_arrays_read_only(self):
         table = synthetic_table(30, seed=45)
-        for cached in (table.scales, table.columns):
-            assert not cached.flags.writeable
-            with pytest.raises(ValueError):
-                cached[0] = 0.0
-        assert table.scales is table.scales and table.columns is table.columns
-        assert table.summaries.flags.writeable  # the table's own arrays stay as given
+        assert not table.scales.flags.writeable
+        with pytest.raises(ValueError):
+            table.scales[0] = 0.0
+        assert table.scales is table.scales
+        assert table.summaries.flags.writeable  # the table's own arrays stay writeable
+        assert table.columns.flags.c_contiguous and table.summaries.flags.f_contiguous
+        assert np.shares_memory(table.columns, table.summaries)
         np.testing.assert_array_equal(table.columns, table.summaries.T)
 
     def test_distances_leave_scales_and_columns_unchanged(self):
         table = synthetic_table(500, seed=46)
-        cached = (table.scales, table.columns)
+        scales = table.scales
         before = (table.scales.tobytes(), table.columns.tobytes(), table.summaries.tobytes())
         standardized_distances(table, table.summaries[9] + 0.1)
-        assert (table.scales, table.columns) == cached  # the same arrays, not new ones
+        assert table.scales is scales  # the same array, not a new one
+        assert table.columns.flags.c_contiguous and table.summaries.flags.f_contiguous
+        assert np.shares_memory(table.columns, table.summaries)
         assert (table.scales.tobytes(), table.columns.tobytes(),
                 table.summaries.tobytes()) == before
+
+    def test_every_constructor_stores_summaries_column_major(self):
+        table = synthetic_table(40, seed=48)
+        rows = np.column_stack([table.params, table.summaries])
+        settings = dict(prior=table.prior, config=table.config, seed=table.seed)
+        c_order = np.ascontiguousarray(table.summaries)
+        f_order = np.asfortranarray(table.summaries)
+        made = {
+            "C input": ReferenceTable(params=table.params, summaries=c_order, **settings),
+            "F input": ReferenceTable(params=table.params, summaries=f_order, **settings),
+            "from_rows": ReferenceTable.from_rows(rows, n_resampled=0, **settings),
+            "one-row from_rows": ReferenceTable.from_rows(rows[:1], n_resampled=0, **settings),
+            "without_row": table.without_row(7),
+            "replace": replace(table, summaries=c_order + 1.0),
+        }
+        for name, built in made.items():
+            assert built.summaries.flags.f_contiguous, name
+            assert built.columns.flags.c_contiguous, name
+            assert np.shares_memory(built.columns, built.summaries), name
+            np.testing.assert_array_equal(built.columns, built.summaries.T)
+        assert made["F input"].summaries is f_order  # already column-major: not copied
+        for name in ("from_rows", "one-row from_rows"):
+            assert not np.shares_memory(made[name].summaries, rows), name
+            assert not np.shares_memory(made[name].params, rows), name
+        np.testing.assert_array_equal(made["from_rows"].summaries, c_order)
+        np.testing.assert_array_equal(made["C input"].summaries, c_order)
 
 
 class TestStableOrder:

@@ -732,6 +732,22 @@ class TestCliExperiments:
         payload = json.loads(capsys.readouterr().out)
         assert "lambda" in payload and "kappa" in payload
 
+    @pytest.mark.parametrize("prior", [["--b0", "-100000"], ["--a0", "-100"],
+                                       ["--b0", "-{total!r}"], ["--a0", "nan"]])
+    def test_directfit_improper_posterior_exits_1(self, prior, tmp_path, capsys):
+        path, _ = simulate_track(seed=19, n_obs=100)
+        latent_path = tmp_path / "latent.csv"
+        st_io.write_latent_csv(latent_path, path)
+        total = float(st_io.read_latent_csv(latent_path).durations.sum())
+        prior = [prior[0], prior[1].format(total=total)]
+        out = tmp_path / "out"
+        argv = ["directfit", "--latent", str(latent_path), *prior, "--out", str(out)]
+        assert cli.main(argv) == cli.EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: --a0 ") and " and --b0 " in captured.err
+        assert "improper rate posterior" in captured.err
+        assert captured.out == "" and not out.exists()
+
     def test_oracle_check_plumbing(self, tmp_path, monkeypatch):
         monkeypatch.setattr(cli, "ORACLE_SETTINGS", {"f_V": [{"kappa": 2.0}]})
         code = cli.main(["oracle-check", "--n-draws", "5000", "--out", str(tmp_path)])
@@ -869,12 +885,34 @@ class TestCliFlags:
         (["crossval", "--epsilons", "0.5", "0"], "--epsilons must be in (0, 1], got 0.0"),
         (["coverage", "--epsilons", "-1"], "--epsilons must be in (0, 1], got -1.0"),
         (["rscan", "--epsilon", "2"], "--epsilon must be in (0, 1], got 2.0"),
+        # the rules of MovementParams and PriorSpec (an R stands for lambda, as dt > 0)
+        ([*SIMULATE[:2], "-1", *SIMULATE[3:]], "--kappa: kappa must be finite and >= 0, got -1.0"),
+        ([*SIMULATE[:4], "nan"], "--lambda: lam must be finite and > 0, got nan"),
+        (["reftable", "--kappa-range", "5", "5"],
+         "--kappa-range: kappa_range must satisfy 0 <= lo < hi, got (5.0, 5.0)"),
+        (["rscan", "--r-values", "0"], "--r-values: lam must be finite and > 0, got 0.0"),
+        (["rscan", "--r-values", "0.5", "-1"], "--r-values: lam must be finite and > 0, got -1.0"),
+        (["rscan", "--r-values", "nan"], "--r-values: lam must be finite and > 0, got nan"),
+        (["rscan", "--kappa-values", "10", "nan"],
+         "--kappa-values: kappa must be finite and >= 0, got nan"),
     ])
     def test_numeric_flags_below_their_floor_exit_1(self, argv, message, tmp_path, capsys):
         # refused when parsed, before --out is made or any input is read
         out = tmp_path / "out"
         assert cli.main([*argv, "--out", str(out)]) == cli.EXIT_VALIDATION
         assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_walk_values_from_config_exit_1(self, small_table, tmp_path, monkeypatch, capsys):
+        # checked as the flags are, before the table is read or --out is made
+        monkeypatch.setattr(cli, "_table", lambda resolved: pytest.fail("table read"))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"r_values": [0.5, 0.0], "kappa_values": [25.0]}))
+        out = tmp_path / "out"
+        argv = ["rscan", "--config", str(config), "--table", str(small_table[1]),
+                "--out", str(out)]
+        assert cli.main(argv) == cli.EXIT_VALIDATION
+        assert "error: --r-values: lam must be finite and > 0, got 0.0" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["crossval", "coverage"])

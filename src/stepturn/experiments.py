@@ -290,14 +290,20 @@ def r_scan(
     Each (R, kappa) cell simulates ``n_per_cell`` trajectories with
     lam = R / dt, summarizes each as the table's rows were
     (:func:`~stepturn.inference.simulated_summaries`), and fits them
-    against the table. Cells whose implied parameters fall outside the
-    table's prior support are skipped with a warning.
+    against the table. A cell with no valid walk (a NaN or nonpositive R, or
+    a NaN or negative kappa) raises ValueError naming R and kappa before any
+    cell runs; a valid cell whose implied parameters fall outside the
+    table's prior support is skipped with a warning.
     """
     if n_per_cell < 1:
         raise ValueError(f"n_per_cell must be >= 1, got {n_per_cell}")
     cells = []
     for cell_index, (r_value, kappa_true) in enumerate(product(r_values, kappa_values)):
         lam_true = r_value / table.config.dt
+        try:
+            MovementParams(kappa=kappa_true, lam=lam_true)
+        except ValueError as exc:
+            raise ValueError(f"r_scan cell R={r_value:g}, kappa={kappa_true:g}: {exc}") from None
         if not table.prior.contains(kappa_true, lam_true):
             warnings.warn(
                 f"skipping cell R={r_value:g}, kappa={kappa_true:g}: implied "

@@ -25,6 +25,12 @@ METHODS = ("rejection", "loclinear", "neuralnet")
 TRANSFORMS = ("none", "log")  # parameter transforms of the regression corrections
 MIN_OBS = 4  # fewest observations per row: the summaries need two turning angles
 CHUNK_ROWS = 256  # rows per task of generate_reference_table
+# The summary whose row order abc_reject searches. Any column accepts the same
+# rows; the key only moves the cost. On the desk table s2 is nearly uncorrelated
+# with s1, s3 and s4 (|r| < 0.01; s3 and s4 correlate at 0.97), and its median
+# slab holds 6.5 / 6.7 / 18% of the rows at 100 / 1000 / 10000 accepted rows,
+# against 6.2-14 / 8.4-15 / 26-34% for the other columns.
+KEY = SUMMARY_NAMES.index("s2")
 
 
 @dataclass(frozen=True)
@@ -74,11 +80,12 @@ class ReferenceTable:
 
     The summaries are stored once, column-major, and :attr:`columns` is
     their transpose, a view. A table's arrays are treated as immutable once
-    it is fitted against: the distance scales (:attr:`scales`), the table's
-    one cache, are computed on first use and kept on the instance, so
-    writing into ``params`` or ``summaries`` afterwards leaves them stale.
+    it is fitted against: its two caches, the distance scales
+    (:attr:`scales`) and the row order of the key summary
+    (:attr:`key_order`), are computed on first use and kept on the instance,
+    so writing into ``params`` or ``summaries`` afterwards leaves them stale.
     ``dataclasses.replace``, and so :meth:`without_row`, returns a new
-    instance, which starts with a fresh cache.
+    instance, which starts with neither.
     """
 
     params: np.ndarray  # (K, 2) columns kappa, lambda
@@ -117,6 +124,13 @@ class ReferenceTable:
         scales = summary_scales(self)
         scales.flags.writeable = False
         return scales
+
+    @cached_property
+    def key_order(self):
+        """Read-only ``np.argsort`` of the :data:`KEY` summary column, computed once."""
+        order = np.argsort(self.columns[KEY])
+        order.flags.writeable = False
+        return order
 
     def without_row(self, index):
         """Copy of the table with one row removed (for leave-one-out fits)."""
@@ -303,18 +317,25 @@ def _partition_median(values):
     return (values[:half].max() + total) / 2
 
 
-def standardized_distances(table, s_obs):
-    """Euclidean distance of every table row to ``s_obs``, each summary
-    divided by its :attr:`ReferenceTable.scales` entry.
+def standardized_distances(table, s_obs, rows=None):
+    """Euclidean distance of every table row, or of the rows indexed by
+    ``rows``, to ``s_obs``, each summary divided by its
+    :attr:`ReferenceTable.scales` entry.
 
     The squares are summed column by column, in the order of a row-wise sum,
-    into one (K,) buffer; the only other temporary is the (4, K) difference.
+    into one buffer; the only other temporary is the (4, n) difference, into
+    which ``rows``' columns are gathered. A row's distance has the same bits
+    whether it is computed alone, among ``rows`` or in the full scan.
     """
     if table.n_rows == 0:
         raise ValueError("reference table is empty")
     s_obs = _as_summary_array(s_obs)
     scales = table.scales  # before z: a first computation of the scales does not overlap it
-    z = np.subtract(table.columns, s_obs[:, None])
+    if rows is None:
+        z = np.subtract(table.columns, s_obs[:, None])
+    else:
+        z = np.take(table.columns, rows, axis=1)
+        z -= s_obs[:, None]
     z /= scales[:, None]
     np.square(z, out=z)
     total = np.add(z[0], z[1])
@@ -338,25 +359,67 @@ def abc_reject(table, s_obs, epsilon):
     Ties at the acceptance boundary break by row index (stable sort);
     accepted draws carry uniform weights and the realized distance
     threshold delta.
+
+    The result is exact: its indices, distances and delta are byte for byte
+    those of ``_closest(standardized_distances(table, s_obs), n)``, the full
+    scan. Mostly only the rows of :func:`_slab` reach the distances: 2n
+    rows plus a slab around the observation in the table's
+    :attr:`~ReferenceTable.key_order`, for the cost of sorting that order
+    once per table. On the desk table the slab holds a median 6.5 / 6.7 /
+    18% of the rows at n = 100 / 1000 / 10000.
     """
     n_accept = _n_accept(epsilon, table.n_rows)
     s_obs = _as_summary_array(s_obs)
     if not np.all(np.isfinite(s_obs)):
         raise ValueError(f"observed summaries must be finite, got {s_obs}")
-    distances = standardized_distances(table, s_obs)
-    accepted = _closest(distances, n_accept)
+    rows = _slab(table, s_obs, n_accept)
+    distances = standardized_distances(table, s_obs, rows)
+    nearest = _closest(distances, n_accept)
+    accepted = nearest if rows is None else rows[nearest]
     return WeightedPosterior(
         draws=table.params[accepted],
         weights=np.full(n_accept, 1.0 / n_accept),
         method="rejection",
         epsilon=float(epsilon),
-        delta=float(distances[accepted[-1]]),
+        delta=float(distances[nearest[-1]]),
         summaries=table.summaries[accepted],
-        distances=distances[accepted],
+        distances=distances[nearest],
         indices=accepted.copy(),
         scales=table.scales,
         prior=table.prior,
     )
+
+
+def _slab(table, s_obs, n):
+    """Ascending indices of a set of rows holding every row within the n-th
+    smallest distance to ``s_obs``, or None where the full scan costs less:
+    when 2n rows are not fewer than the table's, or the slab holds more than
+    half of them (sorting its indices then costs more than the scan saves).
+
+    The radius is the n-th smallest distance of the 2n rows nearest ``s_obs``
+    in key order: n real rows lie within it, so it bounds the n-th nearest
+    distance from above. Every row within the radius then has
+    |key - s_key| <= radius * scales[KEY], up to rounding, because each step
+    of its float distance is monotone (subtract, divide, square, a sum of
+    nonnegative terms, sqrt): the distance is at least its key term's, which
+    is |key - s_key| / scales[KEY] within a few parts in 1e16, or below
+    2^-500 when its square underflows. The slab's half-width adds a relative
+    1e-9 and an absolute scales[KEY] * 2^-480 to cover both. Its bounds'
+    own rounding needs no margin: rounding is monotone and every key is a
+    float, so a key within the real bound is within the rounded one.
+    """
+    if 2 * n >= table.n_rows:
+        return None
+    order, key, s_key = table.key_order, table.columns[KEY], s_obs[KEY]
+    start = int(np.searchsorted(key, s_key, sorter=order)) - n
+    start = min(max(start, 0), table.n_rows - 2 * n)
+    near = standardized_distances(table, s_obs, order[start:start + 2 * n])
+    radius = np.partition(near, n - 1)[n - 1]
+    scale = table.scales[KEY]
+    half = radius * scale * (1.0 + 1e-9) + scale * 2.0**-480
+    first = np.searchsorted(key, s_key - half, side="left", sorter=order)
+    stop = np.searchsorted(key, s_key + half, side="right", sorter=order)
+    return np.sort(order[first:stop]) if 2 * (stop - first) <= table.n_rows else None
 
 
 def narrow(accepted, epsilon, n_rows):

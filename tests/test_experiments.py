@@ -21,6 +21,7 @@ from stepturn import (
     r_scan,
     simulate_latent,
 )
+from stepturn import experiments
 from stepturn.experiments import INTERVAL_MASS, CrossValReport, ReplicateRecord
 
 from _synthetic import synthetic_table
@@ -391,6 +392,27 @@ class TestRScan:
                             methods=("rejection",), epsilon=0.2, seed=25)
         assert len(report.records) == 0
         assert sum("outside prior support" in str(w.message) for w in caught) == 1
+
+    @pytest.mark.parametrize("r_value, kappa, refused", [
+        (float("nan"), 20.0, "lam"),
+        (0.0, 20.0, "lam"),
+        (-1.0, 20.0, "lam"),
+        (1.0, float("nan"), "kappa"),
+        (1.0, -1.0, "kappa"),
+    ])
+    def test_invalid_cell_refused_before_any_cell_runs(self, monkeypatch, r_value, kappa,
+                                                       refused):
+        def no_pool(*args):
+            raise AssertionError("a pool started")
+
+        monkeypatch.setattr(experiments, "ordered_map", no_pool)
+        table = synthetic_table(50, seed=24)  # its lambda prior starts at 0, so R = 0 is inside
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # refused, not skipped with a warning
+            with pytest.raises(ValueError, match=f"r_scan cell R={r_value:g}, "
+                                                 f"kappa={kappa:g}: {refused} must be"):
+                r_scan(table, r_values=[r_value], kappa_values=[20.0, kappa],
+                       n_per_cell=2, methods=("rejection",), epsilon=0.2, seed=25)
 
     def test_worker_invariance(self):
         table = synthetic_table(60, seed=26)

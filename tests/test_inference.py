@@ -458,6 +458,211 @@ class TestAbcReject:
             assert not np.shares_memory(own, source)
 
 
+def full_scan(table, s_obs, n):
+    """The rows and distances that rejection of ``n`` rows accepts, by a full
+    scan of the table."""
+    distances = standardized_distances(table, s_obs)
+    accepted = inference._closest(distances, n)
+    return accepted, distances[accepted]
+
+
+def assert_exact(table, s_obs, epsilon, scanned=None):
+    """abc_reject accepts the full scan's rows, distances and delta, byte for
+    byte; ``scanned`` is the full scan's ``standardized_distances``, if known."""
+    post = abc_reject(table, s_obs, epsilon)
+    if scanned is None:
+        accepted, distances = full_scan(table, s_obs, post.n_draws)
+    else:
+        accepted = inference._closest(scanned, post.n_draws)
+        distances = scanned[accepted]
+    assert post.indices.dtype == accepted.dtype
+    assert post.indices.tobytes() == accepted.tobytes()
+    assert post.distances.tobytes() == distances.tobytes()
+    assert np.float64(post.delta).tobytes() == distances[-1].tobytes()
+    assert post.draws.tobytes() == table.params[accepted].tobytes()
+    assert post.summaries.tobytes() == table.summaries[accepted].tobytes()
+    return post
+
+
+def with_summaries(table, summaries):
+    return replace(table, params=table.params[: len(summaries)], summaries=summaries)
+
+
+def curve_table(keys, noise, seed):
+    """A table whose summaries lie near a curve through the key column
+    ``keys`` (s1 = key, s3 = 2 key, s4 = key^3 / 100), each off it by
+    normal noise of sd ``noise``: nearness in key order then tracks nearness
+    in distance, so rejection searches a slab rather than scanning."""
+    rng = np.random.default_rng(seed)
+    keys = np.asarray(keys, dtype=float)
+    centred = keys - np.median(keys)
+    summaries = np.column_stack([centred, keys, 2 * centred, centred**3 / 100])
+    summaries[:, [0, 2, 3]] += rng.normal(scale=noise, size=(len(keys), 3))
+    return with_summaries(synthetic_table(len(keys), seed=seed), summaries)
+
+
+def searches_slab(table, s_obs, epsilon):
+    return inference._slab(table, s_obs, inference._n_accept(epsilon, table.n_rows)) is not None
+
+
+class TestExactRejection:
+    DESK_EPSILONS = (0.001, 0.01, 0.1, 1.0)
+
+    def test_desk_held_out_rows(self, desk_table):
+        rows = np.random.default_rng(60).choice(desk_table.n_rows, 100, replace=False)
+        for row in rows:
+            held_out, s_obs = desk_table.without_row(row), desk_table.summaries[row]
+            scanned = standardized_distances(held_out, s_obs)
+            for eps in self.DESK_EPSILONS:
+                assert_exact(held_out, s_obs, eps, scanned)
+
+    def test_desk_simulated_tracks(self, desk_table):
+        prior = desk_table.prior
+        for k in range(100):
+            rng = stream(61, k)
+            walk = MovementParams(kappa=rng.uniform(*prior.kappa_range),
+                                  lam=rng.uniform(0.01, prior.lambda_range[1]))
+            s_obs = inference.simulated_summaries(walk, desk_table.config, rng)
+            scanned = standardized_distances(desk_table, s_obs)
+            for eps in self.DESK_EPSILONS:
+                assert_exact(desk_table, s_obs, eps, scanned)
+
+    def test_desk_fit_computes_few_distances(self, desk_table, monkeypatch):
+        counted = []
+        scan = inference.standardized_distances
+
+        def counting(table, s_obs, rows=None):
+            counted.append(table.n_rows if rows is None else len(rows))
+            return scan(table, s_obs, rows)
+
+        rng = stream(62, 0)
+        s_obs = inference.simulated_summaries(MovementParams(kappa=20.0, lam=4.0),
+                                              desk_table.config, rng)
+        monkeypatch.setattr(inference, "standardized_distances", counting)
+        fit(desk_table, s_obs, "rejection", 0.001)
+        assert 0 < sum(counted) < desk_table.n_rows / 10, counted
+
+    def test_key_order_cached_per_table(self):
+        table = synthetic_table(1000, seed=63)
+        assert "key_order" not in vars(table)
+        abc_reject(table, table.summaries[3] + 0.1, 0.01)
+        order = vars(table)["key_order"]
+        assert table.key_order is order and order.dtype == np.intp
+        assert not order.flags.writeable
+        np.testing.assert_array_equal(order, np.argsort(table.columns[inference.KEY]))
+        assert inference.SUMMARY_NAMES[inference.KEY] == "s2"
+        for fresh in (table.without_row(5), replace(table, seed=1)):
+            assert "key_order" not in vars(fresh)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_tables_with_tied_keys(self, seed):
+        # integer keys, so rows tie in key order, and at noise 0 in distance too
+        rng = np.random.default_rng(seed)
+        noise = (0.0, 0.05, 0.5, 3.0)[seed % 4]
+        table = curve_table(rng.integers(0, 50 + 100 * seed, size=2000), noise, seed)
+        searched = 0
+        for s_obs in (table.summaries[7], table.summaries[7] + rng.normal(size=4),
+                      np.array([0.0, -5.0, 1.0, 0.0])):
+            for eps in (0.0005, 0.01, 0.1, 0.2, 0.4999, 0.5, 1.0):
+                assert_exact(table, s_obs, eps)
+                searched += searches_slab(table, s_obs, eps)
+        assert searched >= 3
+
+    def test_duplicate_rows_tie_at_the_boundary(self):
+        # 200 distinct rows, 5 copies each: every boundary below falls
+        # inside a block of equal distances
+        table = curve_table(np.tile(np.arange(200.0), 5), 0.0, seed=64)
+        table = with_summaries(table, np.tile(table.summaries[:200], (5, 1)))
+        for s_obs in (table.summaries[30] + 0.25, table.summaries[60] + [0.1, 0.3, -0.1, 0.05]):
+            for eps in (0.001, 0.003, 0.007, 0.013, 0.05, 0.15, 0.333, 0.499):
+                post = assert_exact(table, s_obs, eps)
+                assert np.sum(full_scan(table, s_obs, 1000)[1] == post.delta) >= 5
+            assert searches_slab(table, s_obs, 0.013)
+
+    def test_constant_key_column(self):
+        table = synthetic_table(1000, seed=66)
+        summaries = table.summaries.copy()
+        summaries[:, inference.KEY] = 3.0
+        table = with_summaries(table, summaries)
+        for key in (3.0, 5.0, -1e6):
+            s_obs = summaries[11].copy()
+            s_obs[inference.KEY] = key
+            for eps in (0.001, 0.02, 0.3):
+                assert_exact(table, s_obs, eps)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # at 1e300
+    def test_observations_beyond_the_key_range(self):
+        table = curve_table(np.random.default_rng(67).normal(size=1000), 0.1, seed=67)
+        key = table.columns[inference.KEY]
+        for value in (key.min() - 0.5, key.max() + 0.5, -1e12, 1e12, -1e300, 1e300):
+            s_obs = table.summaries[5].copy()
+            s_obs[inference.KEY] = value
+            for eps in (0.001, 0.05, 0.3):
+                assert_exact(table, s_obs, eps)
+        for value in (key.min() - 0.5, key.max() + 0.5):
+            s_obs = np.array([value - np.median(key), value, 2 * value, 0.0])
+            assert_exact(table, s_obs, 0.01)
+            assert searches_slab(table, s_obs, 0.01)
+
+    @pytest.mark.filterwarnings("ignore:Degrees of freedom:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")  # one row's sd
+    def test_one_row_and_every_row(self):
+        table = synthetic_table(1000, seed=68)
+        s_obs = np.random.default_rng(69).normal(size=4)
+        assert assert_exact(table, s_obs, 1 / 1000).n_draws == 1
+        assert assert_exact(table, s_obs, 1.0).n_draws == 1000
+        single = synthetic_table(1, seed=70)
+        assert assert_exact(single, s_obs, 0.5).indices.tolist() == [0]
+
+    def test_key_values_near_1e11(self):
+        rng = np.random.default_rng(71)
+        keys = 1e11 + np.round(rng.normal(scale=5.0, size=3000), 5)
+        keys[:1000] = 1e11  # a tied block at the observation's key
+        table = curve_table(keys, 0.01, seed=71)
+        searched = 0
+        for offset in (0.0, np.spacing(1e11), -3 * np.spacing(1e11), 2.5, -40.0):
+            centred = 1e11 + offset - np.median(keys)
+            s_obs = np.array([centred, 1e11 + offset, 2 * centred, centred**3 / 100])
+            for eps in (0.0005, 0.01, 0.2):
+                assert_exact(table, s_obs, eps)
+                searched += searches_slab(table, s_obs, eps)
+        assert searched >= 5
+
+    @staticmethod
+    def radius_table(t, seed=72):
+        """50 rows: s1 equals the key column in every row but 5 and 9, which
+        swap an offset ``t`` between them, so both columns share one scale and
+        rows 5 (``t`` on the key alone) and 9 (``t`` on s1 alone) tie. Rows 1
+        and 2 sit on the origin; the rest lie 10 to 20 away in every column."""
+        key = inference.KEY
+        rng = np.random.default_rng(seed)
+        summaries = rng.uniform(10.0, 20.0, size=(50, 4)) * rng.choice([-1, 1], size=(50, 4))
+        summaries[:, 0] = summaries[:, key]
+        summaries[[1, 2, 5, 9]] = 0.0
+        summaries[5, key] = summaries[9, 0] = t
+        return with_summaries(synthetic_table(50, seed=seed), summaries)
+
+    def test_row_at_exactly_the_radius_along_the_key(self):
+        # three accepted rows: the radius is the tie of rows 5 and 9, and row 5
+        # wins it by its index. At this t, radius * scale rounds below t: a
+        # slab of exactly that half-width would miss row 5
+        t = 0.4471792560099517
+        table = self.radius_table(t)
+        scale, key = table.scales[inference.KEY], inference.KEY
+        assert table.scales[0] == scale
+        post = assert_exact(table, np.zeros(4), 3 / 50)
+        assert post.indices.tolist() == [1, 2, 5]
+        assert post.delta == standardized_distances(table, np.zeros(4))[9] > 0.0
+        assert post.delta * scale < table.summaries[5, key] == t
+
+    def test_row_whose_key_term_underflows(self):
+        # row 5's key offset squares to 0, so it ties rows 1 and 2 at distance
+        # 0: the radius is 0, and only the slab's absolute margin keeps row 5
+        table = self.radius_table(1e-170)
+        post = assert_exact(table, np.zeros(4), 3 / 50)
+        assert post.indices.tolist() == [1, 2, 5] and post.delta == 0.0
+
+
 class TestReferenceTableChecks:
     @pytest.mark.parametrize("name", ["params", "summaries"])
     @pytest.mark.parametrize("value", [np.nan, np.inf])

@@ -236,16 +236,27 @@ def _parse(argv):
 
 
 def _check_counts(resolved):
-    """Refuse a count below its floor, a --dt that is not positive, an
-    --epsilon or --epsilons value outside (0, 1], or a walk or prior value
-    that MovementParams or PriorSpec refuses, each checked with the other
-    fields valid."""
+    """Refuse a count below its floor, a --dt that is not positive or not
+    finite (or spans no finite time over the observation count), a
+    --kappa-grid-max that is not positive or not finite, an --epsilon or
+    --epsilons value outside (0, 1], or a walk or prior value that
+    MovementParams or PriorSpec refuses, each checked with the other fields
+    valid."""
     for key, floor in COUNT_FLAGS.items():
         if resolved.get(key, floor) < floor:
             raise ValidationError(
                 f"--{key.replace('_', '-')} must be >= {floor}, got {resolved[key]}")
-    if not resolved.get("dt", 1.0) > 0:  # also refuses NaN
-        raise ValidationError(f"--dt must be > 0, got {resolved['dt']}")
+    dt = resolved.get("dt", 1.0)
+    if not dt > 0:  # also refuses NaN
+        raise ValidationError(f"--dt must be > 0, got {dt}")
+    if not np.isfinite(dt):
+        raise ValidationError(f"--dt must be finite, got {dt}")
+    count = resolved.get("n_obs") or resolved.get("min_obs")
+    if count and not np.isfinite(dt * count):
+        raise ValidationError(f"--dt {dt} over {count} observations spans no finite time")
+    grid_max = resolved.get("kappa_grid_max", 1.0)
+    if not 0 < grid_max < np.inf:  # also refuses NaN
+        raise ValidationError(f"--kappa-grid-max must be finite and > 0, got {grid_max}")
     for key in ("epsilon", "epsilons"):
         for value in np.atleast_1d(resolved.get(key, 1.0)):
             if not 0 < value <= 1:  # also refuses NaN
@@ -421,7 +432,7 @@ def _design_summaries(resolved, sim):
 def cmd_summarize(args):
     resolved = vars(args)
     _, summary = _track_summaries(resolved, resolved["dt"])
-    print("s1,s2,s3,s4")
+    print(",".join(io.SUMMARY_HEADER))
     print(",".join(io.fmt(v) for v in summary.as_array()))
     if resolved["out"]:
         _emit(resolved, "summary.csv", lambda p: io.write_summary_csv(p, summary))

@@ -344,6 +344,8 @@ def direct_fit(durations, turns, a0=1.0, b0=0.0, kappa_grid_max=200.0):
     (:func:`~stepturn.summaries.kappa_estimate`).
     Intervals are central (equal-tailed) at mass ``INTERVAL_MASS``.
     """
+    if not 0 < kappa_grid_max < np.inf:  # also refuses NaN
+        raise ValueError(f"kappa_grid_max must be finite and > 0, got {kappa_grid_max}")
     durations = np.asarray(durations, dtype=float)
     turns = np.asarray(turns, dtype=float)
     if len(durations) < 2 or len(turns) < 2:

@@ -17,10 +17,9 @@ from . import nnet, parallel
 from .errors import SingularRegressionError
 from .movement import MovementParams, observe, simulate_until
 from .streams import stream
-from .summaries import SummaryVector, summarize
+from .summaries import SUMMARY_NAMES, summarize, summary_array
 
 PARAM_NAMES = ("kappa", "lambda")
-SUMMARY_NAMES = ("s1", "s2", "s3", "s4")
 METHODS = ("rejection", "loclinear", "neuralnet")
 TRANSFORMS = ("none", "log")  # parameter transforms of the regression corrections
 MIN_OBS = 4  # fewest observations per row: the summaries need two turning angles
@@ -68,8 +67,8 @@ class SimConfig:
     min_obs: int = 1500
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError(f"dt must be > 0, got {self.dt}")
+        if not 0 < self.dt < np.inf:  # also refuses NaN
+            raise ValueError(f"dt must be finite and > 0, got {self.dt}")
         if self.min_obs < MIN_OBS:
             raise ValueError(f"min_obs must be >= {MIN_OBS}, got {self.min_obs}")
 
@@ -89,7 +88,7 @@ class ReferenceTable:
     """
 
     params: np.ndarray  # (K, 2) columns kappa, lambda
-    summaries: np.ndarray  # (K, 4) columns s1..s4, Fortran-ordered
+    summaries: np.ndarray  # (K, len(SUMMARY_NAMES)) columns in that order, Fortran-ordered
     prior: PriorSpec
     config: SimConfig
     seed: int
@@ -104,9 +103,11 @@ class ReferenceTable:
 
     @classmethod
     def from_rows(cls, rows, prior, config, seed, n_resampled):
-        """Table from an (n, 6) array with columns kappa, lambda, s1..s4; it
-        copies both blocks (a one-row block is already Fortran-ordered)."""
-        return cls(rows[:, :2].copy(), np.array(rows[:, 2:], order="F"),
+        """Table from an array with columns :data:`PARAM_NAMES` then
+        :data:`SUMMARY_NAMES`; it copies both blocks (a one-row block is already
+        Fortran-ordered)."""
+        split = len(PARAM_NAMES)
+        return cls(rows[:, :split].copy(), np.array(rows[:, split:], order="F"),
                    prior, config, seed, n_resampled)
 
     @property
@@ -115,7 +116,7 @@ class ReferenceTable:
 
     @property
     def columns(self):
-        """The summaries as a (4, K) C-contiguous view, one row per column."""
+        """The summaries as a C-contiguous view, one row per summary column."""
         return self.summaries.T
 
     @cached_property
@@ -212,7 +213,7 @@ def simulated_summaries(params, config, rng):
 def _reference_row(prior, config, base_seed, index):
     """Simulate one table row, resampling a draw of lambda exactly 0 with a
     bumped sub-stream (a simulated unit-speed track's summaries are always
-    defined). Returns (kappa, lambda, s1..s4, n_resamples)."""
+    defined). Returns (kappa, lambda, *summaries, n_resamples)."""
     for attempt in range(1000):
         rng = stream(base_seed, index, bump=attempt)
         kappa = rng.uniform(*prior.kappa_range)
@@ -220,7 +221,7 @@ def _reference_row(prior, config, base_seed, index):
         if lam == 0.0:  # the walk needs a positive rate
             continue
         s = simulated_summaries(MovementParams(kappa=kappa, lam=lam), config, rng)
-        return kappa, lam, s[0], s[1], s[2], s[3], attempt
+        return kappa, lam, *s, attempt
     raise RuntimeError(f"row {index}: exhausted resampling attempts")
 
 
@@ -230,8 +231,9 @@ SIMULATOR_VERSION = 1
 
 
 def reference_rows(prior, config, base_seed, lo, hi):
-    """Rows lo..hi-1 of the table as ((n, 6) array, total resamples)."""
-    rows = np.empty((hi - lo, 6))
+    """Rows lo..hi-1 of the table as (array with columns :data:`PARAM_NAMES`
+    then :data:`SUMMARY_NAMES`, total resamples)."""
+    rows = np.empty((hi - lo, len(PARAM_NAMES) + len(SUMMARY_NAMES)))
     resamples = 0
     for offset, index in enumerate(range(lo, hi)):
         *values, attempts = _reference_row(prior, config, base_seed, index)
@@ -285,10 +287,11 @@ def summary_scales(table):
 
     Median absolute deviation of each summary column; falls back to the
     sample standard deviation when the MAD is zero, and to 1 when both
-    vanish. Both medians of a column are :func:`_partition_median`, equal
-    to ``np.median`` bit for bit at a fraction of its cost: a table's rows
-    are finite, so ``np.median``'s NaN probe, a second partition index,
-    buys nothing.
+    vanish or the column has one row, which has no sample deviation. Both
+    medians of a column are :func:`_partition_median`, equal to
+    ``np.median`` bit for bit at a fraction of its cost: a table's rows are
+    finite, so ``np.median``'s NaN probe, a second partition index, buys
+    nothing.
     """
     columns = table.columns
     work = np.empty(columns.shape[1])  # one column's scratch, partitioned by each median
@@ -297,7 +300,7 @@ def summary_scales(table):
         work[:] = column
         center = _partition_median(work)
         scales[k] = _partition_median(np.abs(np.subtract(column, center, out=work), out=work))
-        if scales[k] == 0.0:
+        if scales[k] == 0.0 and len(column) > 1:
             scales[k] = float(np.std(column, ddof=1))
         if scales[k] == 0.0 or not np.isfinite(scales[k]):
             scales[k] = 1.0
@@ -323,13 +326,14 @@ def standardized_distances(table, s_obs, rows=None):
     :attr:`ReferenceTable.scales` entry.
 
     The squares are summed column by column, in the order of a row-wise sum,
-    into one buffer; the only other temporary is the (4, n) difference, into
-    which ``rows``' columns are gathered. A row's distance has the same bits
-    whether it is computed alone, among ``rows`` or in the full scan.
+    into one buffer; the only other temporary is the (summaries, n)
+    difference, into which ``rows``' columns are gathered. A row's distance
+    has the same bits whether it is computed alone, among ``rows`` or in the
+    full scan.
     """
     if table.n_rows == 0:
         raise ValueError("reference table is empty")
-    s_obs = _as_summary_array(s_obs)
+    s_obs = summary_array(s_obs)
     scales = table.scales  # before z: a first computation of the scales does not overlap it
     if rows is None:
         z = np.subtract(table.columns, s_obs[:, None])
@@ -342,15 +346,6 @@ def standardized_distances(table, s_obs, rows=None):
     for row in z[2:]:
         total += row
     return np.sqrt(total, out=total)
-
-
-def _as_summary_array(s_obs):
-    if isinstance(s_obs, SummaryVector):
-        return s_obs.as_array()
-    s_obs = np.asarray(s_obs, dtype=float)
-    if s_obs.shape != (4,):
-        raise ValueError(f"expected 4 summary values, got shape {s_obs.shape}")
-    return s_obs
 
 
 def abc_reject(table, s_obs, epsilon):
@@ -369,7 +364,7 @@ def abc_reject(table, s_obs, epsilon):
     18% of the rows at n = 100 / 1000 / 10000.
     """
     n_accept = _n_accept(epsilon, table.n_rows)
-    s_obs = _as_summary_array(s_obs)
+    s_obs = summary_array(s_obs)
     if not np.all(np.isfinite(s_obs)):
         raise ValueError(f"observed summaries must be finite, got {s_obs}")
     rows = _slab(table, s_obs, n_accept)
@@ -505,7 +500,7 @@ def _collinear_columns(weighted_design):
 
 
 def _prepare_regression(accepted, s_obs, transform):
-    s_obs = _as_summary_array(s_obs)
+    s_obs = summary_array(s_obs)
     missing = [name for name in ("summaries", "distances", "scales", "prior")
                if getattr(accepted, name) is None]
     if missing:

@@ -44,6 +44,7 @@ from .errors import SchemaError
 from .experiments import ReplicateRecord, RScanRecord
 from .inference import (
     METHODS,
+    PARAM_NAMES,
     SIMULATOR_VERSION,
     PriorSpec,
     ReferenceTable,
@@ -51,7 +52,7 @@ from .inference import (
     WeightedPosterior,
 )
 from .movement import LatentPath, ObservedTrack
-from .summaries import SummaryVector
+from .summaries import SUMMARY_NAMES, SummaryVector
 
 
 def fmt(value):
@@ -147,9 +148,10 @@ def append_manifest(out_dir, path, command, config, duration_s):
 
 TRACK_HEADER = ["j", "x", "y", "nj"]
 LATENT_HEADER = ["i", "x", "y", "phi", "t_dur", "omega"]
-SUMMARY_HEADER = ["s1", "s2", "s3", "s4"]
-TABLE_HEADER = ["kappa", "lambda", "s1", "s2", "s3", "s4"]
-POSTERIOR_HEADER = ["kappa", "lambda", "weight"]
+# the summary set and its order are owned by stepturn.summaries
+SUMMARY_HEADER = list(SUMMARY_NAMES)
+TABLE_HEADER = [*PARAM_NAMES, *SUMMARY_NAMES]
+POSTERIOR_HEADER = [*PARAM_NAMES, "weight"]
 CROSSVAL_HEADER = [f.name for f in fields(ReplicateRecord)]
 RSCAN_HEADER = ["method", "R", "kappa_true", "rep", "param", "truth", "median"]
 
@@ -301,7 +303,7 @@ def reference_table_config(table):
 
 
 def write_reference_table(path, table):
-    """Table as ``kappa,lambda,s1,s2,s3,s4`` plus a JSON sidecar holding the
+    """Table under :data:`TABLE_HEADER` plus a JSON sidecar holding the
     simulation config and base seed, the resample count and the
     ``SIMULATOR_VERSION`` of the writing package."""
     rows = np.column_stack([table.params, table.summaries])
@@ -382,7 +384,7 @@ def read_reference_table(path, sha256=None):
 
 
 def write_posterior(path, posterior, config=None):
-    """Posterior as ``kappa,lambda,weight`` plus JSON metadata."""
+    """Posterior under :data:`POSTERIOR_HEADER` plus JSON metadata."""
     rows = np.column_stack([posterior.draws, posterior.weights])
     _write_csv(path, POSTERIOR_HEADER, (row.tolist() for row in rows))
     write_sidecar(
@@ -404,8 +406,8 @@ def read_posterior(path):
     meta = read_sidecar(path, {"method": METHOD, "epsilon": NUMBER, "delta": NUMBER,
                                "n_projected": INTEGER})
     return WeightedPosterior(
-        draws=rows[:, :2],
-        weights=rows[:, 2],
+        draws=rows[:, :-1],
+        weights=rows[:, -1],
         method=meta["method"],
         epsilon=meta["epsilon"],
         delta=meta["delta"],

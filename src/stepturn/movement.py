@@ -212,8 +212,8 @@ def simulate_until(params, total_time, rng):
     turning angles are drawn afterwards. Deterministic given
     (params, total_time) and the state of ``rng``.
     """
-    if total_time <= 0:
-        raise ValueError(f"total_time must be > 0, got {total_time}")
+    if not 0 < total_time < np.inf:  # also refuses NaN
+        raise ValueError(f"total_time must be finite and > 0, got {total_time}")
     chunks = []
     covered = 0.0
     while covered < total_time:

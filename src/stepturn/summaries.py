@@ -5,11 +5,16 @@ point estimate of the turn rate (inverse mean observed step length), a
 point estimate of the turning concentration (inverse Bessel ratio of the
 mean cosine of observed turning angles), and the standard deviations of
 the observed turning angles and step lengths.
+
+This module owns the summary set: :data:`SUMMARY_NAMES`, read off
+:class:`SummaryVector`'s fields, orders every summary array, table column
+and file header, and :func:`summary_array` is the one shape check of an
+observed summary vector.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.special import i0e, i1e
@@ -38,7 +43,7 @@ class ObservedDecomposition:
 
 @dataclass(frozen=True)
 class SummaryVector:
-    """The four track summaries, in fixed wire order s1, s2, s3, s4."""
+    """The track summaries, in the fixed wire order of its fields, :data:`SUMMARY_NAMES`."""
 
     s1: float  # point estimate of the turn rate
     s2: float  # point estimate of the turning concentration, >= 0
@@ -46,14 +51,27 @@ class SummaryVector:
     s4: float  # sd of observed step lengths
 
     def as_array(self):
-        return np.array([self.s1, self.s2, self.s3, self.s4])
+        return np.array([getattr(self, name) for name in SUMMARY_NAMES])
 
     @classmethod
     def from_array(cls, values):
-        values = np.asarray(values, dtype=float)
-        if values.shape != (4,):
-            raise ValueError(f"expected 4 summary values, got shape {values.shape}")
-        return cls(*(float(v) for v in values))
+        return cls(*summary_array(values).tolist())
+
+
+#: the summaries' names, in the order of every summary array, column and header
+SUMMARY_NAMES = tuple(field.name for field in fields(SummaryVector))
+
+
+def summary_array(values):
+    """``values``, a :class:`SummaryVector` or one number per :data:`SUMMARY_NAMES`
+    entry, as a float array; ValueError on any other shape."""
+    if isinstance(values, SummaryVector):
+        return values.as_array()
+    values = np.asarray(values, dtype=float)
+    if values.shape != (len(SUMMARY_NAMES),):
+        raise ValueError(
+            f"expected {len(SUMMARY_NAMES)} summary values, got shape {values.shape}")
+    return values
 
 
 def decompose(track):

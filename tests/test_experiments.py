@@ -467,6 +467,11 @@ class TestDirectFit:
                     assert (f"shape n + a0 = {shape_bad} and rate sum(durations) + b0 = "
                             f"{rate_bad} must both be > 0") in str(excinfo.value)
 
+    @pytest.mark.parametrize("grid_max", [0.0, -5.0, np.nan, np.inf])
+    def test_kappa_grid_max_must_be_finite_and_positive(self, grid_max):
+        with pytest.raises(ValueError, match="kappa_grid_max must be finite and > 0"):
+            direct_fit(np.full(100, 0.5), np.resize([0.4, -0.4], 99), kappa_grid_max=grid_max)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             direct_fit([0.5], [0.1, 0.2])

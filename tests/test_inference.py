@@ -51,6 +51,13 @@ class TestPriorSpec:
             PriorSpec(kappa_range=kr)
 
 
+class TestSimConfig:
+    @pytest.mark.parametrize("dt", [0.0, -0.5, np.nan, np.inf])
+    def test_dt_must_be_finite_and_positive(self, dt):
+        with pytest.raises(ValueError, match="dt must be finite and > 0"):
+            SimConfig(dt=dt)
+
+
 class TestGenerateReferenceTable:
     def test_worker_count_invariance(self):
         bounds = chunk_bounds(24, 4)  # six chunks: every one of 4 workers gets one
@@ -604,8 +611,7 @@ class TestExactRejection:
             assert_exact(table, s_obs, 0.01)
             assert searches_slab(table, s_obs, 0.01)
 
-    @pytest.mark.filterwarnings("ignore:Degrees of freedom:RuntimeWarning",
-                                "ignore:invalid value:RuntimeWarning")  # one row's sd
+    @pytest.mark.filterwarnings("error")  # a one-row table has no sample sd to warn about
     def test_one_row_and_every_row(self):
         table = synthetic_table(1000, seed=68)
         s_obs = np.random.default_rng(69).normal(size=4)

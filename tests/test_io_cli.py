@@ -895,6 +895,15 @@ class TestCliFlags:
         (["rscan", "--r-values", "nan"], "--r-values: lam must be finite and > 0, got nan"),
         (["rscan", "--kappa-values", "10", "nan"],
          "--kappa-values: kappa must be finite and >= 0, got nan"),
+        # a --dt that is infinite or spans no finite time; a --kappa-grid-max off (0, inf)
+        ([*SIMULATE, "--dt", "inf"], "--dt must be finite, got inf"),
+        ([*SIMULATE, "--dt", "1e308", "--n-obs", "20"],
+         "--dt 1e+308 over 20 observations spans no finite time"),
+        (["reftable", "--dt", "inf"], "--dt must be finite, got inf"),
+        (["summarize", "--track", "missing.csv", "--dt", "inf"], "--dt must be finite, got inf"),
+        *((["directfit", "--latent", "missing.csv", "--kappa-grid-max", value],
+           f"--kappa-grid-max must be finite and > 0, got {float(value)}")
+          for value in ("0", "-5", "nan", "inf")),
     ])
     def test_numeric_flags_below_their_floor_exit_1(self, argv, message, tmp_path, capsys):
         # refused when parsed, before --out is made or any input is read

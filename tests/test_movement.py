@@ -292,6 +292,12 @@ class TestSimulateUntil:
         sample_exponential(params.lam, replay, size=1 if simulate == "latent" else 16)
         assert replay.bit_generator.state == rng.bit_generator.state
 
+    @pytest.mark.parametrize("total_time", [0.0, -1.0, np.nan, np.inf])
+    def test_total_time_must_be_finite_and_positive(self, total_time):
+        with pytest.raises(ValueError, match="total_time must be finite and > 0"):
+            simulate_until(MovementParams(kappa=1.0, lam=1.0), total_time,
+                           np.random.default_rng(20))
+
     def test_tiny_rate_single_step(self):
         params = MovementParams(kappa=1.0, lam=1e-4)
         path = simulate_until(params, 10.0, np.random.default_rng(17))

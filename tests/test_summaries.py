@@ -1,8 +1,12 @@
+import ast
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from stepturn import cli, inference
+from stepturn import io as st_io
 from stepturn import (
     DegenerateTrackError,
     MovementParams,
@@ -16,9 +20,12 @@ from stepturn import (
     simulate_until,
     summarize,
 )
+from stepturn.summaries import SUMMARY_NAMES
 from scipy.stats import spearmanr
 
 from oracles import bessel_ratio_series, summaries_by_hand
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "stepturn"
 
 
 def track_from(points):
@@ -185,3 +192,57 @@ class TestMonotoneResponse:
                  for i, lam in enumerate(lams)]
         rho = spearmanr(lams, means).statistic
         assert rho > 0.9, (lams, means)
+
+
+def _summary_name_literals(tree):
+    """Lines of tuple, list or set literals that hold a summary name, and of
+    strings that hold the comma-joined summary set."""
+    joined = ",".join(SUMMARY_NAMES)
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+            if any(isinstance(e, ast.Constant) and e.value in SUMMARY_NAMES for e in node.elts):
+                found.append(node.lineno)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if joined in node.value:
+                found.append(node.lineno)
+    return found
+
+
+class TestOneOwner:
+    def test_every_header_and_shape_reads_summary_names(self, tmp_path, capsys):
+        assert SUMMARY_NAMES == tuple(SummaryVector.__dataclass_fields__)
+        assert inference.SUMMARY_NAMES is SUMMARY_NAMES
+        assert st_io.SUMMARY_HEADER == [*SUMMARY_NAMES]
+        assert st_io.TABLE_HEADER == [*inference.PARAM_NAMES, *SUMMARY_NAMES]
+        assert st_io.POSTERIOR_HEADER == [*inference.PARAM_NAMES, "weight"]
+        rows, _ = inference.reference_rows(inference.PriorSpec(),
+                                           inference.SimConfig(min_obs=20), 3, 0, 2)
+        assert rows.shape == (2, len(inference.PARAM_NAMES) + len(SUMMARY_NAMES))
+        track = observe(simulate_until(MovementParams(kappa=5.0, lam=1.0), 10.0,
+                                       np.random.default_rng(5)), 0.5, 20)
+        st_io.write_track_csv(tmp_path / "track.csv", track)
+        assert cli.main(["summarize", "--track", str(tmp_path / "track.csv")]) == cli.EXIT_OK
+        assert capsys.readouterr().out.splitlines()[0] == ",".join(SUMMARY_NAMES)
+        # no module but summaries writes the set out; KEY's .index("s2") is no literal
+        assert _summary_name_literals(ast.parse('x = ("kappa", "s3")\ny = "a,s1,s2,s3,s4"\n'
+                                                'z = NAMES.index("s2")\n')) == [1, 2]
+        modules = sorted(SRC.glob("*.py"))
+        assert SRC / "summaries.py" in modules
+        offenders = {path.name: found for path in modules if path.name != "summaries.py"
+                     if (found := _summary_name_literals(ast.parse(path.read_text())))}
+        assert offenders == {}
+
+    def test_one_shape_check_for_an_observed_vector(self):
+        summaries = np.arange(10.0 * len(SUMMARY_NAMES)).reshape(10, -1)
+        table = inference.ReferenceTable(np.ones((10, 2)), summaries,
+                                         inference.PriorSpec(), inference.SimConfig(), 0)
+        accepted = inference.abc_reject(table, table.summaries[0], 1.0)
+        short = np.zeros(len(SUMMARY_NAMES) - 1)
+        message = f"expected {len(SUMMARY_NAMES)} summary values, got shape"
+        for check in (SummaryVector.from_array,
+                      lambda s: inference.abc_reject(table, s, 0.5),
+                      lambda s: inference.standardized_distances(table, s),
+                      lambda s: inference.loclinear_adjust(accepted, s)):
+            with pytest.raises(ValueError, match=message):
+                check(short)

@@ -37,6 +37,8 @@ from .errors import (
     SchemaError,
     StepturnError,
     TrackTooShortError,
+    at_least,
+    positive,
 )
 from .experiments import (
     DEFAULT_CONSTRAINT,
@@ -76,10 +78,11 @@ WORKERS_ENV = "STEPTURN_WORKERS"
 # ("started" is the command's start time, which main adds)
 UNRECORDED = {"command", "started", "out", "config", "workers", "check", "gnuplot"}
 
-# flags that count rows, replicates, tracks, observations or draws, and
-# their floors: at least 1, or the library's own floor
+# flags that count, seed or bound a held-out truth, and their floors: at least 1 or
+# the library's floor for a count, 0 for a seed, 0.0 for a bound (which may be inf)
 COUNT_FLAGS = {"n_sims": 1, "shard_size": 1, "n_rep": 1, "n_per_cell": 1, "n_obs": 1,
-               "min_obs": MIN_OBS, "n_draws": densities.MIN_MC_DRAWS}
+               "min_obs": MIN_OBS, "n_draws": densities.MIN_MC_DRAWS, "workers": 1,
+               "seed": 0, "kappa_max": 0.0, "lambda_max": 0.0}
 
 # flags that set a walk's kappa or lambda, and the MovementParams field each
 # sets: an R of --r-values is lambda * dt, and every dt is > 0
@@ -236,27 +239,23 @@ def _parse(argv):
 
 
 def _check_counts(resolved):
-    """Refuse a count below its floor, a --dt that is not positive or not
-    finite (or spans no finite time over the observation count), a
-    --kappa-grid-max that is not positive or not finite, an --epsilon or
-    --epsilons value outside (0, 1], or a walk or prior value that
-    MovementParams or PriorSpec refuses, each checked with the other fields
-    valid."""
-    for key, floor in COUNT_FLAGS.items():
-        if resolved.get(key, floor) < floor:
-            raise ValidationError(
-                f"--{key.replace('_', '-')} must be >= {floor}, got {resolved[key]}")
+    """Refuse a set flag below its COUNT_FLAGS floor, a --dt or --kappa-grid-max
+    not finite and > 0, a --dt that spans no finite time over the observation
+    count, an --epsilon(s) value outside (0, 1], or a walk or prior value that
+    MovementParams or PriorSpec refuses, each checked with the other fields valid."""
+    try:
+        for key, floor in COUNT_FLAGS.items():
+            if resolved.get(key) is not None:  # unset: no --workers, or no coverage bound
+                at_least(f"--{key.replace('_', '-')}", resolved[key], floor)
+        for key in ("dt", "kappa_grid_max"):
+            if key in resolved:
+                positive(f"--{key.replace('_', '-')}", resolved[key])
+    except ValueError as exc:
+        raise ValidationError(str(exc)) from None
     dt = resolved.get("dt", 1.0)
-    if not dt > 0:  # also refuses NaN
-        raise ValidationError(f"--dt must be > 0, got {dt}")
-    if not np.isfinite(dt):
-        raise ValidationError(f"--dt must be finite, got {dt}")
     count = resolved.get("n_obs") or resolved.get("min_obs")
     if count and not np.isfinite(dt * count):
         raise ValidationError(f"--dt {dt} over {count} observations spans no finite time")
-    grid_max = resolved.get("kappa_grid_max", 1.0)
-    if not 0 < grid_max < np.inf:  # also refuses NaN
-        raise ValidationError(f"--kappa-grid-max must be finite and > 0, got {grid_max}")
     for key in ("epsilon", "epsilons"):
         for value in np.atleast_1d(resolved.get(key, 1.0)):
             if not 0 < value <= 1:  # also refuses NaN
@@ -300,11 +299,9 @@ def _config_tokens(subparser, config):
 
 
 def _workers(resolved):
-    """--workers, else $STEPTURN_WORKERS, else 1; each must be a positive integer."""
+    """--workers (its floor in COUNT_FLAGS), else $STEPTURN_WORKERS, else 1."""
     workers = resolved.get("workers")
     if workers is not None:
-        if workers < 1:
-            raise ValidationError(f"--workers must be >= 1, got {workers}")
         return workers
     env = os.environ.get(WORKERS_ENV)
     if not env:

@@ -32,7 +32,7 @@ from scipy.special import gammaincc, gammaincinv, gammaln, i0e
 # quantile call the scipy.special functions scipy.stats.gamma wraps, so f_S's
 # support needs no scipy.stats either, wherever it runs.
 
-from .errors import QuadratureError
+from .errors import QuadratureError, at_least, nonnegative, positive
 
 #: asymptotic 1% critical value constant for the one-sample KS test
 KS_COEFF_1PCT = 1.63
@@ -52,14 +52,10 @@ def _quad_checked(func, a, b, epsabs, points=None):
 
 def _check(kappa, lam=1.0, n=1, c=1.0):
     """The parameter checks of f_V (kappa), f_Z (kappa, lam) and f_S (all)."""
-    if kappa < 0:
-        raise ValueError(f"concentration must be >= 0, got {kappa}")
-    if lam <= 0:
-        raise ValueError(f"rate must be > 0, got {lam}")
-    if c <= 0:
-        raise ValueError(f"elapsed-time constant must be > 0, got {c}")
-    if int(n) != n or n < 1:
-        raise ValueError(f"gamma shape must be an integer >= 1, got {n}")
+    nonnegative("kappa", kappa)
+    positive("lam", lam)
+    positive("c", c)
+    at_least("n", n, 1)
 
 
 def _z_max(kappa, lam):
@@ -366,8 +362,7 @@ def density_mc_check(grid, sampler, n_draws, rng):
     to describe, using the Generator ``rng``. Passes when the KS distance is
     below the asymptotic 1% critical value 1.63 / sqrt(n_draws).
     """
-    if n_draws < MIN_MC_DRAWS:
-        raise ValueError(f"need at least {MIN_MC_DRAWS} draws, got {n_draws}")
+    at_least("n_draws", n_draws, MIN_MC_DRAWS)
     mass = grid.trapezoid_mass()
     if abs(mass - 1.0) > grid.quadrature_tol:
         raise ValueError(

@@ -1,4 +1,28 @@
-"""Exception types shared across the package."""
+"""Exception types and value rules shared across the package; a broken rule
+raises a ValueError that names the value."""
+
+INF = float("inf")
+
+
+def positive(name, value):
+    """Refuse a rate, interval or span ``value`` unless finite and > 0 (NaN too)."""
+    if not 0 < value < INF:
+        raise ValueError(f"{name} must be finite and > 0, got {value}")
+
+
+def nonnegative(name, value):
+    """Refuse a concentration ``value`` unless finite and >= 0 (NaN too)."""
+    if not 0 <= value < INF:
+        raise ValueError(f"{name} must be finite and >= 0, got {value}")
+
+
+def at_least(name, value, floor):
+    """Refuse ``value`` unless it is >= ``floor`` (NaN too). Under an int ``floor``
+    it is a count and must be whole; under a float one, a bound that may be inf."""
+    if not value >= floor:
+        raise ValueError(f"{name} must be >= {floor}, got {value}")
+    if isinstance(floor, int) and not float(value).is_integer():
+        raise ValueError(f"{name} must be a whole number, got {value}")
 
 
 class StepturnError(Exception):

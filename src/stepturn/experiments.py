@@ -21,7 +21,7 @@ import numpy as np
 from scipy.special import gammaincinv, i0e
 
 from .densities import trapezoid_cdf
-from .errors import ImproperPosteriorError
+from .errors import ImproperPosteriorError, at_least, positive
 from .inference import (
     METHODS,
     PARAM_NAMES,
@@ -186,9 +186,10 @@ def cross_validate(
     a corner of the prior leave a calibrated posterior short of its
     nominal coverage and its p-values skewed.
     """
-    if n_rep < 1:
-        raise ValueError(f"n_rep must be >= 1, got {n_rep}")
+    at_least("n_rep", n_rep, 1)
     if constraint is not None:  # (kappa_max, lambda_max), compared column by column
+        for name, bound in zip(PARAM_NAMES, constraint):
+            at_least(f"constraint on {name}", bound, 0.0)
         eligible = np.flatnonzero(np.all(table.params <= np.asarray(constraint), axis=1))
     else:
         eligible = np.arange(table.n_rows)
@@ -295,8 +296,7 @@ def r_scan(
     cell runs; a valid cell whose implied parameters fall outside the
     table's prior support is skipped with a warning.
     """
-    if n_per_cell < 1:
-        raise ValueError(f"n_per_cell must be >= 1, got {n_per_cell}")
+    at_least("n_per_cell", n_per_cell, 1)
     cells = []
     for cell_index, (r_value, kappa_true) in enumerate(product(r_values, kappa_values)):
         lam_true = r_value / table.config.dt
@@ -344,8 +344,7 @@ def direct_fit(durations, turns, a0=1.0, b0=0.0, kappa_grid_max=200.0):
     (:func:`~stepturn.summaries.kappa_estimate`).
     Intervals are central (equal-tailed) at mass ``INTERVAL_MASS``.
     """
-    if not 0 < kappa_grid_max < np.inf:  # also refuses NaN
-        raise ValueError(f"kappa_grid_max must be finite and > 0, got {kappa_grid_max}")
+    positive("kappa_grid_max", kappa_grid_max)
     durations = np.asarray(durations, dtype=float)
     turns = np.asarray(turns, dtype=float)
     if len(durations) < 2 or len(turns) < 2:

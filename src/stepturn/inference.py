@@ -14,7 +14,7 @@ from functools import cached_property
 import numpy as np
 
 from . import nnet, parallel
-from .errors import SingularRegressionError
+from .errors import SingularRegressionError, at_least, positive
 from .movement import MovementParams, observe, simulate_until
 from .streams import stream
 from .summaries import SUMMARY_NAMES, summarize, summary_array
@@ -34,7 +34,7 @@ KEY = SUMMARY_NAMES.index("s2")
 
 @dataclass(frozen=True)
 class PriorSpec:
-    """Independent uniform priors for (kappa, lambda)."""
+    """Independent uniform priors for (kappa, lambda) on finite ranges."""
 
     kappa_range: tuple[float, float] = (0.0, 100.0)
     lambda_range: tuple[float, float] = (0.0, 50.0)
@@ -44,8 +44,8 @@ class PriorSpec:
             ("kappa_range", self.kappa_range),
             ("lambda_range", self.lambda_range),
         ):
-            if not (0.0 <= lo < hi):
-                raise ValueError(f"{name} must satisfy 0 <= lo < hi, got ({lo}, {hi})")
+            if not 0.0 <= lo < hi < np.inf:  # a uniform prior needs finite bounds
+                raise ValueError(f"{name} must satisfy 0 <= lo < hi < inf, got ({lo}, {hi})")
 
     @property
     def bounds(self):
@@ -67,10 +67,8 @@ class SimConfig:
     min_obs: int = 1500
 
     def __post_init__(self):
-        if not 0 < self.dt < np.inf:  # also refuses NaN
-            raise ValueError(f"dt must be finite and > 0, got {self.dt}")
-        if self.min_obs < MIN_OBS:
-            raise ValueError(f"min_obs must be >= {MIN_OBS}, got {self.min_obs}")
+        positive("dt", self.dt)
+        at_least("min_obs", self.min_obs, MIN_OBS)
 
 
 @dataclass(frozen=True)
@@ -270,8 +268,7 @@ def generate_reference_table(prior, n_sims, config, seed=0, workers=1):
     Row i draws its parameters and trajectory from the stream
     ``seed XOR i``, so the table is bit-identical for any worker count.
     """
-    if n_sims < 1:
-        raise ValueError(f"n_sims must be >= 1, got {n_sims}")
+    at_least("n_sims", n_sims, 1)
     bounds = chunk_bounds(n_sims, CHUNK_ROWS)
     chunks = list(reference_chunks(prior, config, seed, bounds, workers))
     rows = np.vstack([r for r, _ in chunks])

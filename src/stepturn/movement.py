@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientPathError
+from .errors import InsufficientPathError, at_least, nonnegative, positive
 
 TWO_PI = 2.0 * np.pi
 
@@ -51,10 +51,8 @@ class MovementParams:
     lam: float
 
     def __post_init__(self):
-        if not np.isfinite(self.kappa) or self.kappa < 0:
-            raise ValueError(f"kappa must be finite and >= 0, got {self.kappa}")
-        if not np.isfinite(self.lam) or self.lam <= 0:
-            raise ValueError(f"lam must be finite and > 0, got {self.lam}")
+        nonnegative("kappa", self.kappa)
+        positive("lam", self.lam)
 
 
 @dataclass(frozen=True)
@@ -116,8 +114,7 @@ class ObservedTrack:
     change_counts: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError(f"dt must be > 0, got {self.dt}")
+        positive("dt", self.dt)
         if self.positions.ndim != 2 or self.positions.shape[1] != 2:
             raise ValueError("positions must have shape (n_obs + 1, 2)")
         if self.change_counts is not None:
@@ -137,8 +134,7 @@ def sample_exponential(lam, rng, size):
     """Draw ``size`` exponential step durations with rate ``lam``, as an
     array of strictly positive floats.
     """
-    if lam <= 0:
-        raise ValueError(f"rate must be > 0, got {lam}")
+    positive("lam", lam)
     draws = rng.exponential(scale=1.0 / lam, size=size)
     # guard against the (measure-zero) exact 0.0 draw
     while True:
@@ -155,8 +151,7 @@ def sample_von_mises(kappa, rng, size):
     underlying sampler is the Best-Fisher rejection scheme with a wrapped
     Cauchy envelope (numpy's Generator.vonmises).
     """
-    if kappa < 0:
-        raise ValueError(f"concentration must be >= 0, got {kappa}")
+    nonnegative("kappa", kappa)
     draws = rng.vonmises(0.0, kappa, size=size)
     return wrap_angle(draws)
 
@@ -197,8 +192,7 @@ def simulate_latent(params, n_steps, rng):
     Deterministic given (params, n_steps) and the state of ``rng``:
     durations are drawn first, then turning angles.
     """
-    if n_steps < 1:
-        raise ValueError(f"n_steps must be >= 1, got {n_steps}")
+    at_least("n_steps", n_steps, 1)
     durations = sample_exponential(params.lam, rng, size=n_steps)
     turns = sample_von_mises(params.kappa, rng, size=len(durations) - 1)  # none for one step
     return latent_from_steps(durations, turns)
@@ -212,8 +206,7 @@ def simulate_until(params, total_time, rng):
     turning angles are drawn afterwards. Deterministic given
     (params, total_time) and the state of ``rng``.
     """
-    if not 0 < total_time < np.inf:  # also refuses NaN
-        raise ValueError(f"total_time must be finite and > 0, got {total_time}")
+    positive("total_time", total_time)
     chunks = []
     covered = 0.0
     while covered < total_time:
@@ -231,6 +224,8 @@ def simulate_until(params, total_time, rng):
 
 def _counts_from_cumsum(cumsum, dt, n_obs):
     """Change counts N_j for j = 1..n_obs given cumulative step durations."""
+    positive("dt", dt)
+    at_least("n_obs", n_obs, 1)
     tau = dt * np.arange(1, n_obs + 1)
     if cumsum[-1] < tau[-1]:
         covered = int(np.searchsorted(tau, cumsum[-1], side="right"))
@@ -246,10 +241,6 @@ def change_counts(durations, dt, n_obs):
     (cumulative sum exactly equal to j*dt) count as completed.
     """
     durations = np.asarray(durations, dtype=float)
-    if dt <= 0:
-        raise ValueError(f"dt must be > 0, got {dt}")
-    if n_obs < 1:
-        raise ValueError(f"n_obs must be >= 1, got {n_obs}")
     if durations.ndim != 1 or len(durations) == 0 or not np.all(durations > 0):
         raise ValueError("durations must be a non-empty sequence of positive times")
     return _counts_from_cumsum(np.cumsum(durations), dt, n_obs)
@@ -268,10 +259,6 @@ def observe(path, dt, n_obs):
     InsufficientPathError
         If the path ends before time ``n_obs * dt``.
     """
-    if dt <= 0:
-        raise ValueError(f"dt must be > 0, got {dt}")
-    if n_obs < 1:
-        raise ValueError(f"n_obs must be >= 1, got {n_obs}")
     cumsum = np.cumsum(path.durations)
     counts = _counts_from_cumsum(cumsum, dt, n_obs)
     tau = dt * np.arange(1, n_obs + 1)

@@ -873,11 +873,12 @@ class TestCliFlags:
 
     @pytest.mark.parametrize("argv,message", [
         ([*SIMULATE, "--n-obs", "0"], "--n-obs must be >= 1, got 0"),
-        ([*SIMULATE, "--dt", "0"], "--dt must be > 0, got 0.0"),
-        (["observe", "--latent", "missing.csv", "--dt", "nan"], "--dt must be > 0, got nan"),
+        ([*SIMULATE, "--dt", "0"], "--dt must be finite and > 0, got 0.0"),
+        (["observe", "--latent", "missing.csv", "--dt", "nan"],
+         "--dt must be finite and > 0, got nan"),
         (["reftable", "--min-obs", "0"], "--min-obs must be >= 4, got 0"),
         (["reftable", "--min-obs", "3"], "--min-obs must be >= 4, got 3"),
-        (["reftable", "--dt", "-1"], "--dt must be > 0, got -1.0"),
+        (["reftable", "--dt", "-1"], "--dt must be finite and > 0, got -1.0"),
         (["oracle-check", "--n-draws", "0"], "--n-draws must be >= 1000, got 0"),
         (["fit", "--epsilon", "0"], "--epsilon must be in (0, 1], got 0.0"),
         (["fit", "--epsilon", "1.5"], "--epsilon must be in (0, 1], got 1.5"),
@@ -889,21 +890,31 @@ class TestCliFlags:
         ([*SIMULATE[:2], "-1", *SIMULATE[3:]], "--kappa: kappa must be finite and >= 0, got -1.0"),
         ([*SIMULATE[:4], "nan"], "--lambda: lam must be finite and > 0, got nan"),
         (["reftable", "--kappa-range", "5", "5"],
-         "--kappa-range: kappa_range must satisfy 0 <= lo < hi, got (5.0, 5.0)"),
+         "--kappa-range: kappa_range must satisfy 0 <= lo < hi < inf, got (5.0, 5.0)"),
         (["rscan", "--r-values", "0"], "--r-values: lam must be finite and > 0, got 0.0"),
         (["rscan", "--r-values", "0.5", "-1"], "--r-values: lam must be finite and > 0, got -1.0"),
         (["rscan", "--r-values", "nan"], "--r-values: lam must be finite and > 0, got nan"),
         (["rscan", "--kappa-values", "10", "nan"],
          "--kappa-values: kappa must be finite and >= 0, got nan"),
         # a --dt that is infinite or spans no finite time; a --kappa-grid-max off (0, inf)
-        ([*SIMULATE, "--dt", "inf"], "--dt must be finite, got inf"),
+        ([*SIMULATE, "--dt", "inf"], "--dt must be finite and > 0, got inf"),
         ([*SIMULATE, "--dt", "1e308", "--n-obs", "20"],
          "--dt 1e+308 over 20 observations spans no finite time"),
-        (["reftable", "--dt", "inf"], "--dt must be finite, got inf"),
-        (["summarize", "--track", "missing.csv", "--dt", "inf"], "--dt must be finite, got inf"),
+        (["reftable", "--dt", "inf"], "--dt must be finite and > 0, got inf"),
+        (["summarize", "--track", "missing.csv", "--dt", "inf"],
+         "--dt must be finite and > 0, got inf"),
         *((["directfit", "--latent", "missing.csv", "--kappa-grid-max", value],
            f"--kappa-grid-max must be finite and > 0, got {float(value)}")
           for value in ("0", "-5", "nan", "inf")),
+        # a negative seed; a NaN or negative held-out bound; an infinite prior bound
+        *(([command, "--seed", "-1"], "--seed must be >= 0, got -1")
+          for command in ("simulate", "reftable", "crossval", "coverage", "rscan",
+                          "oracle-check")),
+        (["crossval", "--kappa-max", "nan"], "--kappa-max must be >= 0.0, got nan"),
+        (["crossval", "--lambda-max", "-1"], "--lambda-max must be >= 0.0, got -1.0"),
+        (["coverage", "--lambda-max", "nan"], "--lambda-max must be >= 0.0, got nan"),
+        (["reftable", "--n-sims", "5", "--min-obs", "10", "--kappa-range", "0", "inf"],
+         "--kappa-range: kappa_range must satisfy 0 <= lo < hi < inf, got (0.0, inf)"),
     ])
     def test_numeric_flags_below_their_floor_exit_1(self, argv, message, tmp_path, capsys):
         # refused when parsed, before --out is made or any input is read
@@ -922,6 +933,70 @@ class TestCliFlags:
                 "--out", str(out)]
         assert cli.main(argv) == cli.EXIT_VALIDATION
         assert "error: --r-values: lam must be finite and > 0, got 0.0" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("seed", -1, "--seed must be >= 0, got -1"),
+        ("kappa_max", float("nan"), "--kappa-max must be >= 0.0, got nan"),
+        ("lambda_max", -1.0, "--lambda-max must be >= 0.0, got -1.0"),
+    ])
+    def test_floors_from_config_exit_1(self, key, value, message, small_table, tmp_path,
+                                       capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({key: value}))
+        out = tmp_path / "out"
+        argv = ["crossval", "--config", str(config), "--table", str(small_table[1]),
+                "--out", str(out)]
+        assert cli.main(argv) == cli.EXIT_VALIDATION
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_infinite_holdout_bounds_bound_nothing(self, small_table, tmp_path):
+        def rows(out, *flags):
+            argv = ["crossval", "--table", str(small_table[1]), "--methods", "rejection",
+                    "--epsilons", "0.5", "--n-rep", "3", *flags, "--out", str(out)]
+            assert cli.main(argv) == cli.EXIT_OK
+            return (out / "crossval.csv").read_bytes()
+
+        assert rows(tmp_path / "inf", "--kappa-max", "inf", "--lambda-max", "inf") == rows(
+            tmp_path / "none", "--no-constraint")
+
+    # valid arguments of each command, but for the flag under test
+    SWEEP_ARGS = {
+        "simulate": ["--kappa", "5", "--lambda", "1", "--n-obs", "20"],
+        "observe": ["--latent", "{latent}", "--n-obs", "10"],
+        "summarize": ["--track", "{track}"],
+        "reftable": ["--n-sims", "5", "--min-obs", "10", "--shard-size", "5"],
+        "fit": ["--table", "{table}", "--track", "{track}"],
+        "crossval": ["--table", "{table}", "--methods", "rejection", "--epsilons", "0.5",
+                     "--n-rep", "3"],
+        "coverage": ["--table", "{table}", "--methods", "rejection", "--epsilons", "0.5",
+                     "--n-rep", "3"],
+        "rscan": ["--table", "{table}", "--r-values", "0.5", "--kappa-values", "10",
+                  "--n-per-cell", "1", "--methods", "rejection", "--epsilon", "0.5"],
+        "directfit": ["--latent", "{latent}"],
+        "oracle-check": ["--n-draws", "1000"],
+    }
+    NUMERIC_FLAGS = [(command, action.option_strings[0], action.type, action.nargs)
+                     for command, sub in cli.build_parser().subcommands.items()
+                     for action in sub._actions if action.type in (int, float)]
+
+    @pytest.mark.parametrize("command,flag,kind,nargs", NUMERIC_FLAGS,
+                             ids=[f"{command} {flag}" for command, flag, *_ in NUMERIC_FLAGS])
+    def test_every_numeric_flag_refuses_nan_or_minus_one(self, command, flag, kind, nargs,
+                                                         small_table, tmp_path, capsys):
+        # float flags get nan and int flags -1; the later flag wins over SWEEP_ARGS'
+        path, track = simulate_track(n_obs=SMALL_SIM.min_obs)
+        files = {"latent": tmp_path / "latent.csv", "track": tmp_path / "track.csv",
+                 "table": small_table[1]}
+        st_io.write_latent_csv(files["latent"], path)
+        st_io.write_track_csv(files["track"], track)
+        bad = ["nan" if kind is float else "-1"] * (nargs if isinstance(nargs, int) else 1)
+        out = tmp_path / "out"
+        argv = [command, *(arg.format(**files) for arg in self.SWEEP_ARGS[command]),
+                flag, *bad, "--out", str(out)]
+        assert cli.main(argv) == cli.EXIT_VALIDATION
+        assert flag in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["crossval", "coverage"])
@@ -945,7 +1020,7 @@ class TestCliFlags:
         with pytest.raises(ValueError, match="min_obs must be >= 4"):
             SimConfig(min_obs=cli.COUNT_FLAGS["min_obs"] - 1)
         SimConfig(min_obs=cli.COUNT_FLAGS["min_obs"])
-        with pytest.raises(ValueError, match="at least 1000 draws"):
+        with pytest.raises(ValueError, match="n_draws must be >= 1000"):
             densities.density_mc_check(None, None, cli.COUNT_FLAGS["n_draws"] - 1,
                                        np.random.default_rng(0))
 

@@ -1,6 +1,8 @@
 """Exception types and value rules shared across the package; a broken rule
 raises a ValueError that names the value."""
 
+import numpy as np
+
 INF = float("inf")
 
 
@@ -23,6 +25,14 @@ def at_least(name, value, floor):
         raise ValueError(f"{name} must be >= {floor}, got {value}")
     if isinstance(floor, int) and not float(value).is_integer():
         raise ValueError(f"{name} must be a whole number, got {value}")
+
+
+def entries(name, values, ok, rule):
+    """Refuse the array ``values`` unless ``ok`` holds at every entry; the
+    message names the first entry where it fails and its index."""
+    bad = np.flatnonzero(~ok)
+    if len(bad):
+        raise ValueError(f"{name} must be {rule}, got {values[bad[0]]} at index {bad[0]}")
 
 
 class StepturnError(Exception):

@@ -21,7 +21,7 @@ import numpy as np
 from scipy.special import gammaincinv, i0e
 
 from .densities import trapezoid_cdf
-from .errors import ImproperPosteriorError, at_least, positive
+from .errors import INF, ImproperPosteriorError, at_least, entries, positive
 from .inference import (
     METHODS,
     PARAM_NAMES,
@@ -349,8 +349,8 @@ def direct_fit(durations, turns, a0=1.0, b0=0.0, kappa_grid_max=200.0):
     turns = np.asarray(turns, dtype=float)
     if len(durations) < 2 or len(turns) < 2:
         raise ValueError("need at least 2 durations and 2 turning angles")
-    if np.any(durations <= 0):
-        raise ValueError("durations must be strictly positive")
+    entries("durations", durations, (durations > 0) & (durations < INF), "finite and > 0")
+    entries("turns", turns, np.isfinite(turns), "finite")
     n_dur = len(durations)
     shape, rate = n_dur + a0, float(durations.sum()) + b0
     if not (shape > 0 and rate > 0):  # also refuses NaN

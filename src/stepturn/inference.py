@@ -15,7 +15,7 @@ import numpy as np
 
 from . import nnet, parallel
 from .errors import SingularRegressionError, at_least, positive
-from .movement import MovementParams, observe, simulate_until
+from .movement import MovementParams, observe_until
 from .streams import stream
 from .summaries import SUMMARY_NAMES, summarize, summary_array
 
@@ -204,8 +204,7 @@ def _param_index(parameter):
 def simulated_summaries(params, config, rng):
     """Summaries of a walk under ``params`` observed as every table row is, every
     ``config.dt`` for ``config.min_obs`` intervals (DegenerateTrackError if undefined)."""
-    path = simulate_until(params, config.min_obs * config.dt, rng)
-    return summarize(observe(path, config.dt, config.min_obs)).as_array()
+    return summarize(observe_until(params, config.dt, config.min_obs, rng)).as_array()
 
 
 def _reference_row(prior, config, base_seed, index):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientPathError, at_least, nonnegative, positive
+from .errors import INF, InsufficientPathError, at_least, entries, nonnegative, positive
 
 TWO_PI = 2.0 * np.pi
 
@@ -86,8 +86,8 @@ class LatentPath:
             raise ValueError("headings must have shape (n_steps,)")
         if self.turns.shape != (n - 1,):
             raise ValueError("turns must have shape (n_steps - 1,)")
-        if not np.all(self.durations > 0):
-            raise ValueError("all durations must be strictly positive")
+        durations = self.durations
+        entries("durations", durations, (durations > 0) & (durations < INF), "finite and > 0")
 
     @property
     def n_steps(self):
@@ -156,6 +156,17 @@ def sample_von_mises(kappa, rng, size):
     return wrap_angle(draws)
 
 
+def _turn_points(durations, turns):
+    """Unwrapped heading of each segment (0, then the running sum of
+    ``turns``), and the x and y of turn points 1..n (point 0 is the origin)."""
+    headings = np.concatenate(([0.0], np.cumsum(turns)))
+    x, y = np.cos(headings), np.sin(headings)
+    for steps in (x, y):  # in place: a table row's path is long, its arrays large
+        steps *= durations
+        np.cumsum(steps, out=steps)
+    return headings, x, y
+
+
 def latent_from_steps(durations, turns):
     """Assemble a :class:`LatentPath` from step durations and turning angles.
 
@@ -174,10 +185,9 @@ def latent_from_steps(durations, turns):
             f"{len(durations)} durations, got {len(turns)}"
         )
     turns = wrap_angle(turns)
-    heads_raw = np.concatenate(([0.0], np.cumsum(turns)))
+    heads_raw, *corners = _turn_points(durations, turns)
     positions = np.zeros((len(durations) + 1, 2))
-    np.cumsum(durations * np.cos(heads_raw), out=positions[1:, 0])
-    np.cumsum(durations * np.sin(heads_raw), out=positions[1:, 1])
+    positions[1:] = np.column_stack(corners)
     return LatentPath(
         positions=positions,
         headings=wrap_angle(heads_raw),
@@ -198,13 +208,13 @@ def simulate_latent(params, n_steps, rng):
     return latent_from_steps(durations, turns)
 
 
-def simulate_until(params, total_time, rng):
-    """Simulate a latent path that covers at least ``total_time``.
+def _draw_steps(params, total_time, rng):
+    """Durations of the fewest steps that cover ``total_time``, their running
+    sum, and the turning angles between them.
 
     Durations are drawn in deterministic chunks until their cumulative sum
     reaches ``total_time``, truncated to the minimal covering step count;
-    turning angles are drawn afterwards. Deterministic given
-    (params, total_time) and the state of ``rng``.
+    turning angles are drawn afterwards.
     """
     positive("total_time", total_time)
     chunks = []
@@ -214,23 +224,35 @@ def simulate_until(params, total_time, rng):
         draw = sample_exponential(params.lam, rng, size=est)
         chunks.append(draw)
         covered += float(draw.sum())
-    durations = np.concatenate(chunks)
+    durations = np.concatenate(chunks) if len(chunks) > 1 else chunks[0]
     cumsum = np.cumsum(durations)
     n = int(np.searchsorted(cumsum, total_time, side="left")) + 1
-    durations = durations[:n]
-    turns = sample_von_mises(params.kappa, rng, size=len(durations) - 1)  # none for one step
+    turns = sample_von_mises(params.kappa, rng, size=n - 1)  # none for one step
+    return durations[:n], cumsum[:n], turns
+
+
+def simulate_until(params, total_time, rng):
+    """Simulate a latent path that covers at least ``total_time``, from the
+    draws of :func:`_draw_steps`. Deterministic given (params, total_time)
+    and the state of ``rng``.
+    """
+    durations, _, turns = _draw_steps(params, total_time, rng)
     return latent_from_steps(durations, turns)
 
 
-def _counts_from_cumsum(cumsum, dt, n_obs):
-    """Change counts N_j for j = 1..n_obs given cumulative step durations."""
+def _observation_grid(cumsum, dt, n_obs):
+    """Change counts N_j for j = 1..n_obs given cumulative step durations, and
+    the time each observation lies past the turn point it is anchored at."""
     positive("dt", dt)
     at_least("n_obs", n_obs, 1)
     tau = dt * np.arange(1, n_obs + 1)
     if cumsum[-1] < tau[-1]:
         covered = int(np.searchsorted(tau, cumsum[-1], side="right"))
         raise InsufficientPathError(covered + 1, cumsum[-1], tau[covered])
-    return np.searchsorted(cumsum, tau, side="right") - 1
+    counts = np.searchsorted(cumsum, tau, side="right") - 1
+    anchored = cumsum[counts]  # turn point counts + 1 is reached at cumsum[counts]
+    anchored[counts < 0] = 0.0  # and the origin at time 0
+    return counts, tau - anchored
 
 
 def change_counts(durations, dt, n_obs):
@@ -243,7 +265,20 @@ def change_counts(durations, dt, n_obs):
     durations = np.asarray(durations, dtype=float)
     if durations.ndim != 1 or len(durations) == 0 or not np.all(durations > 0):
         raise ValueError("durations must be a non-empty sequence of positive times")
-    return _counts_from_cumsum(np.cumsum(durations), dt, n_obs)
+    return _observation_grid(np.cumsum(durations), dt, n_obs)[0]
+
+
+def _track(dt, corners, heading, counts, residual):
+    """The :class:`ObservedTrack` whose observation j is turn point
+    ``counts[j] + 1`` (x and y of points 1..n in ``corners``, the origin at
+    -1) advanced by ``residual[j]`` along ``heading[j]``."""
+    first = counts < 0
+    positions = np.zeros((len(counts) + 1, 2))
+    for axis, step in enumerate((np.cos(heading), np.sin(heading))):
+        anchor = corners[axis][counts]
+        anchor[first] = 0.0
+        positions[1:, axis] = anchor + residual * step
+    return ObservedTrack(dt=dt, positions=positions, change_counts=counts)
 
 
 def observe(path, dt, n_obs):
@@ -259,16 +294,25 @@ def observe(path, dt, n_obs):
     InsufficientPathError
         If the path ends before time ``n_obs * dt``.
     """
-    cumsum = np.cumsum(path.durations)
-    counts = _counts_from_cumsum(cumsum, dt, n_obs)
-    tau = dt * np.arange(1, n_obs + 1)
-    anchor_idx = counts + 1  # turn point reached at or before tau
-    cum0 = np.concatenate(([0.0], cumsum))
-    residual = tau - cum0[anchor_idx]
-    head_idx = np.minimum(anchor_idx, path.n_steps - 1)  # residual is 0 past the end
-    direction = np.column_stack(
-        (np.cos(path.headings[head_idx]), np.sin(path.headings[head_idx]))
-    )
-    observed = path.positions[anchor_idx] + residual[:, None] * direction
-    positions = np.vstack((path.positions[0], observed))
-    return ObservedTrack(dt=dt, positions=positions, change_counts=counts)
+    counts, residual = _observation_grid(np.cumsum(path.durations), dt, n_obs)
+    # past the end of the path the residual is 0, so any heading serves
+    heading = path.headings[np.minimum(counts + 1, path.n_steps - 1)]
+    return _track(dt, path.positions[1:].T, heading, counts, residual)
+
+
+def observe_until(params, dt, n_obs, rng):
+    """``observe(simulate_until(params, n_obs * dt, rng), dt, n_obs)`` bit for
+    bit, from the same draws, without assembling the latent path.
+
+    The turning angles stay as :func:`sample_von_mises` wrapped them
+    (:func:`wrap_angle` leaves its own outputs unchanged), the turn points
+    stay two flat running sums, and only the headings the observations
+    read are wrapped.
+    """
+    positive("dt", dt)
+    at_least("n_obs", n_obs, 1)
+    durations, cumsum, turns = _draw_steps(params, n_obs * dt, rng)
+    counts, residual = _observation_grid(cumsum, dt, n_obs)
+    headings, *corners = _turn_points(durations, turns)
+    heading = wrap_angle(headings[np.minimum(counts + 1, len(durations) - 1)])
+    return _track(dt, corners, heading, counts, residual)

@@ -1,3 +1,4 @@
+import hashlib
 from dataclasses import fields, replace
 
 import numpy as np
@@ -120,13 +121,32 @@ class TestGenerateReferenceTable:
         def broken_observe(*args):
             raise ValueError("observation failed")
 
-        monkeypatch.setattr(inference, "observe", broken_observe)
+        monkeypatch.setattr(inference, "observe_until", broken_observe)
         with pytest.raises(ValueError, match="observation failed"):
             inference._reference_row(PriorSpec(), SMALL_SIM, 7, 3)
 
     def test_validation(self):
         with pytest.raises(ValueError):
             generate_reference_table(PriorSpec(), 0, SMALL_SIM)
+
+
+class TestReferenceRowsPinned:
+    """sha256 of rows computed under simulator version 1. A change that moves
+    them must bump ``SIMULATOR_VERSION``, so that tables cached by older code
+    are rebuilt, and update these digests beside it."""
+
+    @pytest.mark.parametrize("config,seed,n_rows,digest", [
+        # desk rows 0..39, lambda from 0.016 to 49.4
+        (SimConfig(dt=0.5, min_obs=1500), 11, 40,
+         "5cdce82f3fa76c36b82e3888fd91770d985ae1ef7c688d3def93fbc68d71b6a5"),
+        (SimConfig(dt=0.25, min_obs=40), 5, 200,
+         "3cde04cea1591389d80c937eb7d988db21b9fcdf0d0e81669a6ea86f64eaadb6"),
+    ], ids=["desk", "short"])
+    def test_rows_are_pinned_to_the_simulator_version(self, config, seed, n_rows, digest):
+        rows, resamples = inference.reference_rows(PriorSpec(), config, seed, 0, n_rows)
+        assert resamples == 0
+        assert (inference.SIMULATOR_VERSION, hashlib.sha256(rows.tobytes()).hexdigest()) \
+            == (1, digest)
 
 
 class TestStandardizedDistances:

@@ -6,15 +6,20 @@ import pytest
 from stepturn import (
     InsufficientPathError,
     MovementParams,
+    SimConfig,
     change_counts,
     latent_from_steps,
     observe,
+    observe_until,
     sample_exponential,
     sample_von_mises,
     simulate_latent,
     simulate_until,
+    simulated_summaries,
+    summarize,
     wrap_angle,
 )
+from stepturn.inference import MIN_OBS
 
 from oracles import bessel_ratio_series, walk_polyline
 
@@ -308,3 +313,43 @@ class TestSimulateUntil:
         a = simulate_until(params, 50.0, np.random.default_rng(18))
         b = simulate_until(params, 50.0, np.random.default_rng(18))
         assert np.array_equal(a.positions, b.positions)
+
+
+# (kappa, lam, dt, n_obs): the von Mises sampler's uniform, tiny-kappa and
+# concentrated branches; a rate so small that the walk is one segment; the
+# prior's top rate; the fewest observations a table row may have; three intervals
+ROW_CASES = [
+    (0.0, 2.0, 0.5, 300),
+    (1e-9, 2.0, 0.5, 300),  # numpy draws uniform angles below kappa 1e-8
+    (100.0, 2.0, 0.5, 300),
+    (5.0, 1e-9, 0.5, 300),
+    (5.0, 50.0, 0.5, 300),
+    (5.0, 2.0, 0.5, MIN_OBS),
+    (5.0, 2.0, 0.25, 300),
+    (5.0, 2.0, 2.0, 300),
+]
+
+
+class TestObserveUntil:
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("kappa,lam,dt,n_obs", ROW_CASES)
+    def test_bit_for_bit_as_observed_latent_path(self, kappa, lam, dt, n_obs, seed):
+        params = MovementParams(kappa=kappa, lam=lam)
+        replay = np.random.default_rng(seed)
+        expected = observe(simulate_until(params, n_obs * dt, replay), dt, n_obs)
+        rng = np.random.default_rng(seed)
+        track = observe_until(params, dt, n_obs, rng)
+        assert track.dt == dt
+        assert track.positions.tobytes() == expected.positions.tobytes()
+        assert track.change_counts.tobytes() == expected.change_counts.tobytes()
+        assert rng.bit_generator.state == replay.bit_generator.state  # the same draws
+        # and a table row is the summaries of that track
+        row = simulated_summaries(params, SimConfig(dt=dt, min_obs=n_obs),
+                                  np.random.default_rng(seed))
+        assert row.tobytes() == summarize(expected).as_array().tobytes()
+
+    def test_one_segment_completes_no_turn(self):
+        track = observe_until(MovementParams(kappa=5.0, lam=1e-9), 0.5, 300,
+                              np.random.default_rng(0))
+        assert np.all(track.change_counts == -1)
+        assert np.array_equal(track.positions[:, 0], 0.5 * np.arange(301))

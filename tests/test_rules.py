@@ -19,7 +19,9 @@ from stepturn import (
     f_v_normalization,
     f_z_density,
     generate_reference_table,
+    latent_from_steps,
     observe,
+    observe_until,
     r_scan,
     sample_exponential,
     sample_von_mises,
@@ -53,6 +55,8 @@ OWNERS = [
     ("simulate_until", lambda v: simulate_until(WALK, v, rng()), "total_time", 0.0),
     ("observe", lambda v: observe(PATH, v, 10), "dt", 0.0),
     ("observe", lambda v: observe(PATH, 0.1, v), "n_obs", 0),
+    ("observe_until", lambda v: observe_until(WALK, v, 10, rng()), "dt", 0.0),
+    ("observe_until", lambda v: observe_until(WALK, 0.1, v, rng()), "n_obs", 0),
     ("change_counts", lambda v: change_counts(PATH.durations, v, 3), "dt", -1.0),
     ("change_counts", lambda v: change_counts(PATH.durations, 0.1, v), "n_obs", 0),
     ("f_v_density", lambda v: f_v_density(0.5, v), "kappa", -1.0),
@@ -121,3 +125,14 @@ def test_prior_ranges_must_be_finite(ranges):
 def test_a_count_is_a_whole_number(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda v: latent_from_steps([1.0, v], [0.1]), "durations must be finite and > 0"),
+    (lambda v: direct_fit([1.0, v, 2.0], [0.1, 0.2]), "durations must be finite and > 0"),
+    (lambda v: direct_fit([1.0, 2.0, 3.0], [0.1, v]), "turns must be finite"),
+], ids=["latent_from_steps-durations", "direct_fit-durations", "direct_fit-turns"])
+@pytest.mark.parametrize("value", [NAN, INF, -INF])
+def test_step_arrays_must_be_finite(call, message, value):
+    with pytest.raises(ValueError, match=rf"^{message}, got {value} at index 1$"):
+        call(value)

@@ -24,12 +24,11 @@ METHODS = ("rejection", "loclinear", "neuralnet")
 TRANSFORMS = ("none", "log")  # parameter transforms of the regression corrections
 MIN_OBS = 4  # fewest observations per row: the summaries need two turning angles
 CHUNK_ROWS = 256  # rows per task of generate_reference_table
-# The summary whose row order abc_reject searches. Any column accepts the same
-# rows; the key only moves the cost. On the desk table s2 is nearly uncorrelated
-# with s1, s3 and s4 (|r| < 0.01; s3 and s4 correlate at 0.97), and its median
-# slab holds 6.5 / 6.7 / 18% of the rows at 100 / 1000 / 10000 accepted rows,
-# against 6.2-14 / 8.4-15 / 26-34% for the other columns.
-KEY = SUMMARY_NAMES.index("s2")
+# About this many table rows pick the column abc_reject searches. Over 232 desk
+# observations the slabs picked held at most 0.3% of the rows more than the best
+# column's on average (256 rows: 0.4%, 4096: 0.2%), for 57 us per pick on a
+# 2-core VM (4096 rows: 200 us).
+SAMPLE_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -77,12 +76,12 @@ class ReferenceTable:
 
     The summaries are stored once, column-major, and :attr:`columns` is
     their transpose, a view. A table's arrays are treated as immutable once
-    it is fitted against: its two caches, the distance scales
-    (:attr:`scales`) and the row order of the key summary
-    (:attr:`key_order`), are computed on first use and kept on the instance,
-    so writing into ``params`` or ``summaries`` afterwards leaves them stale.
+    it is fitted against: its caches, the distance scales (:attr:`scales`)
+    and the row order of each summary column searched (:meth:`order`), are
+    computed on first use and kept on the instance, so writing into
+    ``params`` or ``summaries`` afterwards leaves them stale.
     ``dataclasses.replace``, and so :meth:`without_row`, returns a new
-    instance, which starts with neither.
+    instance, which starts with none.
     """
 
     params: np.ndarray  # (K, 2) columns kappa, lambda
@@ -91,6 +90,7 @@ class ReferenceTable:
     config: SimConfig
     seed: int
     n_resampled: int = 0
+    _orders: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "summaries", np.asfortranarray(self.summaries))
@@ -124,12 +124,12 @@ class ReferenceTable:
         scales.flags.writeable = False
         return scales
 
-    @cached_property
-    def key_order(self):
-        """Read-only ``np.argsort`` of the :data:`KEY` summary column, computed once."""
-        order = np.argsort(self.columns[KEY])
-        order.flags.writeable = False
-        return order
+    def order(self, column):
+        """Read-only ``np.argsort`` of summary column ``column``, computed once."""
+        if column not in self._orders:
+            self._orders[column] = np.argsort(self.columns[column])
+            self._orders[column].flags.writeable = False
+        return self._orders[column]
 
     def without_row(self, index):
         """Copy of the table with one row removed (for leave-one-out fits)."""
@@ -354,10 +354,11 @@ def abc_reject(table, s_obs, epsilon):
     The result is exact: its indices, distances and delta are byte for byte
     those of ``_closest(standardized_distances(table, s_obs), n)``, the full
     scan. Mostly only the rows of :func:`_slab` reach the distances: 2n
-    rows plus a slab around the observation in the table's
-    :attr:`~ReferenceTable.key_order`, for the cost of sorting that order
-    once per table. On the desk table the slab holds a median 6.5 / 6.7 /
-    18% of the rows at n = 100 / 1000 / 10000.
+    rows plus a slab around the observation in the row order of the summary
+    column whose slab is narrowest, for the cost of sorting each column
+    searched once per table (:meth:`ReferenceTable.order`). On the desk
+    table the slab holds a median 2.5 / 3.0 / 16% of the rows at
+    n = 100 / 1000 / 10000, and the full scan is almost never needed.
     """
     n_accept = _n_accept(epsilon, table.n_rows)
     s_obs = summary_array(s_obs)
@@ -373,7 +374,7 @@ def abc_reject(table, s_obs, epsilon):
         method="rejection",
         epsilon=float(epsilon),
         delta=float(distances[nearest[-1]]),
-        summaries=table.summaries[accepted],
+        summaries=np.take(table.columns, accepted, axis=1).T,  # Fortran-ordered, like the table's
         distances=distances[nearest],
         indices=accepted.copy(),
         scales=table.scales,
@@ -387,30 +388,46 @@ def _slab(table, s_obs, n):
     when 2n rows are not fewer than the table's, or the slab holds more than
     half of them (sorting its indices then costs more than the scan saves).
 
-    The radius is the n-th smallest distance of the 2n rows nearest ``s_obs``
-    in key order: n real rows lie within it, so it bounds the n-th nearest
-    distance from above. Every row within the radius then has
-    |key - s_key| <= radius * scales[KEY], up to rounding, because each step
-    of its float distance is monotone (subtract, divide, square, a sum of
-    nonnegative terms, sqrt): the distance is at least its key term's, which
-    is |key - s_key| / scales[KEY] within a few parts in 1e16, or below
-    2^-500 when its square underflows. The slab's half-width adds a relative
-    1e-9 and an absolute scales[KEY] * 2^-480 to cover both. Its bounds'
-    own rounding needs no margin: rounding is monotone and every key is a
-    float, so a key within the real bound is within the rounded one.
+    The slab lies along the column :func:`_narrowest_column` picks, the
+    key. The radius is the n-th smallest distance of the 2n rows nearest
+    ``s_obs`` in key order: n real rows lie within it, so it bounds the n-th
+    nearest distance from above. Every row within the radius then has
+    |key - s_key| <= radius * scale, up to rounding, where scale is the
+    key's entry of the scales, because each step of its float distance is
+    monotone (subtract, divide, square, a sum of nonnegative terms, sqrt):
+    the distance is at least its key term's, which is |key - s_key| / scale
+    within a few parts in 1e16, or below 2^-500 when its square underflows.
+    The slab's half-width adds a relative 1e-9 and an absolute
+    scale * 2^-480 to cover both. Its bounds' own rounding needs no margin:
+    rounding is monotone and every key is a float, so a key within the real
+    bound is within the rounded one. So any column gives the same result.
     """
     if 2 * n >= table.n_rows:
         return None
-    order, key, s_key = table.key_order, table.columns[KEY], s_obs[KEY]
+    column = _narrowest_column(table, s_obs, n)
+    order, key, s_key = table.order(column), table.columns[column], s_obs[column]
     start = int(np.searchsorted(key, s_key, sorter=order)) - n
     start = min(max(start, 0), table.n_rows - 2 * n)
     near = standardized_distances(table, s_obs, order[start:start + 2 * n])
     radius = np.partition(near, n - 1)[n - 1]
-    scale = table.scales[KEY]
+    scale = table.scales[column]
     half = radius * scale * (1.0 + 1e-9) + scale * 2.0**-480
     first = np.searchsorted(key, s_key - half, side="left", sorter=order)
     stop = np.searchsorted(key, s_key + half, side="right", sorter=order)
     return np.sort(order[first:stop]) if 2 * (stop - first) <= table.n_rows else None
+
+
+def _narrowest_column(table, s_obs, n):
+    """Index of the summary column whose slab around ``s_obs`` holds the
+    fewest rows of a fixed sample, every ceil(K / SAMPLE_ROWS)-th row, at the
+    sample's estimate of the radius: the ceil(n m / K)-th smallest of the m
+    sampled rows' squared standardized distances. Ties go to the first."""
+    sample = table.columns[:, :: -(-table.n_rows // SAMPLE_ROWS)]
+    squares = np.square((sample - s_obs[:, None]) / table.scales[:, None])
+    squared = squares.sum(axis=0)
+    k = -(-n * sample.shape[1] // table.n_rows)
+    squared_radius = np.partition(squared, k - 1)[k - 1]
+    return int(np.argmin(np.count_nonzero(squares <= squared_radius, axis=1)))
 
 
 def narrow(accepted, epsilon, n_rows):
@@ -457,15 +474,21 @@ def _closest(distances, n):
 def _stable_order(values):
     """``np.argsort(values, kind="stable")``, by the default sort when it can.
 
-    When the values it ranks are strictly increasing there are no ties and no
-    NaN, so the sorting order is unique and the default sort's is the stable
-    one; otherwise the stable sort runs.
+    The default sort's order differs from the stable one only inside runs of
+    equal values, so those runs are put in index order by an argsort of the
+    unique integer keys ``run * len(values) + index``; there are none when
+    the values it ranks strictly increase. NaN falls back to the stable sort.
     """
     order = np.argsort(values)
     ranked = values[order]
-    if np.all(ranked[1:] > ranked[:-1]):
+    if ranked.size and np.isnan(ranked[-1]):  # NaN sorts last
+        return np.argsort(values, kind="stable")
+    rises = ranked[1:] > ranked[:-1]
+    if np.all(rises):
         return order
-    return np.argsort(values, kind="stable")
+    runs = np.zeros(len(order), dtype=order.dtype)
+    np.cumsum(rises, out=runs[1:])
+    return order[np.argsort(runs * len(order) + order)]
 
 
 # ---------------------------------------------------------------------------

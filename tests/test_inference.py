@@ -391,6 +391,21 @@ class TestStableOrder:
         np.testing.assert_array_equal(inference._stable_order(values),
                                       np.argsort(values, kind="stable"))
 
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_ties_signed_zeros_and_nan(self, seed):
+        rng = np.random.default_rng(seed)
+        size = int(rng.integers(1, 400))
+        values = rng.normal(size=size)
+        tied = rng.random(size) < rng.random()
+        values[tied] = rng.choice(values, size=tied.sum())  # runs of equal values
+        values[rng.random(size) < 0.1] = 0.0
+        values[rng.random(size) < 0.1] = -0.0  # equal to 0.0 for either sort
+        if seed % 2:
+            values[rng.random(size) < 0.05] = np.nan
+        np.testing.assert_array_equal(inference._stable_order(values),
+                                      np.argsort(values, kind="stable"))
+        assert inference._stable_order(values).dtype == np.intp
+
 
 class TestAbcReject:
     def test_epsilon_one_accepts_all(self):
@@ -528,6 +543,9 @@ def curve_table(keys, noise, seed):
     return with_summaries(synthetic_table(len(keys), seed=seed), summaries)
 
 
+S2 = inference.SUMMARY_NAMES.index("s2")
+
+
 def searches_slab(table, s_obs, epsilon):
     return inference._slab(table, s_obs, inference._n_accept(epsilon, table.n_rows)) is not None
 
@@ -569,17 +587,53 @@ class TestExactRejection:
         fit(desk_table, s_obs, "rejection", 0.001)
         assert 0 < sum(counted) < desk_table.n_rows / 10, counted
 
-    def test_key_order_cached_per_table(self):
+    # held-out rows of default_rng(5).choice(K, 200, replace=False) whose s2 slab
+    # holds more than half the desk table, at 100 and 1000 accepted rows
+    S2_SCANNED_IN_FULL = {
+        0.001: (32731, 11553, 67559, 64569, 52729, 49221, 48531, 1452, 17741, 55568, 84013,
+                76992),
+        0.01: (72335, 6411, 32731, 98876, 82320, 11553, 67559, 64569, 43609, 52729, 49221,
+               31942, 48531, 90209, 1452, 17741, 84222, 55568, 87040, 84013, 89415, 76992,
+               97251, 66185),
+    }
+    # rows among those whose slab holds over 10% of the table in every column
+    NO_NARROW_COLUMN = (11553, 67559, 48531)
+
+    def test_desk_rows_the_s2_slab_scans_in_full(self, desk_table, monkeypatch):
+        counted = []
+        scan = inference.standardized_distances
+
+        def counting(table, s_obs, rows=None):
+            counted.append(table.n_rows if rows is None else len(rows))
+            return scan(table, s_obs, rows)
+
+        for eps, rows in self.S2_SCANNED_IN_FULL.items():
+            for row in rows:
+                held_out, s_obs = desk_table.without_row(row), desk_table.summaries[row]
+                with monkeypatch.context() as patch:
+                    patch.setattr(inference, "_narrowest_column", lambda *args: S2)
+                    assert not searches_slab(held_out, s_obs, eps), (eps, row)
+                counted.clear()
+                with monkeypatch.context() as patch:
+                    patch.setattr(inference, "standardized_distances", counting)
+                    abc_reject(held_out, s_obs, eps)
+                share = 0.2 if row in self.NO_NARROW_COLUMN else 0.1
+                assert sum(counted) < share * held_out.n_rows, (eps, row, counted)
+                assert_exact(held_out, s_obs, eps)
+
+    def test_column_orders_cached_per_table(self):
         table = synthetic_table(1000, seed=63)
-        assert "key_order" not in vars(table)
-        abc_reject(table, table.summaries[3] + 0.1, 0.01)
-        order = vars(table)["key_order"]
-        assert table.key_order is order and order.dtype == np.intp
+        assert table._orders == {}
+        s_obs = table.summaries[3] + 0.1
+        abc_reject(table, s_obs, 0.01)
+        column = inference._narrowest_column(table, s_obs, 10)
+        assert list(table._orders) == [column]
+        order = table.order(column)
+        assert table._orders[column] is order and order.dtype == np.intp
         assert not order.flags.writeable
-        np.testing.assert_array_equal(order, np.argsort(table.columns[inference.KEY]))
-        assert inference.SUMMARY_NAMES[inference.KEY] == "s2"
+        np.testing.assert_array_equal(order, np.argsort(table.columns[column]))
         for fresh in (table.without_row(5), replace(table, seed=1)):
-            assert "key_order" not in vars(fresh)
+            assert fresh._orders == {}
 
     @pytest.mark.parametrize("seed", range(8))
     def test_random_tables_with_tied_keys(self, seed):
@@ -609,21 +663,23 @@ class TestExactRejection:
     def test_constant_key_column(self):
         table = synthetic_table(1000, seed=66)
         summaries = table.summaries.copy()
-        summaries[:, inference.KEY] = 3.0
+        summaries[:, S2] = 3.0
         table = with_summaries(table, summaries)
         for key in (3.0, 5.0, -1e6):
             s_obs = summaries[11].copy()
-            s_obs[inference.KEY] = key
+            s_obs[S2] = key
             for eps in (0.001, 0.02, 0.3):
                 assert_exact(table, s_obs, eps)
+        # every row ties in s2, so only another column's slab can exclude rows
+        assert searches_slab(table, summaries[11], 0.001)
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # at 1e300
     def test_observations_beyond_the_key_range(self):
         table = curve_table(np.random.default_rng(67).normal(size=1000), 0.1, seed=67)
-        key = table.columns[inference.KEY]
+        key = table.columns[S2]
         for value in (key.min() - 0.5, key.max() + 0.5, -1e12, 1e12, -1e300, 1e300):
             s_obs = table.summaries[5].copy()
-            s_obs[inference.KEY] = value
+            s_obs[S2] = value
             for eps in (0.001, 0.05, 0.3):
                 assert_exact(table, s_obs, eps)
         for value in (key.min() - 0.5, key.max() + 0.5):
@@ -660,7 +716,7 @@ class TestExactRejection:
         swap an offset ``t`` between them, so both columns share one scale and
         rows 5 (``t`` on the key alone) and 9 (``t`` on s1 alone) tie. Rows 1
         and 2 sit on the origin; the rest lie 10 to 20 away in every column."""
-        key = inference.KEY
+        key = S2
         rng = np.random.default_rng(seed)
         summaries = rng.uniform(10.0, 20.0, size=(50, 4)) * rng.choice([-1, 1], size=(50, 4))
         summaries[:, 0] = summaries[:, key]
@@ -674,12 +730,22 @@ class TestExactRejection:
         # slab of exactly that half-width would miss row 5
         t = 0.4471792560099517
         table = self.radius_table(t)
-        scale, key = table.scales[inference.KEY], inference.KEY
+        scale, key = table.scales[S2], S2
         assert table.scales[0] == scale
         post = assert_exact(table, np.zeros(4), 3 / 50)
         assert post.indices.tolist() == [1, 2, 5]
         assert post.delta == standardized_distances(table, np.zeros(4))[9] > 0.0
         assert post.delta * scale < table.summaries[5, key] == t
+
+    @pytest.mark.parametrize("t", [0.4471792560099517, 1e-170])
+    def test_radius_margin_along_s2(self, t, monkeypatch):
+        # radius_table ties every column's slab count, so the chooser takes s1,
+        # where row 5 sits at 0; searched along s2, row 5 lies at the radius
+        table = self.radius_table(t)
+        assert inference._narrowest_column(table, np.zeros(4), 3) == 0
+        monkeypatch.setattr(inference, "_narrowest_column", lambda *args: S2)
+        assert searches_slab(table, np.zeros(4), 3 / 50)
+        assert assert_exact(table, np.zeros(4), 3 / 50).indices.tolist() == [1, 2, 5]
 
     def test_row_whose_key_term_underflows(self):
         # row 5's key offset squares to 0, so it ties rows 1 and 2 at distance

@@ -224,7 +224,7 @@ class TestOneOwner:
         st_io.write_track_csv(tmp_path / "track.csv", track)
         assert cli.main(["summarize", "--track", str(tmp_path / "track.csv")]) == cli.EXIT_OK
         assert capsys.readouterr().out.splitlines()[0] == ",".join(SUMMARY_NAMES)
-        # no module but summaries writes the set out; KEY's .index("s2") is no literal
+        # no module but summaries writes the set out; an .index("s2") lookup is no literal
         assert _summary_name_literals(ast.parse('x = ("kappa", "s3")\ny = "a,s1,s2,s3,s4"\n'
                                                 'z = NAMES.index("s2")\n')) == [1, 2]
         modules = sorted(SRC.glob("*.py"))

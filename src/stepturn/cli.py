@@ -212,7 +212,8 @@ def build_parser():
 
 
 def _parse(argv):
-    """Parse ``argv``; a --config object's keys become the subcommand's defaults."""
+    """The resolved values of ``argv``, checked; a --config object's keys become
+    the subcommand's defaults."""
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.config:
@@ -234,8 +235,9 @@ def _parse(argv):
         # edits flag objects that subcommands share, hence a fresh parser per call
         subparser.set_defaults(**{key: checked[key] for key in config.keys() & checked})
         args = parser.parse_args(argv)
-    _check_counts(vars(args))
-    return args
+    resolved = vars(args)
+    _check_counts(resolved)
+    return resolved
 
 
 def _check_counts(resolved):
@@ -373,8 +375,7 @@ def _emit(resolved, name, write, sidecar=True):
 # subcommand implementations
 
 
-def cmd_simulate(args):
-    resolved = vars(args)
+def cmd_simulate(resolved):
     if resolved["kappa"] is None or resolved["lam"] is None:
         raise ValidationError("simulate requires --kappa and --lambda")
     out = _out_dir(resolved)
@@ -389,8 +390,7 @@ def cmd_simulate(args):
     return EXIT_OK
 
 
-def cmd_observe(args):
-    resolved = vars(args)
+def cmd_observe(resolved):
     path = _input(resolved, "latent")
     try:
         track = observe(io.read_latent_csv(path), resolved["dt"], resolved["n_obs"])
@@ -426,8 +426,7 @@ def _design_summaries(resolved, sim):
     return summary
 
 
-def cmd_summarize(args):
-    resolved = vars(args)
+def cmd_summarize(resolved):
     _, summary = _track_summaries(resolved, resolved["dt"])
     print(",".join(io.SUMMARY_HEADER))
     print(",".join(io.fmt(v) for v in summary.as_array()))
@@ -436,8 +435,7 @@ def cmd_summarize(args):
     return EXIT_OK
 
 
-def cmd_reftable(args):
-    resolved = vars(args)
+def cmd_reftable(resolved):
     workers = _workers(resolved)
     out = _out_dir(resolved)
     prior = PriorSpec(tuple(resolved["kappa_range"]), tuple(resolved["lambda_range"]))
@@ -507,8 +505,7 @@ def _sharded_reftable(out, prior, sim, resolved, workers):
     return ReferenceTable.from_rows(np.vstack(all_rows), prior, sim, seed, total_resamples)
 
 
-def cmd_fit(args):
-    resolved = vars(args)
+def cmd_fit(resolved):
     table = _table(resolved)
     if bool(resolved["track"]) == bool(resolved["summary"]):
         raise ValidationError("fit requires exactly one of --track or --summary")
@@ -520,7 +517,7 @@ def cmd_fit(args):
     _emit(resolved, "posterior.csv",
           lambda p: io.write_posterior(p, posterior, _recorded_config(resolved)),
           sidecar=False)
-    for name in ("kappa", "lambda"):
+    for name in PARAM_NAMES:
         median = weighted_quantile(posterior, name, 0.5)
         lo, hi = hpd_interval(posterior, name, INTERVAL_MASS)
         print(f"{name}: median {median:.6g}, {INTERVAL_MASS:.0%} HPD [{lo:.6g}, {hi:.6g}]")
@@ -541,8 +538,7 @@ def _holdout_run(resolved):
                           seed=resolved["seed"], workers=workers)
 
 
-def cmd_crossval(args):
-    resolved = vars(args)
+def cmd_crossval(resolved):
     if resolved["check"]:
         if "rejection" not in resolved["methods"]:
             raise ValidationError("--check compares rejection errors; --methods lacks rejection")
@@ -563,7 +559,7 @@ def cmd_crossval(args):
         _emit(resolved, "crossval.gp", io.gnuplot_crossval("crossval.csv"))
     if resolved["check"]:
         eps_sorted = sorted(resolved["epsilons"], reverse=True)
-        for param in ("kappa", "lambda"):
+        for param in PARAM_NAMES:
             coarse = report.prediction_error("rejection", eps_sorted[0], param)
             fine = report.prediction_error("rejection", eps_sorted[-1], param)
             if not coarse > fine:
@@ -598,8 +594,7 @@ def _check_distinct(resolved, key):
                               f"got {' '.join(f'{v:g}' for v in resolved[key])}")
 
 
-def cmd_coverage(args):
-    resolved = vars(args)
+def cmd_coverage(resolved):
     crossval = _holdout_run(resolved)
     summary = {_cell_label(*key): entry for key, entry in coverage_report(crossval).items()}
     _emit(resolved, "coverage.csv", lambda p: io.write_crossval_csv(p, crossval.records))
@@ -618,8 +613,7 @@ def cmd_coverage(args):
     return EXIT_OK
 
 
-def cmd_rscan(args):
-    resolved = vars(args)
+def cmd_rscan(resolved):
     if resolved["check"]:
         _check_distinct(resolved, "r_values")
     workers = _workers(resolved)
@@ -637,13 +631,14 @@ def cmd_rscan(args):
     )
     _emit(resolved, "rscan.csv", lambda p: io.write_rscan_csv(p, report.records))
     scanned = {record.r_value for record in report.records}
+    rate = PARAM_NAMES[1]  # the parameter R scales
     for method in resolved["methods"]:
         for r_value in resolved["r_values"]:
             if r_value not in scanned:
                 print(f"{method}: R={r_value:g} skipped, every cell lies outside the prior")
                 continue
-            err = report.prediction_error(method, r_value, "lambda")
-            print(f"{method}: R={r_value:g} lambda error {err:.4g}")
+            err = report.prediction_error(method, r_value, rate)
+            print(f"{method}: R={r_value:g} {rate} error {err:.4g}")
     if resolved["gnuplot"]:
         _emit(resolved, "rscan.gp", io.gnuplot_rscan("rscan.csv"))
     if resolved["check"]:
@@ -653,18 +648,17 @@ def cmd_rscan(args):
                 raise CheckFailure(
                     f"no records at R={r_value:g}: every cell lies outside the prior")
         for method in resolved["methods"]:
-            low = report.prediction_error(method, r_lo, "lambda")
-            high = report.prediction_error(method, r_hi, "lambda")
+            low = report.prediction_error(method, r_lo, rate)
+            high = report.prediction_error(method, r_hi, rate)
             if not high > low:
                 raise CheckFailure(
-                    f"{method}: lambda error at R={r_hi:g} ({high:.4g}) does not exceed "
+                    f"{method}: {rate} error at R={r_hi:g} ({high:.4g}) does not exceed "
                     f"R={r_lo:g} ({low:.4g})"
                 )
     return EXIT_OK
 
 
-def cmd_directfit(args):
-    resolved = vars(args)
+def cmd_directfit(resolved):
     latent = io.read_latent_csv(_input(resolved, "latent"))
     try:
         result = direct_fit(latent.durations, latent.turns, a0=resolved["a0"],
@@ -672,50 +666,40 @@ def cmd_directfit(args):
     except ImproperPosteriorError as exc:
         raise ValidationError(
             f"--a0 {resolved['a0']!r} and --b0 {resolved['b0']!r}: {exc}") from None
-    payload = {
-        "lambda": {"median": result.lambda_median,
-                   "interval": list(result.lambda_interval),
-                   "point": result.lambda_point},
-        "kappa": {"median": result.kappa_median,
-                  "interval": list(result.kappa_interval),
-                  "point": result.kappa_point,
-                  "at_grid_bound": result.at_grid_bound},
-    }
+    payload = {name: {key: getattr(result, f"{name}_{key}")
+                      for key in ("median", "interval", "point")}
+               for name in reversed(PARAM_NAMES)}  # the result by parameter, the rate first
+    payload[PARAM_NAMES[0]]["at_grid_bound"] = result.at_grid_bound
     print(json.dumps(payload, indent=2))
     if resolved["out"]:
         _emit(resolved, "directfit.json", _json(payload))
     return EXIT_OK
 
 
-ORACLE_SETTINGS = {
-    "f_V": [{"kappa": 0.5}, {"kappa": 2.0}, {"kappa": 10.0}],
-    "f_Z": [{"kappa": 0.0, "lam": 1.0}, {"kappa": 5.0, "lam": 2.0},
-            {"kappa": 20.0, "lam": 0.5}],
-    "f_S": [{"kappa": 5.0, "lam": 2.0, "n": 3, "c": 4.0},
-            {"kappa": 0.0, "lam": 1.0, "n": 1, "c": 2.0},
-            {"kappa": 10.0, "lam": 3.0, "n": 5, "c": 3.0}],
-}
-
-# grid, sampler and normalization (called with a setting), normalization tolerance
-ORACLE_DENSITIES = {
-    "f_V": (densities.f_v_grid, densities.cos_vm_sampler,
-            densities.f_v_normalization, 1e-6),
-    "f_Z": (densities.f_z_grid, densities.cos_vm_exp_sampler,
-            densities.f_z_normalization, 1e-5),
+# each density of the suite: its grid, sampler and normalization (each called
+# with a setting), the normalization's tolerance and its settings
+ORACLES = {
+    "f_V": (densities.f_v_grid, densities.cos_vm_sampler, densities.f_v_normalization, 1e-6,
+            [{"kappa": 0.5}, {"kappa": 2.0}, {"kappa": 10.0}]),
+    "f_Z": (densities.f_z_grid, densities.cos_vm_exp_sampler, densities.f_z_normalization, 1e-5,
+            [{"kappa": 0.0, "lam": 1.0}, {"kappa": 5.0, "lam": 2.0},
+             {"kappa": 20.0, "lam": 0.5}]),
     "f_S": (densities.f_s_grid, densities.cos_vm_shifted_gamma_sampler,
-            densities.f_s_normalization, 1e-5),
+            densities.f_s_normalization, 1e-5,
+            [{"kappa": 5.0, "lam": 2.0, "n": 3, "c": 4.0},
+             {"kappa": 0.0, "lam": 1.0, "n": 1, "c": 2.0},
+             {"kappa": 10.0, "lam": 3.0, "n": 5, "c": 3.0}]),
 }
 
 
-def cmd_oracle_check(args):
-    resolved = vars(args)
+def cmd_oracle_check(resolved):
     _out_dir(resolved)
     n_draws = resolved["n_draws"]
     results = {}
-    settings = [(name, index, setting) for name, group in ORACLE_SETTINGS.items()
-                for index, setting in enumerate(group)]
-    for task, (name, index, setting) in enumerate(settings):  # one stream per setting
-        grid_of, sampler_of, normalization_of, norm_tol = ORACLE_DENSITIES[name]
+    settings = [(name, index, oracle, setting) for name, oracle in ORACLES.items()
+                for index, setting in enumerate(oracle[-1])]
+    for task, (name, index, oracle, setting) in enumerate(settings):  # one stream per setting
+        grid_of, sampler_of, normalization_of, norm_tol, _ = oracle
         grid = grid_of(**setting)
         norm = normalization_of(**setting)
         check = densities.density_mc_check(
@@ -756,9 +740,9 @@ COMMANDS = {
 
 def main(argv=None):
     try:
-        args = _parse(argv)
-        args.started = time.monotonic()  # each manifest duration counts from here
-        return COMMANDS[args.command](args)
+        resolved = _parse(argv)
+        resolved["started"] = time.monotonic()  # each manifest duration counts from here
+        return COMMANDS[resolved["command"]](resolved)
     except (ValidationError, SchemaError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -352,7 +352,7 @@ class MCCheckResult:
 
     @property
     def passed(self):
-        return self.ks_distance < self.critical
+        return bool(self.ks_distance < self.critical)  # JSON takes no numpy bool
 
 
 def density_mc_check(grid, sampler, n_draws, rng):

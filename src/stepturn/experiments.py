@@ -21,7 +21,7 @@ import numpy as np
 from scipy.special import gammaincinv, i0e
 
 from .densities import trapezoid_cdf
-from .errors import INF, ImproperPosteriorError, at_least, entries, positive
+from .errors import INF, ImproperPosteriorError, at_least, positive
 from .inference import (
     METHODS,
     PARAM_NAMES,
@@ -33,7 +33,7 @@ from .inference import (
     simulated_summaries,
     weighted_quantile,
 )
-from .movement import MovementParams
+from .movement import MovementParams, check_steps
 from .parallel import ordered_map
 from .streams import stream
 from .summaries import kappa_estimate
@@ -187,12 +187,10 @@ def cross_validate(
     nominal coverage and its p-values skewed.
     """
     at_least("n_rep", n_rep, 1)
-    if constraint is not None:  # (kappa_max, lambda_max), compared column by column
-        for name, bound in zip(PARAM_NAMES, constraint):
-            at_least(f"constraint on {name}", bound, 0.0)
-        eligible = np.flatnonzero(np.all(table.params <= np.asarray(constraint), axis=1))
-    else:
-        eligible = np.arange(table.n_rows)
+    bounds = (INF, INF) if constraint is None else constraint  # (kappa_max, lambda_max)
+    for name, bound in zip(PARAM_NAMES, bounds):
+        at_least(f"constraint on {name}", bound, 0.0)
+    eligible = np.flatnonzero(np.all(table.params <= np.asarray(bounds), axis=1))
     if len(eligible) < n_rep:
         raise ValueError(
             f"only {len(eligible)} rows satisfy the constraint; need n_rep={n_rep}"
@@ -252,10 +250,8 @@ class RScanReport(_Report):
 
 
 def _rscan_cell(context, task):
-    cell_index, r_value, kappa_true = task
+    cell_index, r_value, params = task
     table, methods, epsilon, n_per_cell, seed = context
-    lam_true = r_value / table.config.dt
-    params = MovementParams(kappa=kappa_true, lam=lam_true)
     records = []
     for rep in range(n_per_cell):
         rng = stream(seed, cell_index * n_per_cell + rep)
@@ -266,10 +262,10 @@ def _rscan_cell(context, task):
                     RScanRecord(
                         method=method,
                         r_value=float(r_value),
-                        kappa_true=float(kappa_true),
+                        kappa_true=params.kappa,
                         rep=rep,
                         param=name,
-                        truth=float(kappa_true) if k == 0 else float(lam_true),
+                        truth=(params.kappa, params.lam)[k],
                         median=weighted_quantile(post, k, 0.5),
                     )
                 )
@@ -299,18 +295,17 @@ def r_scan(
     at_least("n_per_cell", n_per_cell, 1)
     cells = []
     for cell_index, (r_value, kappa_true) in enumerate(product(r_values, kappa_values)):
-        lam_true = r_value / table.config.dt
-        try:
-            MovementParams(kappa=kappa_true, lam=lam_true)
+        try:  # each cell's walk, checked before any cell runs and carried to its task
+            params = MovementParams(kappa=float(kappa_true), lam=float(r_value) / table.config.dt)
         except ValueError as exc:
             raise ValueError(f"r_scan cell R={r_value:g}, kappa={kappa_true:g}: {exc}") from None
-        if not table.prior.contains(kappa_true, lam_true):
+        if not table.prior.contains(params.kappa, params.lam):
             warnings.warn(
                 f"skipping cell R={r_value:g}, kappa={kappa_true:g}: implied "
-                f"lambda={lam_true:g} or kappa={kappa_true:g} outside prior support"
+                f"lambda={params.lam:g} or kappa={kappa_true:g} outside prior support"
             )
         else:
-            cells.append((cell_index, float(r_value), float(kappa_true)))
+            cells.append((cell_index, float(r_value), params))
     context = (table, tuple(methods), float(epsilon), n_per_cell, seed)
     results = ordered_map(_rscan_cell, context, cells, workers)
     records = [record for sub in results for record in sub]
@@ -349,8 +344,7 @@ def direct_fit(durations, turns, a0=1.0, b0=0.0, kappa_grid_max=200.0):
     turns = np.asarray(turns, dtype=float)
     if len(durations) < 2 or len(turns) < 2:
         raise ValueError("need at least 2 durations and 2 turning angles")
-    entries("durations", durations, (durations > 0) & (durations < INF), "finite and > 0")
-    entries("turns", turns, np.isfinite(turns), "finite")
+    check_steps(durations, turns)
     n_dur = len(durations)
     shape, rate = n_dur + a0, float(durations.sum()) + b0
     if not (shape > 0 and rate > 0):  # also refuses NaN

@@ -14,7 +14,7 @@ from functools import cached_property
 import numpy as np
 
 from . import nnet, parallel
-from .errors import SingularRegressionError, at_least, positive
+from .errors import SingularRegressionError, at_least, entries, positive
 from .movement import MovementParams, observe_until
 from .streams import stream
 from .summaries import SUMMARY_NAMES, summarize, summary_array
@@ -168,6 +168,9 @@ class WeightedPosterior:
     def __post_init__(self):
         if len(self.draws) != len(self.weights):
             raise ValueError("draws and weights must have equal lengths")
+        if not np.all(np.isfinite(self.draws)):  # a concentration, a rate: name the column
+            for name, column in zip(PARAM_NAMES, self.draws.T):
+                entries(f"{name} draws", column, np.isfinite(column), "finite")
         if not np.all(self.weights >= 0):  # also False for NaN
             raise ValueError("weights must be nonnegative, not NaN")
         if abs(float(np.sum(self.weights)) - 1.0) > 1e-12:

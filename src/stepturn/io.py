@@ -152,8 +152,9 @@ LATENT_HEADER = ["i", "x", "y", "phi", "t_dur", "omega"]
 SUMMARY_HEADER = list(SUMMARY_NAMES)
 TABLE_HEADER = [*PARAM_NAMES, *SUMMARY_NAMES]
 POSTERIOR_HEADER = [*PARAM_NAMES, "weight"]
+# a report's columns are its record's fields; the scan's r_value is written as R
 CROSSVAL_HEADER = [f.name for f in fields(ReplicateRecord)]
-RSCAN_HEADER = ["method", "R", "kappa_true", "rep", "param", "truth", "median"]
+RSCAN_HEADER = [{"r_value": "R"}.get(f.name, f.name) for f in fields(RScanRecord)]
 
 
 def _write_csv(path, header, rows):
@@ -429,7 +430,7 @@ def read_crossval_csv(path):
 
 
 def write_rscan_csv(path, records):
-    """Scale-scan records; the ``r_value`` field is written as column ``R``."""
+    """Scale-scan records under :data:`RSCAN_HEADER`."""
     _write_csv(path, RSCAN_HEADER, map(astuple, records))
 
 
@@ -458,20 +459,32 @@ def write_density_grid_csv(path, grid):
 # gnuplot companions
 
 
+def _plot(csv_name, header, params, using):
+    """A gnuplot ``plot`` of the rows of ``csv_name`` whose param column holds each
+    name in ``params``, ``using`` a format of the name ({0}) and of the columns,
+    each by its field in ``header`` and counted from 1, as awk and gnuplot count."""
+    columns = {field: index + 1 for index, field in enumerate(header)}
+    return "plot " + ", \\\n     ".join(
+        f"\"< awk -F, 'NR==1 || ${columns['param']}==\\\"{name}\\\"' {csv_name}\" "
+        + using.format(name, **columns) for name in params)
+
+
 def gnuplot_crossval(csv_name):
+    plot = _plot(csv_name, CROSSVAL_HEADER, PARAM_NAMES, 'using {truth}:{median} title "{0}"')
     return f"""# companion plot script (requires gnuplot and awk)
 set datafile separator ","
 set key outside
 set xlabel "true value"
 set ylabel "posterior median"
 set title "cross-validation: median vs truth"
-plot "< awk -F, 'NR==1 || $4==\\"kappa\\"' {csv_name}" using 5:6 title "kappa", \\
-     "< awk -F, 'NR==1 || $4==\\"lambda\\"' {csv_name}" using 5:6 title "lambda", \\
+{plot}, \\
      x notitle dt 2 lc "black"
 """
 
 
 def gnuplot_coverage(csv_name):
+    plot = _plot(csv_name, CROSSVAL_HEADER, PARAM_NAMES,
+                 'using (bin(${p})):(1.0) \\\n     smooth freq with boxes title "{0}"')
     return f"""# companion plot script (requires gnuplot and awk)
 set datafile separator ","
 binw = 0.05
@@ -480,21 +493,18 @@ set boxwidth binw
 set style fill solid 0.4
 set xlabel "coverage p-value"
 set ylabel "count"
-plot "< awk -F, 'NR==1 || $4==\\"kappa\\"' {csv_name}" using (bin($9)):(1.0) \\
-     smooth freq with boxes title "kappa", \\
-     "< awk -F, 'NR==1 || $4==\\"lambda\\"' {csv_name}" using (bin($9)):(1.0) \\
-     smooth freq with boxes title "lambda"
+{plot}
 """
 
 
 def gnuplot_rscan(csv_name):
+    rate = PARAM_NAMES[1]  # the parameter R scales; its error is plotted first
+    plot = _plot(csv_name, RSCAN_HEADER, reversed(PARAM_NAMES),
+                 'using {R}:(abs(${median}-${truth})) \\\n     title "{0} error"')
     return f"""# companion plot script (requires gnuplot and awk)
 set datafile separator ","
-set xlabel "R = lambda * dt"
+set xlabel "R = {rate} * dt"
 set ylabel "|median - truth|"
 set key outside
-plot "< awk -F, 'NR==1 || $5==\\"lambda\\"' {csv_name}" using 2:(abs($7-$6)) \\
-     title "lambda error", \\
-     "< awk -F, 'NR==1 || $5==\\"kappa\\"' {csv_name}" using 2:(abs($7-$6)) \\
-     title "kappa error"
+{plot}
 """

@@ -55,6 +55,13 @@ class MovementParams:
         positive("lam", self.lam)
 
 
+def check_steps(durations, turns=()):
+    """Refuse step ``durations`` unless each is finite and > 0, and turning
+    angles ``turns`` unless each is finite, naming the first value refused."""
+    entries("durations", durations, (durations > 0) & (durations < INF), "finite and > 0")
+    entries("turns", turns, np.isfinite(turns), "finite")
+
+
 @dataclass(frozen=True)
 class LatentPath:
     """Polyline of the latent walk.
@@ -86,8 +93,7 @@ class LatentPath:
             raise ValueError("headings must have shape (n_steps,)")
         if self.turns.shape != (n - 1,):
             raise ValueError("turns must have shape (n_steps - 1,)")
-        durations = self.durations
-        entries("durations", durations, (durations > 0) & (durations < INF), "finite and > 0")
+        check_steps(self.durations, self.turns)
 
     @property
     def n_steps(self):
@@ -184,6 +190,7 @@ def latent_from_steps(durations, turns):
             f"expected {len(durations) - 1} turning angles for "
             f"{len(durations)} durations, got {len(turns)}"
         )
+    check_steps(durations, turns)  # before wrapping, so a refusal gives the value as given
     turns = wrap_angle(turns)
     heads_raw, *corners = _turn_points(durations, turns)
     positions = np.zeros((len(durations) + 1, 2))
@@ -263,8 +270,9 @@ def change_counts(durations, dt, n_obs):
     (cumulative sum exactly equal to j*dt) count as completed.
     """
     durations = np.asarray(durations, dtype=float)
-    if durations.ndim != 1 or len(durations) == 0 or not np.all(durations > 0):
-        raise ValueError("durations must be a non-empty sequence of positive times")
+    if durations.ndim != 1 or len(durations) == 0:
+        raise ValueError("durations must be a non-empty 1-d sequence")
+    check_steps(durations)
     return _observation_grid(np.cumsum(durations), dt, n_obs)[0]
 
 

@@ -749,17 +749,29 @@ class TestCliExperiments:
         assert captured.out == "" and not out.exists()
 
     def test_oracle_check_plumbing(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(cli, "ORACLE_SETTINGS", {"f_V": [{"kappa": 2.0}]})
+        monkeypatch.setattr(cli, "ORACLES",
+                            {"f_V": (*cli.ORACLES["f_V"][:-1], [{"kappa": 2.0}])})
         code = cli.main(["oracle-check", "--n-draws", "5000", "--out", str(tmp_path)])
         assert code == 0
         report = json.loads((tmp_path / "oracle_check.json").read_text())
         assert report["f_V[0]"]["passed"]
 
+    def test_oracle_check_failure_writes_its_report(self, tmp_path, monkeypatch, capsys):
+        grid = densities.f_v_grid(2.0)  # against draws at kappa 10: the KS check fails
+        monkeypatch.setattr(cli, "ORACLES", {"f_V": (
+            lambda **_: grid, lambda **_: densities.cos_vm_sampler(10.0),
+            densities.f_v_normalization, 1e-6, [{"kappa": 2.0}])})
+        code = cli.main(["oracle-check", "--n-draws", "1000", "--out", str(tmp_path)])
+        assert code == cli.EXIT_CHECK_FAILED
+        assert capsys.readouterr().err == "check failed: density checks failed: f_V[0]\n"
+        report = json.loads((tmp_path / "oracle_check.json").read_text())
+        assert report["f_V[0]"]["passed"] is False
+
     def test_oracle_check_gives_each_setting_its_own_stream(self, tmp_path, monkeypatch):
         grid = densities.f_v_grid(2.0)  # one cheap density stands in for all three
-        monkeypatch.setattr(cli, "ORACLE_DENSITIES", {
+        monkeypatch.setattr(cli, "ORACLES", {
             name: (lambda **_: grid, lambda **_: densities.cos_vm_sampler(2.0),
-                   lambda **_: 1.0, 1e-6) for name in cli.ORACLE_SETTINGS})
+                   lambda **_: 1.0, 1e-6, oracle[-1]) for name, oracle in cli.ORACLES.items()})
         drawn = []
 
         def recording_stream(seed, index, bump=0):
@@ -1094,7 +1106,8 @@ def run_on_fixed_inputs(command, tmp_path, monkeypatch):
     st_io.write_latent_csv(tmp_path / "latent.csv", latent)
     st_io.write_track_csv(tmp_path / "track.csv", track)
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setattr(cli, "ORACLE_SETTINGS", {"f_V": [{"kappa": 2.0}]})
+    monkeypatch.setattr(cli, "ORACLES",
+                        {"f_V": (*cli.ORACLES["f_V"][:-1], [{"kappa": 2.0}])})
     assert cli.main([command, *CLI_RUNS[command], "--out", "out"]) == cli.EXIT_OK
     return tmp_path / "out"
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ import stepturn.io as st_io
 from stepturn import PriorSpec, SchemaError, SimConfig, generate_reference_table
 from stepturn.densities import DensityGrid
 from stepturn.experiments import ReplicateRecord, RScanRecord
-from stepturn.inference import ReferenceTable, WeightedPosterior
+from stepturn.inference import PARAM_NAMES, ReferenceTable, WeightedPosterior
 from stepturn.movement import LatentPath, ObservedTrack
 from stepturn.summaries import SummaryVector
 
@@ -71,6 +72,48 @@ def test_writer_bytes_are_pinned(tmp_path):
                for p in sorted(tmp_path.iterdir())}
     assert written == GOLDEN_SHA256
     assert (tmp_path / "track.csv").read_bytes().startswith(b"j,x,y,nj\r\n0,0,0,-1\r\n")
+
+
+# sha256 of each gnuplot companion script for the CSV name "x.csv"
+GNUPLOT_SHA256 = {
+    "gnuplot_crossval": "44b79542137f5eec221f90064a9c929088053e27bb15f11411bc9d31696965ba",
+    "gnuplot_coverage": "70e892bd0cbf652f9c8de07a2eab623e945717dc41f0a78776d016068d33083b",
+    "gnuplot_rscan": "e7f8abd8373fa7aba3186ecf013093d0bb83a4edc53fdc0494938a73017ec340",
+}
+
+
+def test_gnuplot_bytes_are_pinned():
+    written = {name: hashlib.sha256(getattr(st_io, name)("x.csv").encode()).hexdigest()
+               for name in GNUPLOT_SHA256}
+    assert written == GNUPLOT_SHA256
+
+
+def test_rscan_header_is_pinned():
+    assert st_io.RSCAN_HEADER == ["method", "R", "kappa_true", "rep", "param", "truth", "median"]
+
+
+# each script, its report's header, the pattern of the columns it plots (awk and
+# gnuplot count from 1) and the fields they must name
+GNUPLOT_COLUMNS = [
+    ("gnuplot_crossval", st_io.CROSSVAL_HEADER, r"using (\d+):(\d+) ", ("truth", "median")),
+    ("gnuplot_coverage", st_io.CROSSVAL_HEADER, r"using \(bin\(\$(\d+)\)\)", ("p",)),
+    ("gnuplot_rscan", st_io.RSCAN_HEADER, r"using (\d+):\(abs\(\$(\d+)-\$(\d+)\)\)",
+     ("R", "median", "truth")),
+]
+
+
+@pytest.mark.parametrize("script,header,pattern,wanted", GNUPLOT_COLUMNS,
+                         ids=[script for script, *_ in GNUPLOT_COLUMNS])
+def test_gnuplot_columns_name_their_fields(script, header, pattern, wanted):
+    text = getattr(st_io, script)("x.csv")
+    selected = re.findall(r"NR==1 \|\| \$(\d+)==\\\"(\w+)\\\"", text)
+    assert {header[int(column) - 1] for column, _ in selected} == {"param"}
+    assert sorted(name for _, name in selected) == sorted(PARAM_NAMES)
+    plotted = re.findall(pattern, text)
+    assert len(plotted) == len(PARAM_NAMES)
+    for columns in plotted:
+        columns = columns if isinstance(columns, tuple) else (columns,)
+        assert tuple(header[int(column) - 1] for column in columns) == wanted
 
 
 # one valid file per schema: header, then data rows; column 1 is numeric in all

@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from stepturn import (
+    LatentPath,
     MovementParams,
     ObservedTrack,
     PriorSpec,
     SimConfig,
+    WeightedPosterior,
     change_counts,
     density_mc_check,
     cross_validate,
@@ -39,6 +41,11 @@ TABLE = synthetic_table(30, seed=1)
 
 def rng():
     return np.random.default_rng(0)
+
+
+def posterior(draws):
+    return WeightedPosterior(draws=np.array(draws), weights=np.full(len(draws), 1 / len(draws)),
+                             method="rejection", epsilon=1.0, delta=0.0)
 
 
 # owner, a call of it with the value under test, the name its error gives,
@@ -131,8 +138,17 @@ def test_a_count_is_a_whole_number(call, message):
     (lambda v: latent_from_steps([1.0, v], [0.1]), "durations must be finite and > 0"),
     (lambda v: direct_fit([1.0, v, 2.0], [0.1, 0.2]), "durations must be finite and > 0"),
     (lambda v: direct_fit([1.0, 2.0, 3.0], [0.1, v]), "turns must be finite"),
-], ids=["latent_from_steps-durations", "direct_fit-durations", "direct_fit-turns"])
+    (lambda v: change_counts([1.0, v], 0.5, 3), "durations must be finite and > 0"),
+    (lambda v: latent_from_steps([1.0, 1.0, 1.0], [0.1, v]), "turns must be finite"),
+    (lambda v: LatentPath(positions=np.zeros((4, 2)), headings=np.zeros(3),
+                          durations=np.ones(3), turns=np.array([0.1, v])), "turns must be finite"),
+    (lambda v: posterior([[1.0, 2.0], [v, 3.0]]), "kappa draws must be finite"),
+    (lambda v: posterior([[1.0, 2.0], [2.0, v]]), "lambda draws must be finite"),
+], ids=["latent_from_steps-durations", "direct_fit-durations", "direct_fit-turns",
+        "change_counts-durations", "latent_from_steps-turns", "LatentPath-turns",
+        "WeightedPosterior-kappa", "WeightedPosterior-lambda"])
 @pytest.mark.parametrize("value", [NAN, INF, -INF])
 def test_step_arrays_must_be_finite(call, message, value):
     with pytest.raises(ValueError, match=rf"^{message}, got {value} at index 1$"):
         call(value)
+

@@ -1097,8 +1097,9 @@ CLI_RUNS = {
 }
 
 
-def run_on_fixed_inputs(command, tmp_path, monkeypatch):
-    """Run ``command`` with its CLI_RUNS arguments; returns its --out directory."""
+def run_on_fixed_inputs(command, tmp_path, monkeypatch, args=None):
+    """Run ``command`` with ``args``, by default its CLI_RUNS arguments; returns
+    its --out directory."""
     table = generate_reference_table(PriorSpec(), 80, SMALL_SIM, seed=2)
     st_io.write_reference_table(tmp_path / "table.csv", table)
     latent, _ = simulate_track()
@@ -1108,7 +1109,8 @@ def run_on_fixed_inputs(command, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(cli, "ORACLES",
                         {"f_V": (*cli.ORACLES["f_V"][:-1], [{"kappa": 2.0}])})
-    assert cli.main([command, *CLI_RUNS[command], "--out", "out"]) == cli.EXIT_OK
+    args = CLI_RUNS[command] if args is None else args
+    assert cli.main([command, *args, "--out", "out"]) == cli.EXIT_OK
     return tmp_path / "out"
 
 
@@ -1160,6 +1162,35 @@ PINNED_REPORTS = {
 }
 
 
+# The regression corrections on the CLI_RUNS inputs at epsilon 0.7, which
+# accepts 56 of the table's 80 rows (55 of a held-out table's 79), enough for
+# neuralnet's ten rows per hidden unit; and the sha256 of what each writes,
+# computed when every correction still took the observed summaries a second time
+CORRECTION_RUNS = {
+    "crossval": ["--table", "table.csv", "--methods", "rejection", "loclinear", "neuralnet",
+                 "--epsilons", "0.7", "--n-rep", "3", "--seed", "5"],
+    "fit-loclinear": ["--table", "table.csv", "--track", "track.csv", "--method", "loclinear",
+                      "--epsilon", "0.7"],
+    "fit-neuralnet": ["--table", "table.csv", "--track", "track.csv", "--method", "neuralnet",
+                      "--epsilon", "0.7"],
+}
+PINNED_CORRECTIONS = {
+    "crossval": {
+        "crossval.csv": "9521f0cac1610c4cb172d8c97e33816be9c889aa4b259f7d86835e7de57be8f6",
+        "crossval_metrics.json":
+            "8d4ffc516cc3aa4164ca476c4277ee0a9dceaad94e1dfe14be17aa3a49a1eef2",
+    },
+    "fit-loclinear": {
+        "posterior.csv": "9e81c6bbf61f0bb90368bc00e8bf2399c70472d60676f270b560a72d72e7c466",
+        "posterior.json": "312cbe25b26566e290254fb1b44c6913e64d550bfade6be3abef13964a6af8c9",
+    },
+    "fit-neuralnet": {
+        "posterior.csv": "8caa8e9aca2ef41e97eb509f6b7e51e3033369d4907a751fea4482016d3022d1",
+        "posterior.json": "cbe63990c7de3204efee997e35a8c35b3f757ed5094e00e07964f92847b9c242",
+    },
+}
+
+
 def manifest_records(out):
     return [json.loads(line) for line in (out / "manifest.jsonl").read_text().splitlines()]
 
@@ -1190,6 +1221,13 @@ class TestProvenance:
     def test_reports_are_pinned(self, command, tmp_path, monkeypatch):
         out = run_on_fixed_inputs(command, tmp_path, monkeypatch)
         pinned = PINNED_REPORTS[command]
+        assert {name: st_io.sha256_file(out / name) for name in pinned} == pinned
+
+    @pytest.mark.parametrize("run", sorted(PINNED_CORRECTIONS))
+    def test_correction_reports_are_pinned(self, run, tmp_path, monkeypatch):
+        out = run_on_fixed_inputs(run.split("-")[0], tmp_path, monkeypatch,
+                                  CORRECTION_RUNS[run])
+        pinned = PINNED_CORRECTIONS[run]
         assert {name: st_io.sha256_file(out / name) for name in pinned} == pinned
 
     @pytest.mark.parametrize("command", ["coverage", "crossval", "fit", "rscan"])

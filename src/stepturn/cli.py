@@ -38,6 +38,7 @@ from .errors import (
     StepturnError,
     TrackTooShortError,
     at_least,
+    distinct,
     positive,
 )
 from .experiments import (
@@ -242,9 +243,10 @@ def _parse(argv):
 
 def _check_counts(resolved):
     """Refuse a set flag below its COUNT_FLAGS floor, a --dt or --kappa-grid-max
-    not finite and > 0, a --dt that spans no finite time over the observation
-    count, an --epsilon(s) value outside (0, 1], or a walk or prior value that
-    MovementParams or PriorSpec refuses, each checked with the other fields valid."""
+    not finite and > 0, a repeat in --methods, --r-values or --kappa-values, a
+    --dt that spans no finite time over the observation count, an --epsilon(s)
+    value outside (0, 1], or a walk or prior value that MovementParams or
+    PriorSpec refuses, each checked with the other fields valid."""
     try:
         for key, floor in COUNT_FLAGS.items():
             if resolved.get(key) is not None:  # unset: no --workers, or no coverage bound
@@ -252,6 +254,9 @@ def _check_counts(resolved):
         for key in ("dt", "kappa_grid_max"):
             if key in resolved:
                 positive(f"--{key.replace('_', '-')}", resolved[key])
+        for key in ("methods", "r_values", "kappa_values"):
+            if key in resolved:
+                distinct(f"--{key.replace('_', '-')}", resolved[key])
     except ValueError as exc:
         raise ValidationError(str(exc)) from None
     dt = resolved.get("dt", 1.0)

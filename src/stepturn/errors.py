@@ -35,6 +35,13 @@ def entries(name, values, ok, rule):
         raise ValueError(f"{name} must be {rule}, got {values[bad[0]]} at index {bad[0]}")
 
 
+def distinct(name, values):
+    """Refuse a grid ``values`` that holds one value twice; the message names it."""
+    for index, value in enumerate(values):
+        if value in values[:index]:
+            raise ValueError(f"{name} must be distinct, got {value} twice")
+
+
 class StepturnError(Exception):
     """Base class for package-specific errors."""
 

@@ -21,7 +21,7 @@ import numpy as np
 from scipy.special import gammaincinv, i0e
 
 from .densities import trapezoid_cdf
-from .errors import INF, ImproperPosteriorError, at_least, positive
+from .errors import INF, ImproperPosteriorError, at_least, distinct, positive
 from .inference import (
     METHODS,
     PARAM_NAMES,
@@ -132,7 +132,7 @@ def _fits(table, s_obs, methods, epsilons):
     accepted = [narrow(widest, epsilon, table.n_rows) for epsilon in epsilons]
     for method in methods:
         for epsilon, sample in zip(epsilons, accepted):
-            yield method, epsilon, adjust(sample, s_obs, method)
+            yield method, epsilon, adjust(sample, method)
 
 
 def _crossval_replicate(context, task):
@@ -174,7 +174,7 @@ def cross_validate(
     Each replicate removes one constrained row, treats its summaries as
     the observation, and fits every (method, epsilon) combination against
     the remaining rows; all of them share one rejection pass, at the
-    widest epsilon.
+    widest epsilon. A repeated method or epsilon raises ValueError.
     ``constraint = (kappa_max, lambda_max)`` keeps pseudo-observations
     away from the upper prior limits; pass None to sample from the whole
     table.
@@ -187,6 +187,8 @@ def cross_validate(
     nominal coverage and its p-values skewed.
     """
     at_least("n_rep", n_rep, 1)
+    distinct("methods", methods)
+    distinct("epsilons", epsilons)
     bounds = (INF, INF) if constraint is None else constraint  # (kappa_max, lambda_max)
     for name, bound in zip(PARAM_NAMES, bounds):
         at_least(f"constraint on {name}", bound, 0.0)
@@ -287,10 +289,10 @@ def r_scan(
     Each (R, kappa) cell simulates ``n_per_cell`` trajectories with
     lam = R / dt, summarizes each as the table's rows were
     (:func:`~stepturn.inference.simulated_summaries`), and fits them
-    against the table. A cell with no valid walk (a NaN or nonpositive R, or
-    a NaN or negative kappa) raises ValueError naming R and kappa before any
-    cell runs; a valid cell whose implied parameters fall outside the
-    table's prior support is skipped with a warning.
+    against the table. A repeated method, R or kappa, or a cell with no valid
+    walk (a NaN or nonpositive R, or a NaN or negative kappa), raises
+    ValueError naming it before any cell runs; a valid cell whose implied
+    parameters fall outside the table's prior support is skipped with a warning.
     """
     at_least("n_per_cell", n_per_cell, 1)
     cells = []
@@ -306,6 +308,9 @@ def r_scan(
             )
         else:
             cells.append((cell_index, float(r_value), params))
+    distinct("methods", methods)
+    distinct("r_values", r_values)
+    distinct("kappa_values", kappa_values)
     context = (table, tuple(methods), float(epsilon), n_per_cell, seed)
     results = ordered_map(_rscan_cell, context, cells, workers)
     records = [record for sub in results for record in sub]

@@ -98,6 +98,10 @@ class ReferenceTable:
             raise ValueError("params and summaries must have equal row counts")
         if not (np.all(np.isfinite(self.params)) and np.all(np.isfinite(self.summaries))):
             raise ValueError("every parameter and summary row must be finite")
+        if isinstance(self.seed, bool):  # a flag is no seed, though True >= 0
+            raise ValueError(f"seed must be a whole number, got {self.seed}")
+        at_least("seed", self.seed, 0)
+        object.__setattr__(self, "seed", int(self.seed))  # a JSON-writable int
 
     @classmethod
     def from_rows(cls, rows, prior, config, seed, n_resampled):
@@ -142,9 +146,9 @@ class WeightedPosterior:
     """Weighted parameter draws from an ABC fit.
 
     ``delta`` is the realized distance threshold of the rejection step.
-    :func:`abc_reject` also sets the accepted rows' summaries, distances and
-    table indices and the table's scales and prior: a regression correction
-    runs on that accepted set and refuses a posterior without it.
+    :func:`abc_reject` also sets the accepted rows' standardized offsets from
+    the observation, distances and table indices and the table's prior: a
+    regression correction runs on that set alone and refuses a posterior without it.
 
     Like a table's arrays, ``draws`` are treated as immutable: the stable
     ascending order of each draw column (:attr:`orders`), which
@@ -158,10 +162,9 @@ class WeightedPosterior:
     method: str
     epsilon: float
     delta: float
-    summaries: np.ndarray | None = None
+    offsets: np.ndarray | None = None  # (m, len(SUMMARY_NAMES)) (s - s_obs) / scale
     distances: np.ndarray | None = None
     indices: np.ndarray | None = None
-    scales: np.ndarray | None = field(default=None, repr=False)
     prior: PriorSpec | None = field(default=None, repr=False)
     n_projected: int = 0
 
@@ -321,18 +324,25 @@ def _partition_median(values):
 
 def standardized_distances(table, s_obs, rows=None):
     """Euclidean distance of every table row, or of the rows indexed by
-    ``rows``, to ``s_obs``, each summary divided by its
-    :attr:`ReferenceTable.scales` entry.
+    ``rows``, to ``s_obs``: the norm of the row's :func:`_offsets`.
 
     The squares are summed column by column, in the order of a row-wise sum,
-    into one buffer; the only other temporary is the (summaries, n)
-    difference, into which ``rows``' columns are gathered. A row's distance
-    has the same bits whether it is computed alone, among ``rows`` or in the
-    full scan.
+    into one buffer; the only other temporary is the offsets array. A row's
+    distance has the same bits whether it is computed alone, among ``rows``
+    or in the full scan.
     """
     if table.n_rows == 0:
         raise ValueError("reference table is empty")
-    s_obs = summary_array(s_obs)
+    z = _offsets(table, summary_array(s_obs), rows)
+    np.square(z, out=z)
+    total = np.add(z[0], z[1])
+    for row in z[2:]:
+        total += row
+    return np.sqrt(total, out=total)
+
+
+def _offsets(table, s_obs, rows=None):
+    """New (summaries, n) array of ``(s - s_obs) / scale`` of every row or of ``rows``."""
     scales = table.scales  # before z: a first computation of the scales does not overlap it
     if rows is None:
         z = np.subtract(table.columns, s_obs[:, None])
@@ -340,11 +350,7 @@ def standardized_distances(table, s_obs, rows=None):
         z = np.take(table.columns, rows, axis=1)
         z -= s_obs[:, None]
     z /= scales[:, None]
-    np.square(z, out=z)
-    total = np.add(z[0], z[1])
-    for row in z[2:]:
-        total += row
-    return np.sqrt(total, out=total)
+    return z
 
 
 def abc_reject(table, s_obs, epsilon):
@@ -377,10 +383,9 @@ def abc_reject(table, s_obs, epsilon):
         method="rejection",
         epsilon=float(epsilon),
         delta=float(distances[nearest[-1]]),
-        summaries=np.take(table.columns, accepted, axis=1).T,  # Fortran-ordered, like the table's
+        offsets=_offsets(table, s_obs, accepted).T,
         distances=distances[nearest],
         indices=accepted.copy(),
-        scales=table.scales,
         prior=table.prior,
     )
 
@@ -425,10 +430,10 @@ def _narrowest_column(table, s_obs, n):
     fewest rows of a fixed sample, every ceil(K / SAMPLE_ROWS)-th row, at the
     sample's estimate of the radius: the ceil(n m / K)-th smallest of the m
     sampled rows' squared standardized distances. Ties go to the first."""
-    sample = table.columns[:, :: -(-table.n_rows // SAMPLE_ROWS)]
-    squares = np.square((sample - s_obs[:, None]) / table.scales[:, None])
+    sample = np.arange(0, table.n_rows, -(-table.n_rows // SAMPLE_ROWS))
+    squares = np.square(_offsets(table, s_obs, sample))
     squared = squares.sum(axis=0)
-    k = -(-n * sample.shape[1] // table.n_rows)
+    k = -(-n * len(sample) // table.n_rows)
     squared_radius = np.partition(squared, k - 1)[k - 1]
     return int(np.argmin(np.count_nonzero(squares <= squared_radius, axis=1)))
 
@@ -452,7 +457,7 @@ def narrow(accepted, epsilon, n_rows):
         weights=np.full(n_accept, 1.0 / n_accept),
         epsilon=float(epsilon),
         delta=float(accepted.distances[n_accept - 1]),
-        summaries=accepted.summaries[:n_accept],
+        offsets=accepted.offsets[:n_accept],
         distances=accepted.distances[:n_accept],
         indices=accepted.indices[:n_accept],
     )
@@ -521,13 +526,12 @@ def _collinear_columns(weighted_design):
     return [_DESIGN_NAMES[c] for c in sorted(pivots[rank:])]
 
 
-def _prepare_regression(accepted, s_obs, transform):
-    s_obs = summary_array(s_obs)
-    missing = [name for name in ("summaries", "distances", "scales", "prior")
+def _prepare_regression(accepted, transform):
+    missing = [name for name in ("offsets", "distances", "prior")
                if getattr(accepted, name) is None]
     if missing:
         raise ValueError(f"posterior lacks the accepted {', '.join(missing)}; run abc_reject first")
-    m, n_cols = accepted.summaries.shape
+    m, n_cols = accepted.offsets.shape
     if m <= n_cols + 1:
         raise ValueError(
             f"need more than {n_cols + 1} accepted rows for a regression, got {m}"
@@ -539,9 +543,8 @@ def _prepare_regression(accepted, s_obs, transform):
         if np.any(theta <= 0):
             raise ValueError("log transform requires strictly positive draws")
         theta = np.log(theta)
-    z = (accepted.summaries - s_obs) / accepted.scales
     w = _kernel_weights(accepted.distances, accepted.delta)
-    return z, theta, w
+    return accepted.offsets, theta, w
 
 
 def _finalize_posterior(accepted, corrected, w, transform, method):
@@ -559,12 +562,12 @@ def _finalize_posterior(accepted, corrected, w, transform, method):
     )
 
 
-def loclinear_adjust(accepted, s_obs, transform="none"):
+def loclinear_adjust(accepted, transform="none"):
     """Local-linear regression correction of accepted draws.
 
-    Fits a kernel-weighted linear regression of each parameter on the
-    standardized summaries and moves every accepted draw by the fitted
-    shift: corrected_i = m(s_obs) + residual_i. Output weights are the
+    Fits a kernel-weighted linear regression of each parameter on the accepted
+    rows' offsets from the observation and moves every accepted draw by the
+    fitted shift: corrected_i = m(0) + residual_i. Output weights are the
     (normalized) kernel weights; corrected draws outside the prior support
     are projected to its boundary. ``accepted`` must come from :func:`abc_reject`.
 
@@ -573,7 +576,7 @@ def loclinear_adjust(accepted, s_obs, transform="none"):
     SingularRegressionError
         If the weighted design matrix is rank deficient.
     """
-    z, theta, w = _prepare_regression(accepted, s_obs, transform)
+    z, theta, w = _prepare_regression(accepted, transform)
     design = np.column_stack((np.ones(len(z)), z))
     sqrt_w = np.sqrt(w)
     a = design * sqrt_w[:, None]
@@ -584,7 +587,7 @@ def loclinear_adjust(accepted, s_obs, transform="none"):
     return _finalize_posterior(accepted, corrected, w, transform, "loclinear")
 
 
-def neuralnet_adjust(accepted, s_obs, net_config=nnet.NetConfig(), transform="none"):
+def neuralnet_adjust(accepted, net_config=nnet.NetConfig(), transform="none"):
     """Neural-network regression correction of accepted draws.
 
     Same correction scheme as :func:`loclinear_adjust` but with the
@@ -592,7 +595,7 @@ def neuralnet_adjust(accepted, s_obs, net_config=nnet.NetConfig(), transform="no
     kernel-weighted data (targets standardized internally). Deterministic
     given the accepted set and the network config.
     """
-    z, theta, w = _prepare_regression(accepted, s_obs, transform)
+    z, theta, w = _prepare_regression(accepted, transform)
     if len(z) < 10 * net_config.n_hidden:
         raise ValueError(
             f"need at least {10 * net_config.n_hidden} accepted rows for "
@@ -613,10 +616,10 @@ def neuralnet_adjust(accepted, s_obs, net_config=nnet.NetConfig(), transform="no
 def fit(table, s_obs, method, epsilon, transform="none"):
     """Run one ABC fit: rejection plus the requested correction."""
     _check_method(method)
-    return adjust(abc_reject(table, s_obs, epsilon), s_obs, method, transform)
+    return adjust(abc_reject(table, s_obs, epsilon), method, transform)
 
 
-def adjust(accepted, s_obs, method, transform="none"):
+def adjust(accepted, method, transform="none"):
     """Apply ``method``'s correction to a rejection posterior.
 
     One rejection pass can serve every method at its epsilon; "rejection"
@@ -624,9 +627,9 @@ def adjust(accepted, s_obs, method, transform="none"):
     """
     _check_method(method)
     if method == "loclinear":
-        return loclinear_adjust(accepted, s_obs, transform=transform)
+        return loclinear_adjust(accepted, transform=transform)
     if method == "neuralnet":
-        return neuralnet_adjust(accepted, s_obs, transform=transform)
+        return neuralnet_adjust(accepted, transform=transform)
     return accepted
 
 

@@ -320,8 +320,8 @@ class TestCriterion10:
             config=SimConfig(dt=0.5, min_obs=100), seed=0,
         )
         accepted = abc_reject(table, np.zeros(4), 1.0)
-        linear = loclinear_adjust(accepted, np.zeros(4))
-        net = neuralnet_adjust(accepted, np.zeros(4), NetConfig(n_iter=20_000))
+        linear = loclinear_adjust(accepted)
+        net = neuralnet_adjust(accepted, NetConfig(n_iter=20_000))
         variances = [float(np.var(linear.draws[:, k])) for k in (0, 1)]
         gaps = [abs(weighted_quantile(net, k, 0.5) - weighted_quantile(linear, k, 0.5))
                 for k in (0, 1)]

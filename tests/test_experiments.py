@@ -335,6 +335,20 @@ class TestCrossValidate:
             cross_validate(table, methods=("rejection",), epsilons=(0.5,),
                            n_rep=29, constraint=(5.0, 2.0), seed=17)
 
+    @pytest.mark.parametrize("grid,repeated", [
+        (dict(methods=("rejection", "loclinear", "rejection")), "methods must be distinct, "
+                                                                "got rejection twice"),
+        (dict(epsilons=(0.5, 0.1, 0.5)), "epsilons must be distinct, got 0.5 twice"),
+    ], ids=["methods", "epsilons"])
+    def test_repeated_grid_value_refused_before_any_fit(self, monkeypatch, grid, repeated):
+        def no_pool(*args):
+            raise AssertionError("a pool started")
+
+        monkeypatch.setattr(experiments, "ordered_map", no_pool)
+        kwargs = dict(methods=("rejection",), epsilons=(0.5,), n_rep=3, constraint=None)
+        with pytest.raises(ValueError, match=repeated):
+            cross_validate(synthetic_table(30, seed=16), **{**kwargs, **grid})
+
     def test_rejection_eps_one_self_calibrates(self):
         # with epsilon = 1 and no constraint the posterior is the prior
         # sample, so coverage p-values are uniform by construction
@@ -413,6 +427,22 @@ class TestRScan:
                                                  f"kappa={kappa:g}: {refused} must be"):
                 r_scan(table, r_values=[r_value], kappa_values=[20.0, kappa],
                        n_per_cell=2, methods=("rejection",), epsilon=0.2, seed=25)
+
+    @pytest.mark.parametrize("grid,repeated", [
+        (dict(methods=("loclinear", "loclinear")), "methods must be distinct, got loclinear"),
+        (dict(r_values=[1.0, 0.5, 1.0]), "r_values must be distinct, got 1.0 twice"),
+        (dict(kappa_values=[20.0, 20]), "kappa_values must be distinct, got 20 twice"),
+    ], ids=["methods", "r_values", "kappa_values"])
+    def test_repeated_grid_value_refused_before_any_cell_runs(self, monkeypatch, grid,
+                                                              repeated):
+        def no_pool(*args):
+            raise AssertionError("a pool started")
+
+        monkeypatch.setattr(experiments, "ordered_map", no_pool)
+        kwargs = dict(r_values=[1.0], kappa_values=[20.0], n_per_cell=2,
+                      methods=("rejection",), epsilon=0.2, seed=25)
+        with pytest.raises(ValueError, match=repeated):
+            r_scan(synthetic_table(50, seed=24), **{**kwargs, **grid})
 
     def test_worker_invariance(self):
         table = synthetic_table(60, seed=26)

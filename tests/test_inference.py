@@ -464,6 +464,17 @@ class TestAbcReject:
                 else:
                     assert type(a) is type(b) and a == b, field.name
 
+    def test_offsets_are_the_row_wise_formula(self):
+        # 0.01 and 0.1 search a slab, 0.6 scans every row; narrowing keeps the bits
+        table = synthetic_table(2000, seed=39)
+        s_obs = np.random.default_rng(40).normal(size=4)
+        widest = abc_reject(table, s_obs, 0.6)
+        for eps in (0.6, 0.1, 0.01):
+            for post in (abc_reject(table, s_obs, eps), narrow(widest, eps, table.n_rows)):
+                expected = (table.summaries[post.indices] - s_obs) / table.scales
+                assert post.offsets.shape == expected.shape
+                assert post.offsets.tobytes() == expected.tobytes(), eps
+
     def test_narrow_refuses_a_wider_epsilon(self):
         table = synthetic_table(100, seed=38)
         accepted = abc_reject(table, table.summaries[0], 0.1)
@@ -496,7 +507,7 @@ class TestAbcReject:
     def test_accepted_arrays_are_the_posteriors_own(self):
         table = synthetic_table(50, seed=17)
         post = abc_reject(table, table.summaries[4], 0.2)
-        for own, source in ((post.draws, table.params), (post.summaries, table.summaries)):
+        for own, source in ((post.draws, table.params), (post.offsets, table.summaries)):
             assert not np.shares_memory(own, source)
 
 
@@ -509,8 +520,9 @@ def full_scan(table, s_obs, n):
 
 
 def assert_exact(table, s_obs, epsilon, scanned=None):
-    """abc_reject accepts the full scan's rows, distances and delta, byte for
-    byte; ``scanned`` is the full scan's ``standardized_distances``, if known."""
+    """abc_reject accepts the full scan's rows, distances and delta, and their
+    row-wise offsets, byte for byte; ``scanned`` is the full scan's
+    ``standardized_distances``, if known."""
     post = abc_reject(table, s_obs, epsilon)
     if scanned is None:
         accepted, distances = full_scan(table, s_obs, post.n_draws)
@@ -522,7 +534,8 @@ def assert_exact(table, s_obs, epsilon, scanned=None):
     assert post.distances.tobytes() == distances.tobytes()
     assert np.float64(post.delta).tobytes() == distances[-1].tobytes()
     assert post.draws.tobytes() == table.params[accepted].tobytes()
-    assert post.summaries.tobytes() == table.summaries[accepted].tobytes()
+    offsets = (table.summaries[accepted] - s_obs) / table.scales
+    assert post.offsets.tobytes() == offsets.tobytes()
     return post
 
 
@@ -767,7 +780,8 @@ class TestReferenceTableChecks:
 
 
 def affine_posterior(seed=16, m=160, slope=None, intercept=None, noise=0.0):
-    """Rejection posterior whose params are (almost) affine in summaries.
+    """Rejection posterior at s_obs = 0, every row accepted, whose params are
+    (almost) affine in summaries; returned with its table.
 
     The summary cloud is symmetric around s_obs = 0 so location estimates
     are insensitive to shrinkage of the fitted regression function.
@@ -784,18 +798,16 @@ def affine_posterior(seed=16, m=160, slope=None, intercept=None, noise=0.0):
         params=np.clip(params, 1e-9, None), summaries=summaries,
         prior=prior, config=SMALL_SIM, seed=0,
     )
-    s_obs = np.zeros(4)
-    return abc_reject(table, s_obs, 1.0), s_obs, slope, intercept
+    return abc_reject(table, np.zeros(4), 1.0), table, slope, intercept
 
 
 class TestLoclinearAdjust:
     def test_exact_affine_collapses(self):
-        accepted, s_obs, slope, intercept = affine_posterior()
-        post = loclinear_adjust(accepted, s_obs)
+        accepted, _, slope, intercept = affine_posterior()
+        post = loclinear_adjust(accepted)
         # all corrected draws equal the regression prediction at s_obs
         spread = post.draws.max(axis=0) - post.draws.min(axis=0)
         assert np.all(spread < 1e-9)
-        scales = accepted.scales
         predicted = intercept  # summaries are standardized around s_obs = 0
         np.testing.assert_allclose(post.draws[0], predicted, rtol=1e-9)
         assert float(np.var(post.draws[:, 0])) < 1e-20
@@ -817,18 +829,19 @@ class TestLoclinearAdjust:
             prior=PriorSpec((0.0, 1000.0), (0.0, 1000.0)), config=SMALL_SIM, seed=0,
         )
         accepted = abc_reject(table, np.zeros(4), 1.0)
-        post = loclinear_adjust(accepted, np.zeros(4))
+        post = loclinear_adjust(accepted)
         kernel = np.clip(1.0 - (accepted.distances / accepted.delta) ** 2, 0.0, None)
         expected = (kernel @ accepted.draws) / kernel.sum()
         # prediction at s_obs = corrected draw minus its residual
-        fitted_at_obs = post.draws - (accepted.draws - _loclinear_fitted(accepted))
+        fitted_at_obs = post.draws - (accepted.draws - _loclinear_fitted(table, accepted))
         np.testing.assert_allclose(fitted_at_obs[0], expected, rtol=1e-8)
 
     def test_normal_equations_oracle(self):
-        accepted, s_obs, _, _ = affine_posterior(seed=18, m=200, noise=2.5)
-        post = loclinear_adjust(accepted, s_obs)
-        # independent normal-equations solve with explicit kernel weights
-        z = (accepted.summaries - s_obs) / accepted.scales
+        accepted, table, _, _ = affine_posterior(seed=18, m=200, noise=2.5)
+        post = loclinear_adjust(accepted)
+        # independent normal-equations solve with explicit kernel weights,
+        # its design from the accepted table rows (s_obs = 0)
+        z = (table.summaries[accepted.indices] - 0.0) / summary_scales(table)
         x = np.column_stack([np.ones(len(z)), z])
         w = 1.0 - (accepted.distances / accepted.delta) ** 2
         w = np.clip(w, 0.0, None)
@@ -843,47 +856,44 @@ class TestLoclinearAdjust:
         np.testing.assert_allclose(post.draws, corrected, atol=1e-8)
 
     def test_singular_design_names_columns(self):
-        accepted, s_obs, _, _ = affine_posterior(seed=19, m=60, noise=1.0)
-        degraded = accepted.summaries.copy()
-        degraded[:, 2] = 7.0  # constant column becomes zero after centering? no:
-        # constant equal to s_obs offset; make it exactly s_obs to zero it out
-        degraded[:, 2] = s_obs[2]
+        accepted, _, _, _ = affine_posterior(seed=19, m=60, noise=1.0)
+        degraded = accepted.offsets.copy()
+        degraded[:, 2] = 0.0  # every row's s3 equals the observation's
         broken = WeightedPosterior(
             draws=accepted.draws, weights=accepted.weights, method="rejection",
-            epsilon=accepted.epsilon, delta=accepted.delta, summaries=degraded,
-            distances=accepted.distances, indices=accepted.indices,
-            scales=accepted.scales, prior=accepted.prior,
+            epsilon=accepted.epsilon, delta=accepted.delta, offsets=degraded,
+            distances=accepted.distances, indices=accepted.indices, prior=accepted.prior,
         )
         with pytest.raises(SingularRegressionError) as excinfo:
-            loclinear_adjust(broken, s_obs)
+            loclinear_adjust(broken)
         assert "s3" in excinfo.value.columns
 
     def test_projection_counts(self):
-        accepted, s_obs, slope, intercept = affine_posterior(seed=20, m=80, noise=30.0)
+        accepted, _, _, _ = affine_posterior(seed=20, m=80, noise=30.0)
         tight_prior = PriorSpec(kappa_range=(0.0, 55.0), lambda_range=(0.0, 26.0))
         squeezed = WeightedPosterior(
             draws=accepted.draws, weights=accepted.weights, method="rejection",
-            epsilon=accepted.epsilon, delta=accepted.delta, summaries=accepted.summaries,
-            distances=accepted.distances, indices=accepted.indices,
-            scales=accepted.scales, prior=tight_prior,
+            epsilon=accepted.epsilon, delta=accepted.delta, offsets=accepted.offsets,
+            distances=accepted.distances, indices=accepted.indices, prior=tight_prior,
         )
-        post = loclinear_adjust(squeezed, s_obs)
+        post = loclinear_adjust(squeezed)
         assert post.n_projected > 0
         assert np.all(post.draws[:, 0] <= 55.0) and np.all(post.draws[:, 1] <= 26.0)
 
     def test_too_few_rows(self):
-        accepted, s_obs, _, _ = affine_posterior(seed=21, m=5)
+        accepted, _, _, _ = affine_posterior(seed=21, m=5)
         with pytest.raises(ValueError):
-            loclinear_adjust(accepted, s_obs)
+            loclinear_adjust(accepted)
 
     def test_log_transform(self):
-        accepted, s_obs, _, _ = affine_posterior(seed=22, m=120, noise=1.0)
-        post = loclinear_adjust(accepted, s_obs, transform="log")
+        accepted, _, _, _ = affine_posterior(seed=22, m=120, noise=1.0)
+        post = loclinear_adjust(accepted, transform="log")
         assert np.all(post.draws > 0)
 
 
-def _loclinear_fitted(accepted):
-    z = (accepted.summaries - 0.0) / accepted.scales
+def _loclinear_fitted(table, accepted):
+    """The weighted least-squares fit at every accepted row, s_obs = 0."""
+    z = (table.summaries[accepted.indices] - 0.0) / summary_scales(table)
     x = np.column_stack([np.ones(len(z)), z])
     w = np.clip(1.0 - (accepted.distances / accepted.delta) ** 2, 0.0, None)
     sw = np.sqrt(w)
@@ -893,23 +903,23 @@ def _loclinear_fitted(accepted):
 
 class TestNeuralnetAdjust:
     def test_affine_agreement_with_loclinear(self):
-        accepted, s_obs, _, _ = affine_posterior(seed=23, m=200)
-        linear = loclinear_adjust(accepted, s_obs)
-        net = neuralnet_adjust(accepted, s_obs, NetConfig(n_iter=20_000, seed=1))
+        accepted, _, _, _ = affine_posterior(seed=23, m=200)
+        linear = loclinear_adjust(accepted)
+        net = neuralnet_adjust(accepted, NetConfig(n_iter=20_000, seed=1))
         for k in (0, 1):
             lm = weighted_quantile(linear, k, 0.5)
             nm = weighted_quantile(net, k, 0.5)
             assert abs(nm - lm) < 1e-2, (k, nm, lm)
 
     def test_min_rows_guard(self):
-        accepted, s_obs, _, _ = affine_posterior(seed=24, m=30)
+        accepted, _, _, _ = affine_posterior(seed=24, m=30)
         with pytest.raises(ValueError):
-            neuralnet_adjust(accepted, s_obs, NetConfig(n_hidden=5))
+            neuralnet_adjust(accepted, NetConfig(n_hidden=5))
 
     def test_deterministic(self):
-        accepted, s_obs, _, _ = affine_posterior(seed=25, m=120, noise=4.0)
-        a = neuralnet_adjust(accepted, s_obs, NetConfig(n_iter=500))
-        b = neuralnet_adjust(accepted, s_obs, NetConfig(n_iter=500))
+        accepted, _, _, _ = affine_posterior(seed=25, m=120, noise=4.0)
+        a = neuralnet_adjust(accepted, NetConfig(n_iter=500))
+        b = neuralnet_adjust(accepted, NetConfig(n_iter=500))
         assert np.array_equal(a.draws, b.draws)
         assert np.array_equal(a.weights, b.weights)
 
@@ -918,9 +928,8 @@ class TestNeuralnetAdjust:
         # whose output weights sit at zero predicts a constant, which leaves
         # every draw where rejection put it (spread ratio ~1e-14)
         row = 44001
-        s_obs = desk_table.summaries[row]
-        accepted = abc_reject(desk_table.without_row(row), s_obs, 0.001)
-        net = neuralnet_adjust(accepted, s_obs)
+        accepted = abc_reject(desk_table.without_row(row), desk_table.summaries[row], 0.001)
+        net = neuralnet_adjust(accepted)
         moved = np.std(net.draws - accepted.draws, axis=0) / np.std(accepted.draws, axis=0)
         assert np.all(moved > 0.05), moved
 
@@ -931,10 +940,9 @@ class TestNeuralnetAdjust:
         # stays within 1e-2 of the converged 95% HPD width (measured gap at
         # most 1.2e-3, row 2641; stopped at 650 it would be 1.3e-2)
         for row in (63986, 83105, 2641, 46724, 79051, 85175, 36545, 7982):
-            s_obs = desk_table.summaries[row]
-            accepted = abc_reject(desk_table.without_row(row), s_obs, 0.001)
-            capped = neuralnet_adjust(accepted, s_obs)
-            converged = neuralnet_adjust(accepted, s_obs, NetConfig(n_iter=20_000))
+            accepted = abc_reject(desk_table.without_row(row), desk_table.summaries[row], 0.001)
+            capped = neuralnet_adjust(accepted)
+            converged = neuralnet_adjust(accepted, NetConfig(n_iter=20_000))
             for k in (0, 1):
                 lo, hi = hpd_interval(converged, k, INTERVAL_MASS)
                 gap = abs(weighted_quantile(capped, k, 0.5) - weighted_quantile(converged, k, 0.5))
@@ -944,36 +952,36 @@ class TestNeuralnetAdjust:
 def at_delta_posterior():
     """60 accepted rows whose distances all equal delta = 1: no row lies
     strictly inside delta, so every Epanechnikov weight is 0."""
-    accepted, s_obs, _, _ = affine_posterior(seed=40, m=60, noise=1.0)
-    return replace(accepted, distances=np.ones(60), delta=1.0), s_obs
+    accepted, _, _, _ = affine_posterior(seed=40, m=60, noise=1.0)
+    return replace(accepted, distances=np.ones(60), delta=1.0)
 
 
 class TestAcceptedSet:
     def test_loclinear_at_delta_is_unweighted(self):
-        accepted, s_obs = at_delta_posterior()
-        post = loclinear_adjust(accepted, s_obs)
+        accepted = at_delta_posterior()
+        post = loclinear_adjust(accepted)
         assert np.array_equal(post.weights, np.full(60, 1 / 60))
         # delta = 0 gives unit kernel weights too
-        unweighted = loclinear_adjust(replace(accepted, delta=0.0), s_obs)
+        unweighted = loclinear_adjust(replace(accepted, delta=0.0))
         assert np.array_equal(post.draws, unweighted.draws)
 
     def test_neuralnet_at_delta_is_unweighted(self):
         # pinned from the fit that treated the zero weight sum as uniform weights
-        accepted, s_obs = at_delta_posterior()
-        post = neuralnet_adjust(accepted, s_obs, NetConfig(n_iter=200))
+        accepted = at_delta_posterior()
+        post = neuralnet_adjust(accepted, NetConfig(n_iter=200))
         assert np.array_equal(post.weights, np.full(60, 1 / 60))
         np.testing.assert_allclose(post.draws[0], [51.651801141094985, 24.496217405078742],
                                    rtol=1e-9)
         np.testing.assert_allclose(post.draws.sum(axis=0),
                                    [2986.1836803719934, 1496.3145054143365], rtol=1e-9)
 
-    @pytest.mark.parametrize("missing", ["summaries", "distances", "scales", "prior"])
+    @pytest.mark.parametrize("missing", ["offsets", "distances", "prior"])
     @pytest.mark.parametrize("correct", [loclinear_adjust, neuralnet_adjust],
                              ids=["loclinear", "neuralnet"])
     def test_correction_needs_the_rejection_set(self, correct, missing):
-        accepted, s_obs, _, _ = affine_posterior(seed=41, m=60)
+        accepted, _, _, _ = affine_posterior(seed=41, m=60)
         with pytest.raises(ValueError, match=f"lacks the accepted {missing}; run abc_reject"):
-            correct(replace(accepted, **{missing: None}), s_obs)
+            correct(replace(accepted, **{missing: None}))
 
 
 class TestAdjust:
@@ -982,7 +990,7 @@ class TestAdjust:
         s_obs = np.random.default_rng(33).normal(size=4)
         accepted = abc_reject(table, s_obs, 0.05)
         for method in ("rejection", "loclinear", "neuralnet"):
-            shared = adjust(accepted, s_obs, method)
+            shared = adjust(accepted, method)
             alone = fit(table, s_obs, method, 0.05)
             assert np.array_equal(shared.draws, alone.draws)
             assert np.array_equal(shared.weights, alone.weights)
@@ -992,7 +1000,7 @@ class TestAdjust:
         table = synthetic_table(100, seed=34)
         accepted = abc_reject(table, table.summaries[0], 0.5)
         with pytest.raises(ValueError, match="unknown method"):
-            adjust(accepted, table.summaries[0], "kernel")
+            adjust(accepted, "kernel")
 
 
 class TestCachedOrder:
@@ -1022,7 +1030,7 @@ class TestCachedOrder:
         accepted = abc_reject(table, s_obs, 0.05)
         rejection_orders = accepted.orders
         for method in ("loclinear", "neuralnet"):
-            corrected = adjust(accepted, s_obs, method)
+            corrected = adjust(accepted, method)
             assert corrected.orders is not rejection_orders
             for k in (0, 1):
                 np.testing.assert_array_equal(
@@ -1168,10 +1176,9 @@ class TestHpdInterval:
     def test_two_pointer_oracle_on_desk_posteriors(self, desk_table):
         rng = np.random.default_rng(49)
         for row in rng.choice(desk_table.n_rows, 2, replace=False):
-            s_obs = desk_table.summaries[row]
-            accepted = abc_reject(desk_table, s_obs, 0.1)
+            accepted = abc_reject(desk_table, desk_table.summaries[row], 0.1)
             for method in ("rejection", "loclinear"):
-                post = adjust(accepted, s_obs, method)
+                post = adjust(accepted, method)
                 for k in (0, 1):
                     for alpha in (0.5, 0.95):
                         assert hpd_interval(post, k, alpha) == hpd_two_pointer(

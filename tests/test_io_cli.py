@@ -501,7 +501,7 @@ class TestCliFit:
                          "--method", "loclinear", "--epsilon", "0.5",
                          "--out", str(tmp_path / "fit")]) == 0
         posterior = st_io.read_posterior(tmp_path / "fit" / "posterior.csv")
-        expected = loclinear_adjust(abc_reject(table, s_obs, 0.5), s_obs)
+        expected = loclinear_adjust(abc_reject(table, s_obs, 0.5))
         np.testing.assert_allclose(posterior.draws, expected.draws, atol=1e-8)
 
     @pytest.mark.parametrize("method", ["rejection", "loclinear"])
@@ -1028,6 +1028,22 @@ class TestCliFlags:
         assert not (tmp_path / "out").exists()
         assert run([*epsilons[:-1], "0.25"], tmp_path / "distinct") == cli.EXIT_OK
 
+    @pytest.mark.parametrize("command,flag,values", [
+        ("crossval", "--methods", ["rejection", "rejection"]),
+        ("coverage", "--methods", ["rejection", "loclinear", "rejection"]),
+        ("rscan", "--methods", ["rejection", "rejection"]),
+        ("rscan", "--r-values", ["1", "1"]),
+        ("rscan", "--kappa-values", ["20", "30", "20.0"]),
+    ])
+    def test_repeated_grid_value_exits_1(self, command, flag, values, small_table, tmp_path,
+                                         capsys):
+        # a repeat would pool two runs of one cell, a doubled sample under one key
+        out = tmp_path / "out"
+        argv = [command, "--table", str(small_table[1]), flag, *values, "--out", str(out)]
+        assert cli.main(argv) == cli.EXIT_VALIDATION
+        assert f"error: {flag} must be distinct, got {values[0]}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_floors_are_the_library_floors(self):
         with pytest.raises(ValueError, match="min_obs must be >= 4"):
             SimConfig(min_obs=cli.COUNT_FLAGS["min_obs"] - 1)
@@ -1163,9 +1179,9 @@ PINNED_REPORTS = {
 
 
 # The regression corrections on the CLI_RUNS inputs at epsilon 0.7, which
-# accepts 56 of the table's 80 rows (55 of a held-out table's 79), enough for
-# neuralnet's ten rows per hidden unit; and the sha256 of what each writes,
-# computed when every correction still took the observed summaries a second time
+# accepts 56 rows of the 80-row table and of each 79-row held-out table, enough
+# for neuralnet's ten rows per hidden unit; and the sha256 of what each writes,
+# computed when each correction still took the observed summaries as an argument
 CORRECTION_RUNS = {
     "crossval": ["--table", "table.csv", "--methods", "rejection", "loclinear", "neuralnet",
                  "--epsilons", "0.7", "--n-rep", "3", "--seed", "5"],

@@ -394,6 +394,34 @@ def test_sidecar_fault_raises_schema_error(name, fault, make, message, tmp_path)
     assert message in str(raised.value)
 
 
+def tiny_table(seed):
+    return ReferenceTable(np.ones((3, 2)), np.ones((3, 4)), PriorSpec(), SimConfig(), seed)
+
+
+@pytest.mark.parametrize("seed,rule", [(1.5, "a whole number"), (True, "a whole number"),
+                                       (-2, ">= 0"), (float("nan"), ">= 0")],
+                         ids=["fraction", "bool", "negative", "nan"])
+def test_table_seed_must_be_a_whole_number(seed, rule):
+    # the sidecar's reader takes no other seed, and a stream no negative one
+    with pytest.raises(ValueError, match=f"seed must be {rule}, got {seed}"):
+        tiny_table(seed)
+
+
+def test_table_seed_is_written_as_it_is_read(tmp_path):
+    table = tiny_table(np.int64(3))
+    assert type(table.seed) is int
+    st_io.write_reference_table(tmp_path / "table.csv", table)
+    assert st_io.read_reference_table(tmp_path / "table.csv").seed == 3
+
+
+def test_table_read_with_a_negative_seed_is_refused(tmp_path):
+    write_fixed_inputs(tmp_path)
+    break_sidecar(tmp_path, "table", lambda payload: _set_key(payload, "config.seed", -2))
+    path = tmp_path / "table.csv"
+    with pytest.raises(SchemaError, match=re.escape(f"{path}: seed must be >= 0, got -2")):
+        st_io.read_reference_table(path)
+
+
 @pytest.mark.parametrize("fault,make", [(f, m) for n, f, m, _ in SIDECAR_FAULTS if n == "table"],
                          ids=[f for n, f, _, _ in SIDECAR_FAULTS if n == "table"])
 def test_cli_exits_1_on_bad_table_sidecar(fault, make, good_inputs, tmp_path, capsys):

@@ -237,12 +237,10 @@ class TestOneOwner:
         summaries = np.arange(10.0 * len(SUMMARY_NAMES)).reshape(10, -1)
         table = inference.ReferenceTable(np.ones((10, 2)), summaries,
                                          inference.PriorSpec(), inference.SimConfig(), 0)
-        accepted = inference.abc_reject(table, table.summaries[0], 1.0)
         short = np.zeros(len(SUMMARY_NAMES) - 1)
         message = f"expected {len(SUMMARY_NAMES)} summary values, got shape"
         for check in (SummaryVector.from_array,
                       lambda s: inference.abc_reject(table, s, 0.5),
-                      lambda s: inference.standardized_distances(table, s),
-                      lambda s: inference.loclinear_adjust(accepted, s)):
+                      lambda s: inference.standardized_distances(table, s)):
             with pytest.raises(ValueError, match=message):
                 check(short)

@@ -1,3 +1,4 @@
+import hashlib
 import warnings
 
 import numpy as np
@@ -231,6 +232,71 @@ class TestTrain:
         y = np.tanh(x[:, :2]) + 0.1 * rng.normal(size=(80, 2))
         train(x, y, np.ones(80), NetConfig(n_iter=50))
         assert len(through_global) == len(through_optimizer) > 50
+
+
+def desk_scale_training(m, seed, noise, zero_weights=False):
+    """Standardized offsets at the desk's small scale (sd 0.05), targets
+    standardized as neuralnet_adjust standardizes them, and Epanechnikov
+    weights that are exactly 0 beyond the 90% quantile of the distance."""
+    rng = np.random.default_rng(seed)
+    x = np.asfortranarray(0.05 * rng.normal(size=(m, 4)))
+    y = 20.0 * x @ rng.normal(size=(4, 2)) + noise * rng.normal(size=(m, 2))
+    d = np.sqrt(np.sum((x / 0.05) ** 2, axis=1))
+    w = np.clip(1.0 - (d / np.quantile(d, 0.9)) ** 2, 0.0, None)
+    w_norm = w / w.sum()
+    center = w_norm @ y
+    y = (y - center) / np.sqrt(w_norm @ (y - center) ** 2)
+    return x, y, np.zeros(m) if zero_weights else w
+
+
+class TestPinnedBits:
+    # sha256 of the trained parameters and of predict's outputs (at the
+    # training inputs, then at the zero offset), recorded before the
+    # training kernel kept its scratch and folded its biases; every
+    # neuralnet posterior is a function of these bits
+    @pytest.mark.parametrize("m, seed, noise, zero_weights, stop, params_sha, predict_sha", [
+        pytest.param(
+            100, 1, 1.0, False, (700, "maxit"),
+            "ce91e82ec5207cd5d50eb85670ace4051dbbbf604a9a1481154fe386b4aa51ac",
+            "c5afa486c7addb33c276922ff7c00810757b1bca02c83a39be26424263258d8d",
+            id="m100-cap"),
+        pytest.param(
+            100, 6, 1.0, True, (382, "reltol"),
+            "95a56fbe9f6bcb51b6dfed8646dc9c162b72e2de2c5e7fcb4a329f5e08f64c41",
+            "8ce4775cc70d8eace851bd4214c5f23614096c8c537b4fc7bc6addc78938ed89",
+            id="m100-all-zero-weights"),
+        pytest.param(
+            1000, 5, 3.0, False, (374, "reltol"),
+            "22915bc9766943661568f88ea12bba7396046c597276395c27f73ff5e4363470",
+            "c301e8713e696b78fb6d7ca90692d309175d729dc70702db37dbcea8a7292e00",
+            id="m1000-reltol"),
+        pytest.param(
+            10000, 2, 0.1, False, (700, "maxit"),
+            "bfb3a220bf59112754ce340fa9aea2b4ec5ff0218bd8330e32dc3a1ec74ee1cd",
+            "6a675a88a43de160384dc4e0b854dd58f2c3bf9ea50a5389725591773559b68b",
+            id="m10000-cap"),
+        pytest.param(
+            10000, 1, 1.0, False, (261, "reltol"),
+            "aa75d40755f3974f535ef29f3babc43e5ee19c3e196bb926e17257437eec4f06",
+            "b79902a7b7e6d22659183574cfac2cb7496175e9ce9578efb8c4999670d36440",
+            id="m10000-reltol"),
+    ])
+    def test_training_bits_are_pinned(self, monkeypatch, m, seed, noise, zero_weights, stop,
+                                      params_sha, predict_sha):
+        runs = []
+
+        def recording_vmmin(*args):
+            runs.append(vmmin(*args))
+            return runs[-1]
+
+        monkeypatch.setattr(nnet, "vmmin", recording_vmmin)
+        x, y, w = desk_scale_training(m, seed, noise, zero_weights)
+        assert (w == 0.0).sum() == (m if zero_weights else m // 10)
+        flat, shapes = train(x, y, w, NetConfig())
+        outputs = np.concatenate([predict(flat, shapes, x), predict(flat, shapes, np.zeros((1, 4)))])
+        assert runs[0][1:] == stop
+        assert hashlib.sha256(flat.tobytes()).hexdigest() == params_sha
+        assert hashlib.sha256(outputs.tobytes()).hexdigest() == predict_sha
 
 
 def rosenbrock(p):

@@ -10,6 +10,14 @@ data term alone would let the decay pin the output weights at zero.
 Training is deterministic: fixed-seed initialisation scaled by
 1/sqrt(fan-in), then :func:`vmmin`, which draws nothing.
 
+Each training builds one :class:`Kernel`, so its ~700 evaluations allocate
+only their gradients. Temporaries made afresh per evaluation were, at
+1e4 rows (an ε 0.1 network), freed to the OS and faulted in again: 191 354
+minor page faults per training, in a process holding only the network's
+inputs. There one such desk network took 540–740 ms and takes 260–360 ms
+(2-core VM, one BLAS thread); after a rejection pass, 290–390 ms and
+250–300 ms.
+
 :func:`vmmin` keeps R's constants and stop rules. ``nnet``'s ``abstol`` is
 left out: it bounds a criterion not divided by the weight sum, which a
 standardized fit does not get near.
@@ -66,56 +74,96 @@ def unpack(flat, shapes):
     return w1.reshape(n_hidden, n_in), b1, w2.reshape(n_out, n_hidden), b2
 
 
-def _forward(w1, b1, w2, b2, xt):
-    """Hidden layer (n_hidden, m) and outputs (n_out, m) of inputs xt (n_in, m).
-    The logistic 1 / (1 + exp(-a)) runs in place; it is 0 where exp overflows."""
-    a = w1 @ xt
-    a += b1[:, None]
-    with np.errstate(over="ignore"):
+class _Forward:
+    """The forward pass over fixed inputs, with its scratch. The inputs
+    ``xt`` (n_in + 1, m) and the hidden layer ``hidden`` (n_hidden + 1, m)
+    each end in a row of ones, so the matmuls by ``layer1 = [w1 | b1]`` and
+    ``layer2 = [w2 | b2]`` add each bias as the last term of their sums."""
+
+    def __init__(self, shapes, x):
+        n_in, n_hidden, n_out = self.shapes = shapes
+        self.xt = np.ones((n_in + 1, len(x)))
+        self.xt[:-1] = x.T
+        self.hidden = np.ones((n_hidden + 1, len(x)))
+        self.out = np.empty((n_out, len(x)))
+        self.layer1 = np.empty((n_hidden, n_in + 1))
+        self.layer2 = np.empty((n_out, n_hidden + 1))
+
+    def __call__(self, flat):
+        """Outputs (n_out, m) of the parameters ``flat``. The logistic
+        1 / (1 + exp(-a)) runs in place and is 0 where exp overflows; the
+        caller holds ``np.errstate(over="ignore")``. Keeps ``w2``, a view of
+        ``flat``, for the backward pass: the strided ``layer2[:, :-1]``
+        would send a one-unit hidden layer through another BLAS path."""
+        w1, b1, self.w2, b2 = unpack(flat, self.shapes)
+        self.layer1[:, :-1], self.layer1[:, -1] = w1, b1
+        self.layer2[:, :-1], self.layer2[:, -1] = self.w2, b2
+        a = _affine(self.layer1, self.xt, self.hidden[:-1])
         np.exp(np.negative(a, out=a), out=a)
-    a += 1.0
-    hidden = np.reciprocal(a, out=a)
-    out = w2 @ hidden
-    out += b2[:, None]
-    return hidden, out
+        a += 1.0
+        np.reciprocal(a, out=a)
+        return _affine(self.layer2, self.hidden, self.out)
+
+
+def _affine(layer, inputs, out):
+    """``layer @ inputs`` into ``out``, for ``layer = [w | b]`` and inputs
+    that end in a row of ones. BLAS's gemm sums the bias last, as adding it
+    after ``w @ inputs`` does; the gemv numpy calls when ``out`` is one row
+    or one column sums in another order, so there the bias is added after
+    the product, to keep the bits of a one-row prediction."""
+    if min(out.shape) > 1:
+        return np.matmul(layer, inputs, out=out)
+    np.matmul(layer[:, :-1], inputs[:-1], out=out)
+    out += layer[:, -1:]
+    return out
+
+
+class Kernel(_Forward):
+    """One training's invariants and scratch, for every :func:`loss_and_grad`
+    evaluation: the targets ``yt`` (n_out, m), the weights, their sum and the
+    decay over it, and the buffers. All-zero weights count as unit weights."""
+
+    def __init__(self, shapes, x, y, sample_weight, l2):
+        super().__init__(shapes, x)
+        wsum = float(np.add.reduce(sample_weight))
+        if wsum <= 0:
+            sample_weight, wsum = np.ones(len(x)), float(len(x))
+        self.weight, self.wsum, self.l2, self.decay = sample_weight, wsum, l2, l2 / wsum
+        self.yt = np.ascontiguousarray(y.T)
+        self.d_out = np.empty_like(self.out)
+        self.d_hidden = np.empty((shapes[1], len(x)))
 
 
 def predict(flat, shapes, x):
-    return _forward(*unpack(flat, shapes), np.ascontiguousarray(x.T))[1].T
+    with np.errstate(over="ignore"):
+        return _Forward(shapes, x)(flat).T
 
 
-def loss_and_grad(flat, shapes, x, y, sample_weight, l2):
+def loss_and_grad(flat, kernel):
     """Weighted half sum of squares plus decay, over the weight sum, with
-    its analytic gradient.
+    its analytic gradient, on the :class:`Kernel` of the training.
 
     loss = [sum_i w_i ||y_i - f(x_i)||^2 / 2 + l2/2 * ||params||^2] / sum w
 
-    All-zero weights count as unit weights. The work runs on ``x.T`` and
-    ``y.T``, contiguous for the Fortran-ordered ``x`` and ``y`` of :func:`train`.
-    Every :func:`vmmin` evaluation runs this once, so it unpacks ``flat``
-    once and calls the sums' ufunc reductions without ``np.sum``'s wrapper:
-    the same reductions, in the same order.
+    Every :func:`vmmin` evaluation runs this once, under the errstate that
+    :func:`train` holds; it writes the kernel's scratch and a new gradient.
     """
-    wsum = float(np.add.reduce(sample_weight))
-    if wsum <= 0:
-        sample_weight, wsum = np.ones(len(x)), float(len(x))
-    w1, b1, w2, b2 = unpack(flat, shapes)
-    xt = np.ascontiguousarray(x.T)
-    hidden, err = _forward(w1, b1, w2, b2, xt)
-    err -= y.T
-    d_out = err * sample_weight
-    loss = 0.5 * (float(np.vdot(d_out, err)) + l2 * float(flat @ flat)) / wsum
-    d_out /= wsum
+    err = kernel(flat)
+    err -= kernel.yt
+    d_out = np.multiply(err, kernel.weight, out=kernel.d_out)
+    loss = 0.5 * (float(np.vdot(d_out, err)) + kernel.l2 * float(flat @ flat)) / kernel.wsum
+    d_out /= kernel.wsum
     grad = np.empty_like(flat)
-    g_w1, g_b1, g_w2, g_b2 = unpack(grad, shapes)
+    g_w1, g_b1, g_w2, g_b2 = unpack(grad, kernel.shapes)
+    hidden = kernel.hidden[:-1]
     np.matmul(d_out, hidden.T, out=g_w2)
     np.add.reduce(d_out, axis=1, out=g_b2)
-    d_hidden = w2.T @ d_out
+    d_hidden = np.matmul(kernel.w2.T, d_out, out=kernel.d_hidden)
     d_hidden *= hidden
     d_hidden *= np.subtract(1.0, hidden, out=hidden)
-    np.matmul(d_hidden, xt.T, out=g_w1)
+    np.matmul(d_hidden, kernel.xt[:-1].T, out=g_w1)
     np.add.reduce(d_hidden, axis=1, out=g_b1)
-    grad += (l2 / wsum) * flat
+    grad += kernel.decay * flat
     return loss, grad
 
 
@@ -166,7 +214,8 @@ def vmmin(objective, start, maxit):
             step = 1.0
             anchor = RELTEST + x_prev
             while True:
-                x = x_prev + step * t
+                s = step * t
+                x = x_prev + s
                 moved = not (RELTEST + x == anchor).all()
                 if not moved:
                     break
@@ -181,7 +230,6 @@ def vmmin(objective, start, maxit):
                 f_min, g = f, g_new
                 gradcount += 1
                 iteration += 1
-                s = step * t
                 y = g - g_prev
                 d1 = float(s @ y)
                 if d1 > 0.0:
@@ -206,17 +254,15 @@ def vmmin(objective, start, maxit):
 
 def train(x, y, sample_weight, config):
     """Fit the network by :func:`vmmin` on :func:`loss_and_grad`, from the
-    fixed-seed start, for at most ``config.n_iter`` iterations, with ``x``
-    and ``y`` in Fortran order. Deterministic given the data and config.
-    Returns (flat_params, shapes); raises :func:`vmmin`'s
+    fixed-seed start, for at most ``config.n_iter`` iterations, on one
+    :class:`Kernel` under one ``np.errstate``. Deterministic given the data
+    and config. Returns (flat_params, shapes); raises :func:`vmmin`'s
     ``TrainingDivergedError`` on a non-finite loss or gradient.
     """
-    x = np.asarray(x, dtype=float, order="F")
-    y = np.asfortranarray(np.asarray(y, dtype=float).reshape(len(x), -1))
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float).reshape(len(x), -1)
     start, shapes = init_params(x.shape[1], config.n_hidden, y.shape[1], config.seed)
-
-    def objective(flat):
-        return loss_and_grad(flat, shapes, x, y, sample_weight, config.l2)
-
-    flat, _, _ = vmmin(objective, start, config.n_iter)
+    kernel = Kernel(shapes, x, y, sample_weight, config.l2)
+    with np.errstate(over="ignore"):
+        flat, _, _ = vmmin(lambda flat: loss_and_grad(flat, kernel), start, config.n_iter)
     return flat, shapes

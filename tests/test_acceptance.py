@@ -55,7 +55,7 @@ from stepturn.densities import (
     f_z_normalization,
 )
 from stepturn.experiments import DEFAULT_CONSTRAINT
-from stepturn.nnet import init_params, loss_and_grad
+from stepturn.nnet import Kernel, init_params, loss_and_grad
 from stepturn.streams import stream
 
 from oracles import bessel_ratio_series
@@ -288,7 +288,8 @@ class TestCriterion9:
             l2 = float(rng.uniform(1e-4, 1e-1))
             flat, shapes = init_params(d, h, o, seed=trial)
             flat = flat + 0.1 * rng.normal(size=flat.shape)
-            _, analytic = loss_and_grad(flat, shapes, x, y, w, l2)
+            kernel = Kernel(shapes, x, y, w, l2)
+            _, analytic = loss_and_grad(flat, kernel)
             numeric = np.empty_like(flat)
             for i in range(len(flat)):
                 up = flat.copy()
@@ -296,8 +297,8 @@ class TestCriterion9:
                 down = flat.copy()
                 down[i] -= 1e-6
                 numeric[i] = (
-                    loss_and_grad(up, shapes, x, y, w, l2)[0]
-                    - loss_and_grad(down, shapes, x, y, w, l2)[0]
+                    loss_and_grad(up, kernel)[0]
+                    - loss_and_grad(down, kernel)[0]
                 ) / 2e-6
             scale = max(np.max(np.abs(numeric)), 1e-12)
             worst = max(worst, float(np.max(np.abs(analytic - numeric)) / scale))

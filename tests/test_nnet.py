@@ -6,6 +6,7 @@ import pytest
 
 from stepturn import TrainingDivergedError, nnet
 from stepturn.nnet import (
+    Kernel,
     NetConfig,
     init_params,
     loss_and_grad,
@@ -19,14 +20,14 @@ from stepturn.nnet import (
 from oracles import network_loss_and_grad
 
 
-def finite_difference_gradient(flat, shapes, x, y, w, l2, step=1e-6):
+def finite_difference_gradient(flat, kernel, step=1e-6):
     grad = np.empty_like(flat)
     for i in range(len(flat)):
         bumped = flat.copy()
         bumped[i] += step
-        up, _ = loss_and_grad(bumped, shapes, x, y, w, l2)
+        up, _ = loss_and_grad(bumped, kernel)
         bumped[i] -= 2 * step
-        down, _ = loss_and_grad(bumped, shapes, x, y, w, l2)
+        down, _ = loss_and_grad(bumped, kernel)
         grad[i] = (up - down) / (2 * step)
     return grad
 
@@ -44,8 +45,9 @@ class TestGradient:
             l2 = float(rng.uniform(1e-4, 1e-1))
             flat, shapes = init_params(d, h, o, seed=trial)
             flat = flat + 0.1 * rng.normal(size=flat.shape)
-            _, analytic = loss_and_grad(flat, shapes, x, y, w, l2)
-            numeric = finite_difference_gradient(flat, shapes, x, y, w, l2)
+            kernel = Kernel(shapes, x, y, w, l2)
+            _, analytic = loss_and_grad(flat, kernel)
+            numeric = finite_difference_gradient(flat, kernel)
             scale = max(np.max(np.abs(numeric)), 1e-12)
             rel = float(np.max(np.abs(analytic - numeric)) / scale)
             worst = max(worst, rel)
@@ -68,7 +70,7 @@ class TestGradient:
             trained, _ = train(x, y, w, config)
             scale = np.max(np.abs(network_loss_and_grad(start, shapes, x, y, w, config.l2)[1]))
             for flat in (start, trained):
-                loss, grad = loss_and_grad(flat, shapes, x, y, w, config.l2)
+                loss, grad = loss_and_grad(flat, Kernel(shapes, x, y, w, config.l2))
                 ref_loss, ref_grad = network_loss_and_grad(flat, shapes, x, y, w, config.l2)
                 assert abs(loss - ref_loss) <= 1e-13 * ref_loss
                 assert np.max(np.abs(grad - ref_grad)) <= 1e-13 * scale
@@ -78,19 +80,22 @@ class TestGradient:
         rng = np.random.default_rng(11)
         x, y, w = rng.normal(size=(300, 4)), rng.normal(size=(300, 2)), rng.uniform(size=300)
         flat, shapes = init_params(4, 5, 2, seed=3)
-        c_loss, c_grad = loss_and_grad(flat, shapes, x, y, w, 1e-2)
+        c_loss, c_grad = loss_and_grad(flat, Kernel(shapes, x, y, w, 1e-2))
         f_loss, f_grad = loss_and_grad(
-            flat, shapes, np.asfortranarray(x), np.asfortranarray(y), w, 1e-2)
+            flat, Kernel(shapes, np.asfortranarray(x), np.asfortranarray(y), w, 1e-2))
         assert c_loss == f_loss and np.array_equal(c_grad, f_grad)
 
     def test_saturated_hidden_units_stay_finite_and_silent(self):
-        # pre-activations beyond +-710, where exp(-a) overflows
+        # pre-activations beyond +-710, where exp(-a) overflows; train holds
+        # the overflow errstate around every evaluation (see
+        # TestTrain::test_overflow_stays_silent), predict holds its own
         x = np.array([[800.0], [-800.0], [1e5], [-1e5], [0.3]])
         y = np.zeros((5, 1))
         flat = pack(np.ones((2, 1)), np.zeros(2), np.ones((1, 2)), np.zeros(1))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            loss, grad = loss_and_grad(flat, (1, 2, 1), x, y, np.ones(5), 1e-2)
+            with np.errstate(over="ignore"):
+                loss, grad = loss_and_grad(flat, Kernel((1, 2, 1), x, y, np.ones(5), 1e-2))
             out = predict(flat, (1, 2, 1), x)
         assert np.isfinite(loss) and np.isfinite(grad).all()
         np.testing.assert_array_equal(out[:4, 0], [2.0, 0.0, 2.0, 0.0])
@@ -102,7 +107,7 @@ class TestGradient:
         x = rng.normal(size=(200, 3))
         flat, shapes = init_params(3, 5, 2, seed=4)
         flat = flat + rng.normal(size=flat.shape)
-        loss, grad = loss_and_grad(flat, shapes, x, predict(flat, shapes, x), np.ones(200), 0.0)
+        loss, grad = loss_and_grad(flat, Kernel(shapes, x, predict(flat, shapes, x), np.ones(200), 0.0))
         assert loss == 0.0 and not grad.any()
 
     def test_pack_unpack_round_trip(self):
@@ -209,6 +214,22 @@ class TestTrain:
         full, _ = train(x, corrupted_y, w, NetConfig(n_iter=300, seed=9))
         clean, _ = train(x, y, w, NetConfig(n_iter=300, seed=9))
         np.testing.assert_allclose(full, clean, atol=1e-12)
+
+    def test_overflow_stays_silent(self):
+        # inputs at 1e4: exp of the hidden pre-activation overflows from the
+        # first evaluation on; train's one errstate must cover every
+        # evaluation, and predict its own pass
+        rng = np.random.default_rng(8)
+        x = 1e4 * rng.normal(size=(100, 4))
+        y = np.tanh(x[:, :2] / 1e4) + 0.1 * rng.normal(size=(100, 2))
+        start, shapes = init_params(4, 5, 2, seed=0)
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            loss_and_grad(start, Kernel(shapes, x, y, np.ones(100), 1e-2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            flat, shapes = train(x, y, np.ones(100), NetConfig(n_iter=100))
+            out = predict(flat, shapes, x)
+        assert np.isfinite(flat).all() and np.isfinite(out).all()
 
     def test_every_evaluation_goes_through_loss_and_grad(self, monkeypatch):
         # perfbench counts the module-global loss_and_grad calls per training

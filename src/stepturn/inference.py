@@ -98,10 +98,12 @@ class ReferenceTable:
             raise ValueError("params and summaries must have equal row counts")
         if not (np.all(np.isfinite(self.params)) and np.all(np.isfinite(self.summaries))):
             raise ValueError("every parameter and summary row must be finite")
-        if isinstance(self.seed, bool):  # a flag is no seed, though True >= 0
-            raise ValueError(f"seed must be a whole number, got {self.seed}")
-        at_least("seed", self.seed, 0)
-        object.__setattr__(self, "seed", int(self.seed))  # a JSON-writable int
+        for name in ("seed", "n_resampled"):
+            value = getattr(self, name)
+            if isinstance(value, bool):  # a flag is no count, though True >= 0
+                raise ValueError(f"{name} must be a whole number, got {value}")
+            at_least(name, value, 0)
+            object.__setattr__(self, name, int(value))  # a JSON-writable int
 
     @classmethod
     def from_rows(cls, rows, prior, config, seed, n_resampled):

@@ -102,12 +102,13 @@ SHARD_RECORDS = ("an object of records with a string sha256",  # shards.json's "
                      for record in value.values()))
 
 
-def read_sidecar(path, kinds=None):
+def read_sidecar(path, kinds=None, defaults=None):
     """The JSON sidecar of ``path``; raises SchemaError naming the sidecar when
     it is missing, is not a JSON object, lacks one of the keys of ``kinds``,
     each a dotted path such as ``"config.seed"``, or holds a value of another
     kind than the one (``INTEGER``, ``NUMBER``, ``RANGE``, ...) that ``kinds``
-    maps its key to."""
+    maps its key to. ``defaults`` gives the value of each top-level key the
+    sidecar may leave out; a value it holds is checked all the same."""
     sidecar = Path(path).with_suffix(".json")
     try:
         payload = json.loads(sidecar.read_text())
@@ -117,6 +118,7 @@ def read_sidecar(path, kinds=None):
         raise SchemaError(f"sidecar {sidecar} is not valid JSON: {exc}") from None
     if not isinstance(payload, dict):
         raise SchemaError(f"sidecar {sidecar} is not a JSON object")
+    payload = {**(defaults or {}), **payload}
     for key, (kind, check) in (kinds or {}).items():
         node = payload
         for part in key.split("."):
@@ -370,14 +372,15 @@ def read_reference_table(path, sha256=None):
     sidecar = read_sidecar(path, {
         "config.seed": INTEGER, "config.prior.kappa_range": RANGE,
         "config.prior.lambda_range": RANGE, "config.sim.dt": NUMBER, "config.sim.min_obs": INTEGER,
-    })
+        "n_resampled": INTEGER,
+    }, defaults={"n_resampled": 0})
     config, prior = sidecar["config"], sidecar["config"]["prior"]
     table = ReferenceTable.from_rows(
         rows,
         PriorSpec(tuple(prior["kappa_range"]), tuple(prior["lambda_range"])),
         SimConfig(dt=config["sim"]["dt"], min_obs=config["sim"]["min_obs"]),
         config["seed"],
-        sidecar.get("n_resampled", 0),
+        sidecar["n_resampled"],
     )
     if parsed:  # only a table that passed every check is saved
         _save_twin(path, twin, rows)

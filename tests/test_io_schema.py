@@ -394,8 +394,8 @@ def test_sidecar_fault_raises_schema_error(name, fault, make, message, tmp_path)
     assert message in str(raised.value)
 
 
-def tiny_table(seed):
-    return ReferenceTable(np.ones((3, 2)), np.ones((3, 4)), PriorSpec(), SimConfig(), seed)
+def tiny_table(seed, n_resampled=0):
+    return ReferenceTable(np.ones((3, 2)), np.ones((3, 4)), PriorSpec(), SimConfig(), seed, n_resampled)
 
 
 @pytest.mark.parametrize("seed,rule", [(1.5, "a whole number"), (True, "a whole number"),
@@ -420,6 +420,41 @@ def test_table_read_with_a_negative_seed_is_refused(tmp_path):
     path = tmp_path / "table.csv"
     with pytest.raises(SchemaError, match=re.escape(f"{path}: seed must be >= 0, got -2")):
         st_io.read_reference_table(path)
+
+
+@pytest.mark.parametrize("n_resampled,rule", [(1.5, "a whole number"), (True, "a whole number"),
+                                              (-3, ">= 0"), (float("nan"), ">= 0")],
+                         ids=["fraction", "bool", "negative", "nan"])
+def test_table_resample_count_must_be_a_whole_number(n_resampled, rule):
+    with pytest.raises(ValueError, match=f"n_resampled must be {rule}, got {n_resampled}"):
+        tiny_table(0, n_resampled)
+
+
+def test_table_resample_count_is_written_as_it_is_read(tmp_path):
+    table = tiny_table(0, np.int64(2))
+    assert type(table.n_resampled) is int
+    st_io.write_reference_table(tmp_path / "table.csv", table)
+    assert st_io.read_reference_table(tmp_path / "table.csv").n_resampled == 2
+
+
+@pytest.mark.parametrize("value,message", [
+    (-3, "n_resampled must be >= 0, got -3"),
+    (1.5, "key 'n_resampled' must be an integer, found 1.5"),
+    (2.0, "key 'n_resampled' must be an integer, found 2.0"),
+    (True, "key 'n_resampled' must be an integer, found True"),
+    ("2", "key 'n_resampled' must be an integer, found '2'"),
+], ids=["negative", "fraction", "float", "bool", "string"])
+def test_table_read_with_a_bad_resample_count_is_refused(value, message, tmp_path):
+    write_fixed_inputs(tmp_path)
+    break_sidecar(tmp_path, "table", lambda payload: _set_key(payload, "n_resampled", value))
+    with pytest.raises(SchemaError, match=re.escape(message)):
+        st_io.read_reference_table(tmp_path / "table.csv")
+
+
+def test_table_read_without_a_resample_count_reads_0(tmp_path):
+    write_fixed_inputs(tmp_path)
+    break_sidecar(tmp_path, "table", lambda payload: (payload.pop("n_resampled"), json.dumps(payload))[1])
+    assert st_io.read_reference_table(tmp_path / "table.csv").n_resampled == 0
 
 
 @pytest.mark.parametrize("fault,make", [(f, m) for n, f, m, _ in SIDECAR_FAULTS if n == "table"],

@@ -11,12 +11,12 @@ Training is deterministic: fixed-seed initialisation scaled by
 1/sqrt(fan-in), then :func:`vmmin`, which draws nothing.
 
 Each training builds one :class:`Kernel`, so its ~700 evaluations allocate
-only their gradients. Temporaries made afresh per evaluation were, at
-1e4 rows (an ε 0.1 network), freed to the OS and faulted in again: 191 354
-minor page faults per training, in a process holding only the network's
-inputs. There one such desk network took 540–740 ms and takes 260–360 ms
-(2-core VM, one BLAS thread); after a rejection pass, 290–390 ms and
-250–300 ms.
+only their gradients. Temporaries allocated afresh per evaluation were, at
+1e4 rows (an ε 0.1 network) in a process holding only the network's
+inputs, handed back to the OS and faulted in again: 191 354 minor page
+faults per training. There one such desk network took a median 550 ms and
+takes 261 ms (2-core VM, one BLAS thread; the README has the process that
+ran a rejection pass first, where both take 258 ms).
 
 :func:`vmmin` keeps R's constants and stop rules. ``nnet``'s ``abstol`` is
 left out: it bounds a criterion not divided by the weight sum, which a
@@ -82,8 +82,8 @@ class _Forward:
 
     def __init__(self, shapes, x):
         n_in, n_hidden, n_out = self.shapes = shapes
-        self.xt = np.ones((n_in + 1, len(x)))
-        self.xt[:-1] = x.T
+        self.xt = np.ones((n_in + 1, len(x)))  # C order, whatever x's: the
+        self.xt[:-1] = x.T  # matmuls' bits depend on their operands' order
         self.hidden = np.ones((n_hidden + 1, len(x)))
         self.out = np.empty((n_out, len(x)))
         self.layer1 = np.empty((n_hidden, n_in + 1))

@@ -76,7 +76,7 @@ class TestGradient:
                 assert np.max(np.abs(grad - ref_grad)) <= 1e-13 * scale
 
     def test_memory_order_does_not_move_a_bit(self):
-        # train passes x and y in Fortran order; C order must give the same bits
+        # the kernel copies x.T and y.T from either order; both give the same bits
         rng = np.random.default_rng(11)
         x, y, w = rng.normal(size=(300, 4)), rng.normal(size=(300, 2)), rng.uniform(size=300)
         flat, shapes = init_params(4, 5, 2, seed=3)
